@@ -3,8 +3,8 @@
 Not a paper figure — isolates the two per-packet code paths that the
 allocation-free delivery fast path rebuilt (``NIC.on_ack`` and
 ``NIC._pump``) from routing and the event loop, and times them against
-the retained straight-line reference implementation
-(``delivery_fast_path=False``).  Two meters:
+the straight-line reference implementation in
+``tests/oracles/delivery.py``.  Two meters:
 
 * **acks/s** — one full ack round-trip epilogue per iteration: window
   update through the CC strategy, counters, and an (empty) pump check;
@@ -23,6 +23,7 @@ from repro.analysis import render_table
 from repro.network.dragonfly import DragonflyParams
 from repro.network.packet import Packet
 from repro.systems import slingshot_config
+from tests.oracles.delivery import reference_delivery
 
 #: iterations per meter (swamps timer resolution, stays sub-second)
 N_ACKS = 200_000
@@ -39,10 +40,11 @@ class _Sink:
 
 
 def _build(fast: bool):
-    cfg = slingshot_config(
-        DragonflyParams(2, 3, 2, links_per_pair=1), seed=0
-    ).with_(delivery_fast_path=fast)
-    return cfg.build()
+    cfg = slingshot_config(DragonflyParams(2, 3, 2, links_per_pair=1), seed=0)
+    if fast:
+        return cfg.build()
+    with reference_delivery():
+        return cfg.build()
 
 
 def _ack_rate(fabric, n_acks: int, repeats: int = 3) -> float:

@@ -1,5 +1,9 @@
 """Event-queue microbenchmarks: calendar vs heap, in isolation.
 
+The calendar queue is the production :class:`~repro.sim.Simulator`; the
+heap is the test oracle ``tests/oracles/heap_sim.py``, kept here as the
+reference column.
+
 The fabric benches measure the queue through six layers of network
 machinery; these measure the scheduler itself — steady-state push/pop
 throughput, cancel-heavy churn (the retransmission-timer pattern that
@@ -15,11 +19,15 @@ import time
 from conftest import run_once, save_metrics, save_result
 from repro.analysis import render_table
 from repro.sim import Simulator
+from tests.oracles.heap_sim import HeapSimulator
+
+#: queue kind -> simulator class
+_QUEUES = {"calendar": Simulator, "heap": HeapSimulator}
 
 
 def _self_clocked(kind: str, n: int) -> float:
     """Events/s for a self-rescheduling handler chain (pure queue cost)."""
-    sim = Simulator(queue=kind)
+    sim = _QUEUES[kind]()
     count = [0]
 
     def tick():
@@ -36,7 +44,7 @@ def _self_clocked(kind: str, n: int) -> float:
 def _bulk_push_pop(kind: str, n: int) -> float:
     """Events/s with a deep queue: n pushes spread over a wide horizon,
     then handlers that each push one replacement (steady-state depth)."""
-    sim = Simulator(queue=kind)
+    sim = _QUEUES[kind]()
     fuel = [n]
 
     def fire(slot):
@@ -56,7 +64,7 @@ def _cancel_churn(kind: str, n: int) -> float:
     """Timer ops/s for the re-arm pattern: every event cancels a pending
     far-future timer and arms a replacement (what retransmission timers
     do per ack), so dead entries pile up and amortized compaction runs."""
-    sim = Simulator(queue=kind)
+    sim = _QUEUES[kind]()
     fuel = [n]
     K = 256
     slots = [None] * K
@@ -84,7 +92,7 @@ def _cancel_churn(kind: str, n: int) -> float:
 def _mixed_horizon(kind: str, n: int) -> float:
     """Events/s when 1-ns-scale wire events interleave with ms timers —
     the span the calendar's adaptive refill width has to absorb."""
-    sim = Simulator(queue=kind)
+    sim = _QUEUES[kind]()
     fuel = [n]
 
     def fire(scale):

@@ -47,9 +47,9 @@ rebuild lazily on the next decision.  RNG sampling still happens live on
 the cached populations (``random.sample``/``choice`` consume the RNG as
 a function of population *length* only, and the tuples preserve the
 exact length and order of the per-decision lists they replace), so
-decisions are bit-identical to the table-free reference implementation,
-which is retained behind ``use_tables=False`` and pinned against the
-fast path by property tests.
+decisions are bit-identical to the table-free reference router in
+``tests/oracles/routing.py``, which property tests pin against the fast
+path.
 
 Three policies are provided: :class:`AdaptiveRouter` (Slingshot and, with
 different parameters, Aries), :class:`MinimalRouter` and
@@ -110,10 +110,7 @@ class AdaptiveRouter:
 
     One router instance serves the whole fabric (it is stateless apart
     from its RNG and its routing tables; all congestion state is read
-    from the ports).  ``use_tables=False`` selects the table-free
-    reference implementation — same decisions, recomputed per packet —
-    kept for the cache-equivalence property tests and as the executable
-    specification of what the tables must reproduce.
+    from the ports).
     """
 
     #: multiplicative penalty on non-minimal candidates (2 ≈ double length)
@@ -130,7 +127,6 @@ class AdaptiveRouter:
         n_candidates: int = 2,
         allow_nonminimal: bool = True,
         tc_routing_bias=None,
-        use_tables: bool = True,
     ):
         self.topo = topology
         self.nonmin_penalty = nonmin_penalty
@@ -147,7 +143,6 @@ class AdaptiveRouter:
         #: steered around it, and decisions with no live port at all
         self.reroutes = 0
         self.no_route = 0
-        self._use_tables = use_tables
         # structural constants hoisted off the hot path (the params
         # dataclass is frozen, so these can never go stale)
         p = topology.params
@@ -182,22 +177,16 @@ class AdaptiveRouter:
     @staticmethod
     def _least_loaded(ports) -> "object":
         # Port scores are read through the congestion_score cache's fast
-        # branch (valid entry, no burst in flight) without the method
-        # call; any other state falls back to the full recompute, so the
-        # value is always exactly what congestion_score() returns.
+        # branch (valid entry) without the method call; a stale entry
+        # falls back to the full recompute, so the value is always
+        # exactly what congestion_score() returns.
         best = ports[0]
         best_score = (
-            best._score_val
-            if best._score_ok and best._burst is None
-            else best.congestion_score()
+            best._score_val if best._score_ok else best.congestion_score()
         )
         for i in range(1, len(ports)):
             p = ports[i]
-            s = (
-                p._score_val
-                if p._score_ok and p._burst is None
-                else p.congestion_score()
-            )
+            s = p._score_val if p._score_ok else p.congestion_score()
             if s < best_score:
                 best, best_score = p, s
         return best
@@ -224,9 +213,7 @@ class AdaptiveRouter:
         for cand in candidates:
             port, nonmin, _inter = cand
             score = (
-                port._score_val
-                if port._score_ok and port._burst is None
-                else port.congestion_score()
+                port._score_val if port._score_ok else port.congestion_score()
             )
             if nonmin:
                 score = (
@@ -324,8 +311,6 @@ class AdaptiveRouter:
     # -- main entry ------------------------------------------------------------
 
     def route(self, sw, pkt):
-        if not self._use_tables:
-            return self._route_reference(sw, pkt)
         topo = self.topo
         if topo.degraded:
             return self._route_degraded_tables(sw, pkt)
@@ -400,7 +385,8 @@ class AdaptiveRouter:
         return port
 
     def _ptg_tables(self, sw, group):
-        """Table-driven :meth:`_port_towards_group` (healthy fabric)."""
+        """Best port from *sw* towards *group* on a healthy fabric: direct
+        global link if any, else a local hop to a gateway switch."""
         direct = sw.ports_to_group.get(group)
         if direct:
             return direct[0] if len(direct) == 1 else self._least_loaded(direct)
@@ -411,8 +397,8 @@ class AdaptiveRouter:
         return choices[0] if len(choices) == 1 else self._least_loaded(choices)
 
     def _ptg_live_tables(self, sw, group):
-        """Table-driven :meth:`_port_towards_group_live`; None if
-        unreachable under the current health mask."""
+        """Fault-aware :meth:`_ptg_tables`; None if unreachable under the
+        current health mask."""
         direct, gws, _had = self._deg_global_ports(sw, group)
         if direct:
             return direct[0] if len(direct) == 1 else self._least_loaded(direct)
@@ -426,11 +412,15 @@ class AdaptiveRouter:
     def _route_degraded_tables(self, sw, pkt):
         """Degraded candidate generation over the epoch-guarded caches.
 
-        Same decisions as :meth:`_route_degraded` (the reference): dead
-        ports never enter the candidate set, dead minimal paths reroute
-        through live detours/gateways, and nothing live means ``None``
-        (drop; e2e recovery re-injects).  The per-packet health-mask
-        filters are replaced by cached tuples rebuilt once per fault.
+        Dead ports never enter the candidate set; when every minimal
+        option is dead the router *reroutes* — local detour through a
+        neighbour that still reaches the destination switch, or a live
+        gateway for a dead direct global link.  Returns ``None`` (drop;
+        e2e recovery re-injects) when nothing live remains.  Detours
+        around failures are taken even by :class:`MinimalRouter`: fault
+        avoidance is resiliency, not congestion-driven non-minimality.
+        The per-packet health-mask filters of the reference router are
+        replaced by cached tuples rebuilt once per fault.
         """
         topo = self.topo
         dst = pkt.dst
@@ -503,194 +493,6 @@ class AdaptiveRouter:
             self.reroutes += 1
         return self._pick(sw, pkt, cand)
 
-    # -- reference implementation (use_tables=False) --------------------------
-    #
-    # The pre-table router, byte-for-byte: candidate sets recomputed per
-    # packet from the topology and the live health mask.  This is the
-    # executable specification the tables are tested against (hypothesis
-    # equivalence suite and the flapping-schedule regression test), and a
-    # escape hatch for topologies whose wiring mutates at runtime.
-
-    def _port_towards_group(self, sw, group):
-        """Best port from *sw* towards *group*: direct global link if any,
-        else a local hop to a gateway switch."""
-        direct = sw.ports_to_group.get(group)
-        if direct:
-            return self._least_loaded(direct)
-        gws = self.topo.gateways(sw.group, group)
-        choices = self._sample(gws, self.n_candidates)
-        return self._least_loaded([sw.port_to_switch[g] for g in choices])
-
-    def _route_reference(self, sw, pkt):
-        if self.topo.degraded:
-            return self._route_degraded(sw, pkt)
-
-        dst_sw = self.topo.node_switch(pkt.dst)
-        if dst_sw == sw.id:
-            return sw.port_to_node[pkt.dst]
-
-        # Entering the Valiant intermediate group completes the misroute.
-        if pkt.intermediate_group is not None and sw.group == pkt.intermediate_group:
-            pkt.intermediate_group = None
-
-        dst_g = self.topo.switch_group(dst_sw)
-        target_g = pkt.intermediate_group if pkt.intermediate_group is not None else dst_g
-        at_injection = pkt.hops == 1
-        candidates: List[Tuple[object, bool, Optional[int]]] = []
-        # each entry: (port, is_nonminimal, intermediate_group_to_set)
-
-        if target_g == sw.group:
-            # Local leg: minimal is the direct link to the destination switch.
-            candidates.append((sw.port_to_switch[dst_sw], False, None))
-            if self.allow_nonminimal and at_injection and dst_g == sw.group:
-                others = [s for s in self.topo.local_neighbors(sw.id) if s != dst_sw]
-                for m in self._sample(others, self.n_candidates):
-                    candidates.append((sw.port_to_switch[m], True, None))
-        else:
-            direct = sw.ports_to_group.get(target_g)
-            if direct:
-                for port in self._sample(direct, self.n_candidates):
-                    candidates.append((port, False, None))
-            else:
-                gws = self.topo.gateways(sw.group, target_g)
-                for g in self._sample(gws, self.n_candidates):
-                    candidates.append((sw.port_to_switch[g], False, None))
-            if (
-                self.allow_nonminimal
-                and at_injection
-                and pkt.intermediate_group is None
-                and self.topo.params.n_groups > 2
-            ):
-                pool = [
-                    g
-                    for g in range(self.topo.params.n_groups)
-                    if g != sw.group and g != dst_g
-                ]
-                for k in self._sample(pool, self.n_candidates):
-                    candidates.append((self._port_towards_group(sw, k), True, k))
-
-        return self._pick(sw, pkt, candidates)
-
-    # -- degraded fabric (reference) ------------------------------------------
-
-    def _port_towards_group_live(self, sw, group):
-        """Fault-aware :meth:`_port_towards_group`; None if unreachable."""
-        direct = [p for p in (sw.ports_to_group.get(group) or ()) if p.up]
-        if direct:
-            return self._least_loaded(direct)
-        gws = [
-            g
-            for g in self.topo.live_gateways(sw.group, group)
-            if g != sw.id and sw.port_to_switch[g].up
-        ]
-        if not gws:
-            return None
-        choices = self._sample(gws, self.n_candidates)
-        return self._least_loaded([sw.port_to_switch[g] for g in choices])
-
-    def _route_degraded(self, sw, pkt):
-        """Candidate generation with the link-health mask applied.
-
-        Dead ports never enter the candidate set; when every minimal
-        option is dead the router *reroutes* — local detour through a
-        neighbour that still reaches the destination switch, or a live
-        gateway for a dead direct global link.  Returns ``None`` (drop;
-        e2e recovery re-injects) when nothing live remains.  Detours
-        around failures are taken even by :class:`MinimalRouter`: fault
-        avoidance is resiliency, not congestion-driven non-minimality.
-        """
-        topo = self.topo
-        dst_sw = topo.node_switch(pkt.dst)
-        if dst_sw == sw.id:
-            port = sw.port_to_node[pkt.dst]
-            if port.up:
-                if self.telem is not None:
-                    self.telem.routed(sw.sim, sw, pkt, port, False, None)
-                return port
-            self.no_route += 1
-            return None
-        if pkt.hops >= MAX_DEGRADED_HOPS:
-            self.no_route += 1
-            return None
-
-        if pkt.intermediate_group is not None and sw.group == pkt.intermediate_group:
-            pkt.intermediate_group = None
-
-        dst_g = topo.switch_group(dst_sw)
-        target_g = pkt.intermediate_group if pkt.intermediate_group is not None else dst_g
-        at_injection = pkt.hops == 1
-        candidates: List[Tuple[object, bool, Optional[int]]] = []
-        rerouted = False
-
-        if target_g == sw.group:
-            min_port = sw.port_to_switch.get(dst_sw)
-            if min_port is not None and min_port.up:
-                candidates.append((min_port, False, None))
-                if self.allow_nonminimal and at_injection and dst_g == sw.group:
-                    others = [
-                        s
-                        for s in topo.local_neighbors(sw.id)
-                        if s != dst_sw
-                        and sw.port_to_switch[s].up
-                        and topo.local_link_up(s, dst_sw)
-                    ]
-                    for m in self._sample(others, self.n_candidates):
-                        candidates.append((sw.port_to_switch[m], True, None))
-            else:
-                # Minimal local link is dead: detour through any neighbour
-                # that still has a live link onward to the destination.
-                rerouted = True
-                detours = [
-                    m
-                    for m in topo.local_neighbors(sw.id)
-                    if m != dst_sw
-                    and sw.port_to_switch[m].up
-                    and topo.local_link_up(m, dst_sw)
-                ]
-                for m in self._sample(detours, self.n_candidates):
-                    candidates.append((sw.port_to_switch[m], True, None))
-        else:
-            had_direct = sw.ports_to_group.get(target_g)
-            direct = [p for p in (had_direct or ()) if p.up]
-            if direct:
-                for port in self._sample(direct, self.n_candidates):
-                    candidates.append((port, False, None))
-            else:
-                if had_direct:
-                    rerouted = True  # our own global links to there all died
-                gws = [
-                    g
-                    for g in topo.live_gateways(sw.group, target_g)
-                    if g != sw.id and sw.port_to_switch[g].up
-                ]
-                if not gws:
-                    rerouted = True
-                for g in self._sample(gws, self.n_candidates):
-                    candidates.append((sw.port_to_switch[g], False, None))
-            if (
-                self.allow_nonminimal
-                and at_injection
-                and pkt.intermediate_group is None
-                and topo.params.n_groups > 2
-            ):
-                pool = [
-                    g
-                    for g in range(topo.params.n_groups)
-                    if g != sw.group and g != dst_g
-                ]
-                for k in self._sample(pool, self.n_candidates):
-                    port = self._port_towards_group_live(sw, k)
-                    if port is not None:
-                        candidates.append((port, True, k))
-
-        if not candidates:
-            self.no_route += 1
-            return None
-        if rerouted:
-            self.reroutes += 1
-        return self._pick(sw, pkt, candidates)
-
-
 class MinimalRouter(AdaptiveRouter):
     """Minimal-only routing (still picks the least-loaded parallel link)."""
 
@@ -709,7 +511,6 @@ class ValiantRouter(AdaptiveRouter):
     def route(self, sw, pkt):
         topo = self.topo
         degraded = topo.degraded
-        use_tables = self._use_tables
         dst_sw = topo.node_switch(pkt.dst)
         if dst_sw == sw.id:
             port = sw.port_to_node[pkt.dst]
@@ -728,59 +529,29 @@ class ValiantRouter(AdaptiveRouter):
             if dst_g != sw.group and self._n_groups > 2:
                 # choice() draws as a function of population length, so
                 # the cached pool substitutes bit-identically.
-                if use_tables:
-                    pool = topo.valiant_pool(sw.group, dst_g)
-                else:
-                    pool = [
-                        g
-                        for g in range(self._n_groups)
-                        if g != sw.group and g != dst_g
-                    ]
+                pool = topo.valiant_pool(sw.group, dst_g)
                 pkt.intermediate_group = misrouted = self._rng.choice(pool)
             elif dst_g == sw.group:
-                if use_tables:
-                    if degraded:
-                        ports = self._deg_local_ports(sw, dst_sw)
-                    else:
-                        ports = sw.rt_detour_ports.get(dst_sw)
-                        if ports is None:
-                            ports = self._build_detour_ports(sw, dst_sw)
-                    if ports:
-                        port = self._rng.choice(ports)
-                        if self.telem is not None:
-                            self.telem.routed(sw.sim, sw, pkt, port, True, None)
-                        return port
+                if degraded:
+                    ports = self._deg_local_ports(sw, dst_sw)
                 else:
-                    others = [s for s in topo.local_neighbors(sw.id) if s != dst_sw]
-                    if degraded:
-                        others = [
-                            s
-                            for s in others
-                            if sw.port_to_switch[s].up
-                            and topo.local_link_up(s, dst_sw)
-                        ]
-                    if others:
-                        port = sw.port_to_switch[self._rng.choice(others)]
-                        if self.telem is not None:
-                            self.telem.routed(sw.sim, sw, pkt, port, True, None)
-                        return port
+                    ports = sw.rt_detour_ports.get(dst_sw)
+                    if ports is None:
+                        ports = self._build_detour_ports(sw, dst_sw)
+                if ports:
+                    port = self._rng.choice(ports)
+                    if self.telem is not None:
+                        self.telem.routed(sw.sim, sw, pkt, port, True, None)
+                    return port
         target_g = pkt.intermediate_group if pkt.intermediate_group is not None else dst_g
         if target_g == sw.group:
             port = sw.port_to_switch[dst_sw]
             if degraded and not port.up:
                 port = None
         elif degraded:
-            port = (
-                self._ptg_live_tables(sw, target_g)
-                if use_tables
-                else self._port_towards_group_live(sw, target_g)
-            )
+            port = self._ptg_live_tables(sw, target_g)
         else:
-            port = (
-                self._ptg_tables(sw, target_g)
-                if use_tables
-                else self._port_towards_group(sw, target_g)
-            )
+            port = self._ptg_tables(sw, target_g)
         if port is None:
             self.no_route += 1
             return None

@@ -56,14 +56,6 @@ class FaultInjector:
         self.applied: List[Tuple[float, FaultEvent]] = []
         self.events_applied = 0
         fabric.fault_injector = self
-        # Fail-stop semantics drop *queued* packets; busy-period batching
-        # pre-commits queued packets to the wire, so the two cannot
-        # coexist.  A faultable fabric runs packet-at-a-time everywhere.
-        for sw in fabric.switches:
-            for port in sw.all_ports():
-                port.batching = False
-        for nic in fabric.nics:
-            nic.out_port.batching = False
         if reliability:
             # The retransmission tracker keeps a reference to every
             # unsettled packet, so a dropped packet is NOT dead — port

@@ -29,7 +29,7 @@ class EndToEndReliability:
     timer is kept per NIC, armed at the earliest outstanding deadline —
     not one per packet — and re-arming at an earlier deadline *cancels*
     the superseded timer (O(1) lazy deletion in the engine), so the event
-    heap stays bounded by live timers even under retransmission storms.
+    queue stays bounded by live timers even under retransmission storms.
     """
 
     __slots__ = (
@@ -102,7 +102,7 @@ class EndToEndReliability:
             return False
         if not self.outstanding and self._timer is not None:
             # Nothing left to watch: drop the timer instead of letting it
-            # pop through the heap as a no-op.
+            # pop through the event queue as a no-op.
             self._timer.cancel()
             self._timer = None
             self._timer_at = None

@@ -93,21 +93,6 @@ class VcBufferPool:
             port._score_ok = False
         return True
 
-    def bulk_acquire_shared(self, total: float) -> bool:
-        """Take *total* bytes from the shared region in one step.
-
-        Used by busy-period batching, which admits a whole burst only
-        when the shared pool can hold it (reserves are never tapped, so
-        per-packet ``buf_shared`` stays True exactly as the packet-at-a-
-        time path would have chosen it).
-        """
-        if self.shared.try_acquire(total):
-            self._in_use += total
-            for port in self.watchers:
-                port._score_ok = False
-            return True
-        return False
-
     def release(self, size: float, vc: int, was_shared: bool) -> None:
         self._in_use -= size
         for port in self.watchers:

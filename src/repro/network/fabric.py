@@ -23,9 +23,9 @@ from ..core.traffic_classes import TrafficClass, default_traffic_classes
 from ..sim import Event, Simulator
 from ..sim.rng import stable_hash
 from .dragonfly import DragonflyParams, DragonflyTopology
-from .nic import NIC, ReferenceNIC
+from .nic import NIC
 from .packet import ROCE_HEADER_BYTES, Message, drain_packet_pool
-from .switch import OutputPort, ReferenceOutputPort, Switch
+from .switch import OutputPort, Switch
 from .units import KiB, gbps
 
 __all__ = ["LinkSpec", "FabricConfig", "Fabric", "LinkRef"]
@@ -132,39 +132,12 @@ class FabricConfig:
     #: each wire its own dedicated ``LinkSpec.buffer_bytes``.
     shared_switch_buffers: bool = False
     switch_buffer_bytes: float = 256 * KiB
-    #: busy-period batching on eligible output ports: burst wire events
-    #: are computed arithmetically instead of one heap event per packet.
-    #: Per-packet timestamps are bit-identical, but pre-scheduling a
-    #: burst's events changes *same-timestamp tie ordering* against
-    #: events scheduled later by other ports, which can steer adaptive
-    #: routing differently under heavy congestion.  Off by default to
-    #: keep the bit-identity contract with earlier releases; sweeps and
-    #: benchmarks opt in for the throughput win.  (Also disabled
-    #: automatically wherever it would be observable: marking host
-    #: ports, shared pools, LLR, telemetry, fault injection.)
-    burst_batching: bool = False
-    #: allocation-free NIC/port delivery path (the default).  False swaps
-    #: in ReferenceNIC/ReferenceOutputPort — the straight-line executable
-    #: spec, bit-identical event-for-event (pinned by
-    #: tests/test_delivery_path_equivalence.py); keep it available for
-    #: differential debugging of the hot path.
-    delivery_fast_path: bool = True
-    #: event-queue implementation for the fabric's simulator: "calendar"
-    #: (amortized O(1) scheduling, the default) or "heap" (the binary-heap
-    #: reference).  Dispatch order is bit-identical either way, pinned by
-    #: tests/test_event_queue_equivalence.py.
-    queue: str = "calendar"
     #: return dead packets (acked, or dropped unobserved) to the module
     #: free-list for reuse.  Invisible to simulation results — pids are
     #: still assigned in construction order — and automatically suspended
     #: wherever an observer (telemetry, auditor, reliability layer) could
     #: hold a reference past the packet's death.
     recycle_packets: bool = True
-    #: run-loop GC policy for the fabric's simulator: None leaves the
-    #: collector alone; "disable" switches it off during sim.run();
-    #: "freeze" additionally moves the wired fabric into the permanent
-    #: generation first.  Prior collector state is restored on exit.
-    gc_policy: Optional[str] = None
     seed: int = 0
 
     def build(self, sim: Optional[Simulator] = None) -> "Fabric":
@@ -180,9 +153,7 @@ class Fabric:
 
     def __init__(self, config: FabricConfig, sim: Optional[Simulator] = None):
         self.config = config
-        self.sim = sim if sim is not None else Simulator(queue=config.queue)
-        if config.gc_policy is not None:
-            self.sim.gc_policy = config.gc_policy
+        self.sim = sim if sim is not None else Simulator()
         self.topology = DragonflyTopology(config.params)
         router_factory = config.router_factory or (
             lambda topo, seed: AdaptiveRouter(topo, seed)
@@ -200,9 +171,8 @@ class Fabric:
             )
             for s in range(self.topology.n_switches)
         ]
-        nic_cls = NIC if config.delivery_fast_path else ReferenceNIC
         self.nics: List[NIC] = [
-            nic_cls(
+            NIC(
                 self.sim,
                 n,
                 self.cc,
@@ -271,8 +241,7 @@ class Fabric:
         pools = None
         if self.config.shared_switch_buffers and isinstance(rx, Switch):
             pools = self._switch_pools(rx.id)
-        port_cls = OutputPort if self.config.delivery_fast_path else ReferenceOutputPort
-        port = port_cls(
+        return OutputPort(
             self.sim,
             owner,
             kind,
@@ -288,8 +257,6 @@ class Fabric:
             replay_latency=spec.replay_latency_ns,
             seed=self.config.seed,
         )
-        port.batching = self.config.burst_batching and port._batch_ok
-        return port
 
     def _register_link(self, key, kind, ports, spec, *switches) -> None:
         self.links[key] = LinkRef(key=key, kind=kind, ports=tuple(ports), spec=spec)

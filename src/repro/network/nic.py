@@ -30,10 +30,9 @@ Delivery fast path: :class:`NIC` is the production implementation —
 ``_hot`` flag maintained by property setters, event scheduling through
 the engine's ``sim.push`` producer contract, and acked packets returned
 to the :mod:`repro.network.packet` free-list when no hook could still
-hold a reference to them).
-:class:`ReferenceNIC` keeps the straight-line spec and is selected with
-``FabricConfig(delivery_fast_path=False)``;
-``tests/test_delivery_path_equivalence.py`` pins the two event-for-event.
+hold a reference to them).  The straight-line specification lives in
+``tests/oracles/delivery.py``; ``tests/test_delivery_path_equivalence.py``
+pins the two event-for-event.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from ..sim import Simulator
 from .packet import Message, Packet, recycle_packet
 from .switch import OutputPort
 
-__all__ = ["NIC", "ReferenceNIC"]
+__all__ = ["NIC"]
 
 
 class NIC:
@@ -429,88 +428,3 @@ class NIC:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"NIC(node={self.node})"
 
-
-class ReferenceNIC(NIC):
-    """Straight-line reference delivery path (executable specification).
-
-    Selected with ``FabricConfig(delivery_fast_path=False)``.  Behaviour
-    must be bit-identical to :class:`NIC` — same packets, same event
-    times, same event order — which
-    ``tests/test_delivery_path_equivalence.py`` enforces event-for-event
-    (healthy, under fault schedules with retransmissions, and in the
-    paced/marked regimes).  Keep this implementation boring: every hook
-    is an attribute check, every event goes through
-    :meth:`Simulator.schedule`.
-    """
-
-    __slots__ = ()
-
-    def _pump(self, state: PairState) -> None:
-        now = self.sim.now
-        while state.pending_count and state.in_flight < max(state.window, 1.0):
-            paced = state.window < 1.0
-            if paced and now < state.next_send_ns:
-                if not state.pace_armed:
-                    state.pace_armed = True
-                    self.sim.schedule(state.next_send_ns - now, self._pace_fire, state)
-                return
-            pkt = self._next_pending(state)
-            state.in_flight += 1
-            pkt.inject_time = now
-            self.bytes_injected += pkt.size
-            self.pkts_injected += 1
-            if self.telem is not None:
-                self.telem.injected(pkt, state)
-            if self.audit is not None:
-                self.audit.on_injected(self, pkt)
-            if self.retrans is not None:
-                self.retrans.on_inject(pkt, state)
-            if paced:
-                state.next_send_ns = now + pkt.size / self.out_port.bandwidth / state.window
-            self.out_port.enqueue(pkt)
-
-    def receive(self, pkt: Packet, from_port: OutputPort) -> None:
-        self.sim.schedule(
-            from_port.prop_delay,
-            from_port.credits[pkt.tc].release,
-            pkt.size,
-            pkt.vc,
-            pkt.buf_shared,
-        )
-        self.bytes_delivered += pkt.size
-        self.pkts_delivered += 1
-        msg = pkt.message
-        if self.retrans is not None and not self.retrans.on_deliver(pkt):
-            msg = None
-        if msg is not None:
-            msg.delivered_packets += 1
-            if msg.first_arrival_time is None:
-                msg.first_arrival_time = self.sim.now
-            if msg.complete and msg.complete_time is None:
-                msg.complete_time = self.sim.now
-                if msg.on_complete is not None:
-                    msg.on_complete(msg)
-                if self.on_message is not None:
-                    self.on_message(msg)
-        if self.telem is not None:
-            self.telem.delivered(pkt, msg)
-        if self.audit is not None:
-            self.audit.on_delivered(self, pkt)
-        src_nic = self.nic_lookup(pkt.src)
-        ack_latency = pkt.prop_sum + pkt.hops * self.switch_latency + self.ack_overhead
-        self.sim.schedule(ack_latency, src_nic.on_ack, pkt)
-
-    def on_ack(self, pkt: Packet) -> None:
-        if self.retrans is not None and not self.retrans.on_ack(pkt):
-            return
-        state = self.pairs[pkt.dst]
-        state.in_flight -= 1
-        state.last_activity_ns = self.sim.now
-        if pkt.marked:
-            self.acks_marked += 1
-        else:
-            self.acks_clean += 1
-        self.cc.on_ack(state, pkt.marked, self.sim.now)
-        if self.telem is not None:
-            self.telem.acked(pkt, state)
-        self._pump(state)

@@ -28,7 +28,6 @@ fill, and any victim packet that shares one of those buffers waits.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -37,12 +36,7 @@ from ..sim import Simulator
 from .buffers import VcBufferPool
 from .packet import recycle_packet
 
-__all__ = ["OutputPort", "ReferenceOutputPort", "Switch", "NUM_VCS", "VC_RESERVE_BYTES"]
-
-#: Busy-period batching: longest run of packets committed as one burst.
-#: Bounds how far ahead of "now" the port pre-schedules wire events, so
-#: congestion feedback (credit returns) still gets a word in regularly.
-MAX_BURST_PKTS = 64
+__all__ = ["OutputPort", "Switch", "NUM_VCS", "VC_RESERVE_BYTES"]
 
 #: Dedicated escape buffer per VC per wire (two MTU packets).  The small
 #: per-VC reserve keeps the network deadlock-free; the big shared pool
@@ -80,9 +74,6 @@ class OutputPort:
         "_retry_armed",
         "_retry_timer",
         "_single_tc",
-        "_batching",
-        "_batch_ok",
-        "_burst",
         "_on_dequeue",
         "_plain",
         "_mark_at",
@@ -97,7 +88,6 @@ class OutputPort:
         "recycle_drops",
         "_score_val",
         "_score_ok",
-        "_score_now",
     )
 
     def __init__(
@@ -155,23 +145,6 @@ class OutputPort:
         # whenever credits fit) and the DRR/EWMA bookkeeping is
         # unobservable, so _try_send bypasses the scheduler entirely.
         self._single_tc = ntc == 1 and classes[0].max_share >= 1.0
-        # Busy-period batching eligibility.  Static disqualifiers only;
-        # the dynamic ones (telemetry attached, LLR errors, dequeue hook)
-        # are re-checked per burst.  Ports with switch-shared ingress
-        # pools are out because another wire's acquire can interleave
-        # with the burst's, and marking host ports are out because the
-        # mark decision reads the backlog at each packet's own send time.
-        self._batch_ok = (
-            self._single_tc
-            and pools is None
-            and (kind != "host" or mark_threshold == float("inf"))
-        )
-        #: master switch, set by the fabric from FabricConfig.burst_batching
-        #: (and forced off by FaultInjector.attach: fail-stop semantics
-        #: must be able to drop queued packets, not pre-committed bursts)
-        self._batching = False
-        #: in-flight burst: (starts, ends, byte_prefix) or None
-        self._burst = None
         #: optional hook fired with each dequeued packet (telemetry)
         self._on_dequeue: Optional[Callable] = None
         # Link-level reliability: transient frame errors are replayed
@@ -191,15 +164,13 @@ class OutputPort:
         self.recycle_drops = False
         # congestion_score cache: adaptive routing scores the same port
         # several times per arbitration tick (one per candidate set it
-        # appears in).  The score is a pure function of backlog, pool
-        # occupancy, and (mid-burst) the clock, so it is cached until any
-        # of those inputs moves: backlog/burst mutations clear _score_ok
-        # here, pool mutations clear it through the pool's watcher list,
-        # and the burst corrections are re-keyed on sim.now.  The cached
-        # value is the exact float the uncached path computed.
+        # appears in).  The score is a pure function of backlog and pool
+        # occupancy, so it is cached until either moves: backlog
+        # mutations clear _score_ok here, pool mutations clear it through
+        # the pool's watcher list.  The cached value is the exact float
+        # the uncached path computed.
         self._score_val = 0.0
         self._score_ok = False
-        self._score_now = -1.0
         for pool in self.credits:
             pool.watchers.append(self)
         if error_rate > 0.0:
@@ -220,20 +191,19 @@ class OutputPort:
 
     # -- hook plumbing ------------------------------------------------------
     #
-    # telem/audit/on_dequeue/batching are assigned by external layers
-    # (telemetry, validate, observe, the fabric builder, fault injection).
-    # They are properties so every assignment refreshes ``_plain`` — the
-    # single precomputed flag that routes ``_try_send`` onto the
-    # allocation-free fast branch.  A port is *plain* when arbitration is
-    # trivial (one uncapped class), the wire is up, and nothing observes
-    # per-packet dequeues: exactly the state in which the general path's
-    # scheduler/hook/batching/LLR branches are all dead.
+    # telem/audit/on_dequeue are assigned by external layers (telemetry,
+    # validate, observe).  They are properties so every assignment
+    # refreshes ``_plain`` — the single precomputed flag that routes
+    # ``_try_send`` onto the allocation-free fast branch.  A port is
+    # *plain* when arbitration is trivial (one uncapped class), the wire
+    # is up, and nothing observes per-packet dequeues: exactly the state
+    # in which the general path's scheduler/hook/LLR branches are all
+    # dead.
 
     def _refresh_plain(self) -> None:
         self._plain = (
             self._single_tc
             and self.up
-            and not self._batching
             and self._telem is None
             and self._audit is None
             and self._on_dequeue is None
@@ -270,16 +240,6 @@ class OutputPort:
         self._on_dequeue = value
         self._refresh_plain()
 
-    @property
-    def batching(self) -> bool:
-        """Busy-period batching master switch (FabricConfig.burst_batching)."""
-        return self._batching
-
-    @batching.setter
-    def batching(self, value: bool) -> None:
-        self._batching = value
-        self._refresh_plain()
-
     # -- congestion telemetry (adaptive routing reads these) ---------------
 
     @property
@@ -288,51 +248,27 @@ class OutputPort:
 
         This is the "request queue credits" congestion signal the paper
         describes (§II-A/§II-C): it sees one hop beyond the local queue.
-
-        During a burst the whole burst's credits were taken up front, so
-        packets whose serialization has not yet *started* are backed out —
-        the packet-at-a-time path would not have acquired them yet.
         """
         used = 0.0
         for pool in self.credits:
             used += pool._in_use
-        b = self._burst
-        if b is not None:
-            starts, _ends, prefix = b
-            used -= prefix[-1] - prefix[bisect_right(starts, self.sim.now)]
         return used
 
     def congestion_score(self) -> float:
-        """Estimated cost of routing another packet through this port.
+        """Estimated cost of routing another packet through this port:
+        local backlog plus downstream credit occupancy.
 
-        Mid-burst the stored ``backlog`` still includes packets that have
-        already finished serializing (their decrement is batched into the
-        burst-completion event), so it is corrected the same way
-        ``credited_bytes`` is — adaptive routing must see exactly what the
-        packet-at-a-time schedule would have shown.
-
-        The result is cached per arbitration tick: valid until a backlog,
-        burst, or pool-occupancy mutation invalidates it (and, while a
-        burst is in flight, only within the same ``sim.now``, because the
-        corrections depend on the clock).
+        The result is cached per arbitration tick: valid until a backlog
+        or pool-occupancy mutation invalidates it.
         """
-        b = self._burst
-        if self._score_ok and (b is None or self._score_now == self.sim.now):
+        if self._score_ok:
             return self._score_val
         used = 0.0
         for pool in self.credits:
             used += pool._in_use
-        if b is None:
-            val = self.backlog + used
-        else:
-            starts, ends, prefix = b
-            now = self.sim.now
-            done = prefix[bisect_right(ends, now)]
-            not_started = prefix[-1] - prefix[bisect_right(starts, now)]
-            val = (self.backlog - done) + (used - not_started)
+        val = self.backlog + used
         self._score_val = val
         self._score_ok = True
-        self._score_now = self.sim.now
         return val
 
     # -- data path ----------------------------------------------------------
@@ -356,11 +292,11 @@ class OutputPort:
 
     def _try_send(self) -> None:
         # Plain regime (single uncapped class, wire up, no hooks, no
-        # batching, no LLR): the arbitrate→credit→serialize cycle with
-        # every dead branch removed, enqueuing through the engine's
-        # sim.push() producer contract.  Must stay
-        # op-for-op equivalent to _try_send_general in this state —
-        # ReferenceOutputPort always runs the general body, and the
+        # LLR): the arbitrate→credit→serialize cycle with every dead
+        # branch removed, enqueuing through the engine's sim.push()
+        # producer contract.  Must stay op-for-op equivalent to
+        # _try_send_general in this state — the reference port in
+        # tests/oracles/delivery.py always runs the general body, and the
         # delivery-path equivalence suite pins the two bit-identical.
         if self._plain:
             if self.busy:
@@ -410,16 +346,6 @@ class OutputPort:
                 self._arm_retry()
                 return
             self._clear_retry()
-            if (
-                self._batching
-                and len(q) > 1
-                and self._telem is None
-                and self._audit is None
-                and self._on_dequeue is None
-                and self._err_rng is None
-                and self._try_burst()
-            ):
-                return
             tc = 0
             pkt = q.popleft()
         else:
@@ -462,84 +388,6 @@ class OutputPort:
                 self.replays += 1
         self.sim.schedule(wire_time, self._on_sent, pkt)
 
-    def _try_burst(self) -> bool:
-        """Commit a back-to-back run of packets as one wire burst.
-
-        Admission is strict: the *whole* burst must fit in the shared
-        region of the downstream pool right now.  Because this port is
-        the pool's only acquirer (shared-switch-buffer ports never
-        batch), shared availability can only grow between now and any
-        packet's would-be start time — so the packet-at-a-time path
-        would have drawn every one of these packets from the shared
-        region too, with identical timing.  All wire/credit events are
-        then computed arithmetically and pushed in the same relative
-        order (and at bit-identical times) as per-packet sends, with a
-        single completion event closing the busy period.
-        """
-        pool = self.credits[0]
-        shared = pool.shared
-        if shared._waiters:
-            return False
-        q = self.queues[0]
-        avail = shared.available
-        total = 0  # stays int for integer packet sizes, like bytes_sent
-        count = 0
-        for pkt in q:
-            if count >= MAX_BURST_PKTS:
-                break
-            if total + pkt.size > avail:
-                break
-            total += pkt.size
-            count += 1
-        if count < 2:
-            return False
-        pool.bulk_acquire_shared(total)
-        sim = self.sim
-        schedule_abs = sim.schedule_abs
-        bw = self.bandwidth
-        prop = self.prop_delay
-        rx_receive = self.rx.receive
-        # Per-packet event times, with exactly the float arithmetic the
-        # per-packet path performs (end_i = end_{i-1} + size_i / bw).
-        starts: List[float] = []
-        ends: List[float] = []
-        prefix: List[float] = [0.0]
-        t = sim.now
-        acc = 0.0
-        for _ in range(count):
-            pkt = q.popleft()
-            starts.append(t)
-            t = t + pkt.size / bw
-            ends.append(t)
-            acc += pkt.size
-            prefix.append(acc)
-            pkt.buf_shared = True
-            up = pkt.arrival_port
-            if up is not None:
-                schedule_abs(
-                    ends[-1] + up.prop_delay,
-                    up.credits[pkt.tc].release,
-                    pkt.size,
-                    pkt.arrival_vc,
-                    pkt.arrival_buf_shared,
-                )
-            pkt.prop_sum += prop
-            schedule_abs(ends[-1] + prop, rx_receive, pkt, self)
-        self.busy = True
-        self._burst = (starts, ends, prefix)
-        self._score_ok = False
-        schedule_abs(ends[-1], self._on_burst_done, total, count)
-        return True
-
-    def _on_burst_done(self, total: float, count: int) -> None:
-        self.busy = False
-        self._burst = None
-        self.backlog -= total
-        self._score_ok = False
-        self.bytes_sent += total
-        self.pkts_sent += count
-        self._try_send()
-
     def _arm_retry(self) -> None:
         """Wake up when credits return or a rate cap unblocks."""
         if self._retry_armed:
@@ -567,7 +415,7 @@ class OutputPort:
 
     def _clear_retry(self) -> None:
         """Progress was made: disarm, cancelling any uncap-time timer so
-        it never pops through the heap as a stale no-op."""
+        it never pops through the event queue as a stale no-op."""
         if self._retry_armed and self._telem is not None:
             self._telem.stall_end(self)
         self._retry_armed = False
@@ -734,44 +582,6 @@ class OutputPort:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"OutputPort({self.name or self.kind}, backlog={self.backlog:.0f}B)"
-
-
-class ReferenceOutputPort(OutputPort):
-    """Packet-at-a-time reference port (executable specification).
-
-    Selected with ``FabricConfig(delivery_fast_path=False)``.  Every
-    transmission runs the general arbitrate→credit→serialize body and
-    every event goes through :meth:`Simulator.schedule`; the equivalence
-    suite pins :class:`OutputPort`'s plain branch bit-identical to this.
-    """
-
-    __slots__ = ()
-
-    def _try_send(self) -> None:
-        self._try_send_general()
-
-    def _on_sent(self, pkt) -> None:
-        self.busy = False
-        self.backlog -= pkt.size
-        self._score_ok = False
-        self.bytes_sent += pkt.size
-        self.pkts_sent += 1
-        if self.telem is not None:
-            self.telem.wire_tx(pkt, self)
-        if self.audit is not None:
-            self.audit.on_wire_tx(self, pkt)
-        up = pkt.arrival_port
-        if up is not None:
-            self.sim.schedule(
-                up.prop_delay,
-                up.credits[pkt.tc].release,
-                pkt.size,
-                pkt.arrival_vc,
-                pkt.arrival_buf_shared,
-            )
-        pkt.prop_sum += self.prop_delay
-        self.sim.schedule(self.prop_delay, self.rx.receive, pkt, self)
-        self._try_send()
 
 
 class Switch:

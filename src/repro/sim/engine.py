@@ -8,22 +8,19 @@ regardless of Python hash randomization or container internals.
 Determinism is a hard requirement here — the property-based tests compare
 runs event-for-event.
 
-Two queue implementations share that total order bit-for-bit:
-
-* ``queue="calendar"`` (default) — a two-level calendar/ladder queue.  A
-  sorted *near* list holds every entry below a moving time ``horizon``;
-  everything later lands unsorted in a *far* overflow list.  Enqueues into
-  the near window are a ``bisect.insort`` that in steady state touches only
-  the tail (network events are scheduled a link delay ahead of ``now``),
-  and dequeue is an O(1) ``list.pop()``.  When the near list drains, a
-  *refill* carves the earliest time slice out of the far list (adaptive
-  width, targeting a few hundred entries per slice) and Timsort puts it in
-  order.  Entries are stored key-negated as ``(-time, -seq, fn, args)`` so
-  the minimum ``(time, seq)`` sits at the *end* of the ascending near list;
-  float negation is bit-exact, so dispatch order is identical to the heap.
-* ``queue="heap"`` — the original binary heap (``heapq``), retained as the
-  reference implementation and pinned against the calendar queue by an
-  event-for-event ``EventTrace`` equivalence suite.
+The queue is a two-level calendar/ladder queue.  A sorted *near* list
+holds every entry below a moving time ``horizon``; everything later lands
+unsorted in a *far* overflow list.  Enqueues into the near window are a
+``bisect.insort`` that in steady state touches only the tail (network
+events are scheduled a link delay ahead of ``now``), and dequeue is an
+O(1) ``list.pop()``.  When the near list drains, a *refill* carves the
+earliest time slice out of the far list (adaptive width, targeting a few
+hundred entries per slice) and Timsort puts it in order.  Entries are
+stored key-negated as ``(-time, -seq, fn, args)`` so the minimum
+``(time, seq)`` sits at the *end* of the ascending near list; float
+negation is bit-exact, so dispatch order is identical to a binary heap
+over ``(time, seq)`` — the heap oracle in ``tests/oracles/heap_sim.py``
+pins that event for event.
 
 Cancellable timers use *lazy deletion*: :meth:`Simulator.schedule_cancellable`
 returns a :class:`TimerHandle` whose O(1) :meth:`~TimerHandle.cancel` blanks
@@ -44,29 +41,23 @@ Producer contract (v2, stable): hot producers enqueue through
     sim.push(t, fn, args)
 
 with an absolute time ``t >= sim.now`` and a pre-built args *tuple*.
-``push`` assigns the tie-break sequence number and routes the entry to
-whichever queue implementation this simulator runs — it is bit- and
-order-identical to :meth:`Simulator.schedule` minus the negative-delay
-guard and the ``*args`` packing frame.  The v1 contract (inlining
-``sim._seq += 1; heappush(sim._queue, ...)``) is retired: ``_queue`` only
-exists in heap mode, and no code outside this module may touch ``_seq``
-or the queue containers (grep for ``sim._seq`` / ``sim._queue`` must come
+``push`` assigns the tie-break sequence number and files the entry into
+the near or far list — it is bit- and order-identical to
+:meth:`Simulator.schedule` minus the negative-delay guard and the
+``*args`` packing frame.  No code outside this module may touch ``_seq``
+or the queue containers (grep for ``sim._seq`` / ``sim._near`` must come
 up empty outside ``repro.sim``).
 
-Run loops are GC-aware on request: :attr:`Simulator.gc_policy` =
-``"disable"`` turns the cyclic collector off for the duration of
-:meth:`Simulator.run` (``"freeze"`` additionally moves the wired fabric
-into the permanent generation), restoring the collector's prior state on
-exit — including stall/exception exits, which also drain any registered
-free-lists so pooled objects never leak across runs in a reused worker
-process.
+Two run loops exist: the hot loop (no hook, no watchdog) and one
+instrumented loop that honours both :attr:`Simulator.event_hook` and the
+watchdog guards.  Every raising exit from :meth:`Simulator.run` (a stall,
+a handler exception) drains the registered free-lists, so pooled objects
+never leak across runs in a reused worker process.
 """
 
 from __future__ import annotations
 
 import contextlib
-import gc as _gc
-import heapq
 import time
 from bisect import insort
 from typing import Any, Callable, Dict, List, Optional
@@ -260,13 +251,8 @@ class TimerHandle:
         sim = self.sim
         sim._dead += 1
         # Amortized queue hygiene: rebuild once dead entries dominate.
-        if sim._dead > 64:
-            if sim._heapmode:
-                qlen = len(sim._queue)
-            else:
-                qlen = len(sim._near) + len(sim._far)
-            if sim._dead * 2 > qlen:
-                sim._compact()
+        if sim._dead > 64 and sim._dead * 2 > sim.queue_length:
+            sim._compact()
 
 
 class Event:
@@ -360,10 +346,6 @@ class Simulator:
     >>> sim.run()
     >>> hits
     ['b', 'a']
-
-    ``queue`` selects the event-queue implementation: ``"calendar"``
-    (default, amortized O(1) enqueue/dequeue) or ``"heap"`` (the binary
-    heap reference).  Both dispatch in bit-identical order.
     """
 
     # Slotted: sim.now and the queue containers are the most-read
@@ -371,11 +353,9 @@ class Simulator:
     # they bypass the instance dict.
     __slots__ = (
         "now",
-        "_queue",
         "_near",
         "_far",
         "_horizon",
-        "_heapmode",
         "_seq",
         "_events_processed",
         "_stopped",
@@ -385,27 +365,21 @@ class Simulator:
         "event_hook",
         "_watchdog",
         "stall_diagnostics",
-        "_gc_policy",
         "_drain_hooks",
     )
 
-    def __init__(self, queue: str = "calendar"):
-        if queue not in ("calendar", "heap"):
-            raise ValueError(f"unknown queue kind {queue!r} (calendar|heap)")
+    def __init__(self):
         self.now: float = 0.0
-        self._heapmode: bool = queue == "heap"
-        #: heap mode only: plain heapq of (time, seq, fn, args)
-        self._queue: Optional[list] = [] if self._heapmode else None
-        #: calendar mode only: ascending-sorted list of negated-key
-        #: entries (-time, -seq, fn, args); the minimum (time, seq) event
-        #: is at the END and pop() is O(1).  Mutated strictly in place —
-        #: run loops hold direct references.
-        self._near: Optional[list] = None if self._heapmode else []
-        #: calendar mode only: unsorted overflow for entries at or past
-        #: the horizon; sliced into _near by _refill()
-        self._far: Optional[list] = None if self._heapmode else []
-        #: calendar mode only: entries strictly below this time belong in
-        #: _near.  Monotonically non-decreasing across refills.
+        #: ascending-sorted list of negated-key entries (-time, -seq, fn,
+        #: args); the minimum (time, seq) event is at the END and pop() is
+        #: O(1).  Mutated strictly in place — run loops hold direct
+        #: references.
+        self._near: list = []
+        #: unsorted overflow for entries at or past the horizon; sliced
+        #: into _near by _refill()
+        self._far: list = []
+        #: entries strictly below this time belong in _near.
+        #: Monotonically non-decreasing across refills.
         self._horizon: float = 0.0
         self._seq: int = 0
         self._events_processed: int = 0
@@ -418,45 +392,22 @@ class Simulator:
         self.last_run_events: int = 0
         self.last_run_wall_s: float = 0.0
         #: per-event observer ``hook(t, fn, args)`` (repro.validate's
-        #: determinism differ); None routes run() to the unhooked hot
-        #: loop, so a hookless run pays nothing per event
+        #: determinism differ); None (with no watchdog) routes run() to
+        #: the hot loop, so a hookless run pays nothing per event
         self.event_hook: Optional[Callable] = None
         #: watchdog guards (max_events, max_sim_time_ns, wall_deadline_s);
-        #: None routes run() to the unguarded hot loop.  New simulators
-        #: inherit the process-wide default (set_default_watchdog).
+        #: None (with no hook) routes run() to the hot loop.  New
+        #: simulators inherit the process-wide default
+        #: (set_default_watchdog).
         self._watchdog: Optional[tuple] = _DEFAULT_WATCHDOG
         #: zero-argument callable returning a plain-data quiescence
         #: snapshot, attached to any SimStall this simulator raises.  The
         #: fabric registers its quiescence_snapshot here at build time.
         self.stall_diagnostics: Optional[Callable[[], Dict[str, Any]]] = None
-        #: run-loop GC policy: None (leave the collector alone),
-        #: "disable" (gc.disable() for the duration of run()), or
-        #: "freeze" (additionally gc.freeze() the current heap).  The
-        #: collector's prior enabled state is restored on every exit path.
-        self._gc_policy: Optional[str] = None
         #: free-list drain callables (register_free_list); invoked when a
         #: run() escapes with an exception so pooled objects never leak
         #: across runs in a reused worker process.
         self._drain_hooks: List[Callable[[], Any]] = []
-
-    # -- queue configuration ----------------------------------------------
-
-    @property
-    def queue_kind(self) -> str:
-        """``"calendar"`` or ``"heap"`` — which implementation runs."""
-        return "heap" if self._heapmode else "calendar"
-
-    @property
-    def gc_policy(self) -> Optional[str]:
-        return self._gc_policy
-
-    @gc_policy.setter
-    def gc_policy(self, value: Optional[str]) -> None:
-        if value not in (None, "disable", "freeze"):
-            raise ValueError(
-                f"unknown gc_policy {value!r} (None|'disable'|'freeze')"
-            )
-        self._gc_policy = value
 
     def register_free_list(self, drain: Callable[[], Any]) -> None:
         """Register a zero-arg callable that empties an object pool.
@@ -486,12 +437,10 @@ class Simulator:
         (``t >= now`` up to float drift) and *args* must be a tuple.  No
         guards run here; :meth:`schedule` / :meth:`schedule_at` are the
         checked front doors.  Exactly one sequence number is consumed per
-        call, in call order, for either queue kind.
+        call, in call order.
         """
         seq = self._seq = self._seq + 1
-        if self._heapmode:
-            heapq.heappush(self._queue, (t, seq, fn, args))
-        elif t < self._horizon:
+        if t < self._horizon:
             insort(self._near, (-t, -seq, fn, args))
         else:
             self._far.append((-t, -seq, fn, args))
@@ -517,21 +466,6 @@ class Simulator:
                 )
             delay = 0.0
         self.push(self.now + delay, fn, args)
-
-    def schedule_abs(self, when: float, fn: Callable, *args: Any) -> None:
-        """Like :meth:`schedule_at`, but enqueues at *exactly* ``when``.
-
-        ``schedule_at`` computes ``now + (when - now)``, which need not
-        round-trip in floating point.  Burst batching precomputes event
-        times arithmetically and needs them bit-exact on the queue.
-        """
-        if when < self.now:
-            if when < self.now - _NEGATIVE_DRIFT_NS:
-                raise ValueError(
-                    f"cannot schedule in the past (when={when} < now={self.now})"
-                )
-            when = self.now
-        self.push(when, fn, args)
 
     def schedule_cancellable(
         self, delay: float, fn: Callable, *args: Any
@@ -568,20 +502,14 @@ class Simulator:
         after a mid-run compaction (a cancel inside a dispatched handler
         can get here while run() is on the stack).
         """
-        if self._heapmode:
-            self._queue[:] = [
-                e for e in self._queue if e[2] is not None or e[3].fn is not None
-            ]
-            heapq.heapify(self._queue)
-        else:
-            # Filtering preserves ascending order in _near; _far is
-            # unsorted anyway.  The horizon does not move.
-            self._near[:] = [
-                e for e in self._near if e[2] is not None or e[3].fn is not None
-            ]
-            self._far[:] = [
-                e for e in self._far if e[2] is not None or e[3].fn is not None
-            ]
+        # Filtering preserves ascending order in _near; _far is unsorted
+        # anyway.  The horizon does not move.
+        self._near[:] = [
+            e for e in self._near if e[2] is not None or e[3].fn is not None
+        ]
+        self._far[:] = [
+            e for e in self._far if e[2] is not None or e[3].fn is not None
+        ]
         self._dead = 0
 
     def _refill(self) -> bool:
@@ -648,9 +576,6 @@ class Simulator:
 
         May trigger a calendar refill; never dispatches.
         """
-        if self._heapmode:
-            q = self._queue
-            return q[0][0] if q else None
         near = self._near
         if not near and not self._refill():
             return None
@@ -673,9 +598,9 @@ class Simulator:
           checked every ``_WALL_STRIDE`` events (a trip is detected at
           most one stride late, never per-event syscall cost).
 
-        The guarded run loop is a separate code path: an unguarded
-        simulator keeps the default hot loop untouched (one ``is None``
-        check per run() call, nothing per event).
+        The guarded run loop is a separate code path: an unguarded,
+        unhooked simulator keeps the default hot loop untouched (two
+        ``is None`` checks per run() call, nothing per event).
         """
         self._watchdog = _watchdog_tuple(
             max_events, max_sim_time_ns, wall_deadline_s
@@ -702,46 +627,22 @@ class Simulator:
         When *until* is given, ``now`` is advanced to exactly *until* even
         if the queue drains earlier, matching SimPy semantics.
 
-        With :attr:`gc_policy` set, the cyclic collector is disabled (and
-        under ``"freeze"`` the pre-run heap is frozen) for the duration;
-        its prior enabled state is restored on every exit path, and a
-        raising exit drains registered free-lists first.
+        With neither an :attr:`event_hook` nor a watchdog this runs the
+        hot loop; otherwise the guarded loop, which honours both.  A
+        raising exit (a :class:`SimStall`, a handler exception) drains
+        the registered free-lists before the exception propagates.
         """
-        if self._gc_policy is None:
-            return self._run_dispatch(until)
-        was_enabled = _gc.isenabled()
-        _gc.disable()
-        frozen = False
-        if self._gc_policy == "freeze":
-            _gc.freeze()
-            frozen = True
         try:
-            return self._run_dispatch(until)
+            if self._watchdog is None and self.event_hook is None:
+                self._run_hot(until)
+            else:
+                self._run_guarded(until)
         except BaseException:
             self.drain_free_lists()
             raise
-        finally:
-            if frozen:
-                _gc.unfreeze()
-            if was_enabled:
-                _gc.enable()
 
-    def _run_dispatch(self, until: Optional[float]) -> None:
-        """Route to the loop variant for this queue kind / hook / guard."""
-        if self._watchdog is not None:
-            if self._heapmode:
-                return self._run_guarded_heap(until)
-            return self._run_guarded_calendar(until)
-        if self.event_hook is not None:
-            if self._heapmode:
-                return self._run_hooked_heap(until)
-            return self._run_hooked_calendar(until)
-        if self._heapmode:
-            return self._run_heap(until)
-        return self._run_calendar(until)
-
-    def _run_calendar(self, until: Optional[float]) -> None:
-        """Default hot loop (calendar queue, no hook, no watchdog)."""
+    def _run_hot(self, until: Optional[float]) -> None:
+        """Default hot loop (no hook, no watchdog)."""
         self._stopped = False
         wall_start = time.perf_counter()
         events_before = self._events_processed
@@ -799,122 +700,6 @@ class Simulator:
         if until is not None and not self._stopped and self.now < until:
             self.now = until
 
-    def _run_heap(self, until: Optional[float]) -> None:
-        """Hot loop for ``queue="heap"`` (the reference implementation)."""
-        self._stopped = False
-        wall_start = time.perf_counter()
-        events_before = self._events_processed
-        queue = self._queue
-        pop = heapq.heappop
-        try:
-            if until is None:
-                while queue:
-                    t, _seq, fn, args = pop(queue)
-                    if fn is None:
-                        handle = args
-                        fn = handle.fn
-                        if fn is None:
-                            self._dead -= 1
-                            continue
-                        args = handle.args
-                        handle.fn = None
-                        handle.args = ()
-                    self.now = t
-                    self._events_processed += 1
-                    fn(*args)
-            else:
-                while queue:
-                    if queue[0][0] > until:
-                        break
-                    t, _seq, fn, args = pop(queue)
-                    if fn is None:
-                        handle = args
-                        fn = handle.fn
-                        if fn is None:
-                            self._dead -= 1
-                            continue
-                        args = handle.args
-                        handle.fn = None
-                        handle.args = ()
-                    self.now = t
-                    self._events_processed += 1
-                    fn(*args)
-        except StopSimulation:
-            self._stopped = True
-        self.last_run_wall_s = time.perf_counter() - wall_start
-        self.last_run_events = self._events_processed - events_before
-        if until is not None and not self._stopped and self.now < until:
-            self.now = until
-
-    def _run_hooked_calendar(self, until: Optional[float]) -> None:
-        """Hooked loop (calendar): identical dispatch, hook sees each event."""
-        self._stopped = False
-        wall_start = time.perf_counter()
-        events_before = self._events_processed
-        near = self._near
-        refill = self._refill
-        hook = self.event_hook
-        try:
-            while True:
-                if not near and not refill():
-                    break
-                if until is not None and -near[-1][0] > until:
-                    break
-                nt, _nseq, fn, args = near.pop()
-                if fn is None:
-                    handle = args
-                    fn = handle.fn
-                    if fn is None:
-                        self._dead -= 1
-                        continue
-                    args = handle.args
-                    handle.fn = None
-                    handle.args = ()
-                t = -nt
-                self.now = t
-                self._events_processed += 1
-                hook(t, fn, args)
-                fn(*args)
-        except StopSimulation:
-            self._stopped = True
-        self.last_run_wall_s = time.perf_counter() - wall_start
-        self.last_run_events = self._events_processed - events_before
-        if until is not None and not self._stopped and self.now < until:
-            self.now = until
-
-    def _run_hooked_heap(self, until: Optional[float]) -> None:
-        """Hooked loop (heap reference)."""
-        self._stopped = False
-        wall_start = time.perf_counter()
-        events_before = self._events_processed
-        queue = self._queue
-        pop = heapq.heappop
-        hook = self.event_hook
-        try:
-            while queue:
-                if until is not None and queue[0][0] > until:
-                    break
-                t, _seq, fn, args = pop(queue)
-                if fn is None:
-                    handle = args
-                    fn = handle.fn
-                    if fn is None:
-                        self._dead -= 1
-                        continue
-                    args = handle.args
-                    handle.fn = None
-                    handle.args = ()
-                self.now = t
-                self._events_processed += 1
-                hook(t, fn, args)
-                fn(*args)
-        except StopSimulation:
-            self._stopped = True
-        self.last_run_wall_s = time.perf_counter() - wall_start
-        self.last_run_events = self._events_processed - events_before
-        if until is not None and not self._stopped and self.now < until:
-            self.now = until
-
     def _stall(self, reason: str) -> None:
         """Raise :class:`SimStall` with queue context + fabric diagnostics."""
         diag = None
@@ -933,14 +718,21 @@ class Simulator:
             diagnostics=diag,
         )
 
-    def _run_guarded_calendar(self, until: Optional[float]) -> None:
-        """Guarded loop (calendar).  See :meth:`_run_guarded_heap`.
+    def _run_guarded(self, until: Optional[float]) -> None:
+        """:meth:`run` variant taken when a watchdog or an event hook is set.
 
-        A tripping guard pushes the undispatched entry back by appending
-        to the near list — the entry was just popped from the end, so the
-        list stays sorted and a later run() resumes exactly here.
+        Dispatch order, timestamps, and event accounting are identical to
+        the hot loop; the guards only *bound* how far it gets, and
+        :attr:`event_hook` sees each event just before it dispatches.  A
+        tripping guard pushes the undispatched entry back by appending to
+        the near list — the entry was just popped from the end, so the
+        list stays sorted and a later run() with the watchdog disarmed or
+        widened resumes exactly here — and raises :class:`SimStall`.  The
+        wall-clock deadline is checked once every ``_WALL_STRIDE`` events,
+        not per event: a syscall per dispatch is exactly the overhead the
+        guard exists to avoid.
         """
-        max_events, max_time, wall_s = self._watchdog
+        max_events, max_time, wall_s = self._watchdog or (None, None, None)
         event_budget = (
             self._events_processed + max_events if max_events is not None else None
         )
@@ -1001,76 +793,6 @@ class Simulator:
         if until is not None and not self._stopped and self.now < until:
             self.now = until
 
-    def _run_guarded_heap(self, until: Optional[float]) -> None:
-        """:meth:`run` variant taken when a watchdog is armed (heap).
-
-        Dispatch order, timestamps, and event accounting are identical to
-        the default loop; the guards only *bound* how far it gets.  A
-        tripping guard pushes the undispatched entry back on the heap
-        (the queue stays consistent — a later run() with the watchdog
-        disarmed or widened resumes exactly where this one stopped) and
-        raises :class:`SimStall`.  Honors :attr:`event_hook` too, so the
-        determinism differ and a watchdog can coexist.  The wall-clock
-        deadline is checked once every ``_WALL_STRIDE`` events, not per
-        event — a syscall per dispatch is exactly the overhead the guard
-        exists to avoid.
-        """
-        max_events, max_time, wall_s = self._watchdog
-        event_budget = (
-            self._events_processed + max_events if max_events is not None else None
-        )
-        perf = time.perf_counter
-        wall_deadline = perf() + wall_s if wall_s is not None else None
-        self._stopped = False
-        wall_start = perf()
-        events_before = self._events_processed
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        hook = self.event_hook
-        wall_countdown = _WALL_STRIDE
-        try:
-            while queue:
-                if until is not None and queue[0][0] > until:
-                    break
-                entry = pop(queue)
-                t, _seq, fn, args = entry
-                if fn is None:
-                    handle = args
-                    fn = handle.fn
-                    if fn is None:
-                        self._dead -= 1
-                        continue
-                    args = handle.args
-                if max_time is not None and t > max_time:
-                    push(queue, entry)
-                    self._stall(f"sim time exceeded {max_time:.0f}ns")
-                if event_budget is not None and self._events_processed >= event_budget:
-                    push(queue, entry)
-                    self._stall(f"event budget of {max_events} exhausted")
-                if wall_deadline is not None:
-                    wall_countdown -= 1
-                    if wall_countdown <= 0:
-                        wall_countdown = _WALL_STRIDE
-                        if perf() > wall_deadline:
-                            push(queue, entry)
-                            self._stall(f"wall-clock deadline of {wall_s}s exceeded")
-                if entry[2] is None:
-                    handle.fn = None
-                    handle.args = ()
-                self.now = t
-                self._events_processed += 1
-                if hook is not None:
-                    hook(t, fn, args)
-                fn(*args)
-        except StopSimulation:
-            self._stopped = True
-        finally:
-            self.last_run_wall_s = perf() - wall_start
-            self.last_run_events = self._events_processed - events_before
-        if until is not None and not self._stopped and self.now < until:
-            self.now = until
-
     def stop(self) -> None:
         """Stop the current :meth:`run` after the current event."""
         raise StopSimulation()
@@ -1082,8 +804,6 @@ class Simulator:
     @property
     def queue_length(self) -> int:
         """Pending queue entries, *including* cancelled-but-unpopped ones."""
-        if self._heapmode:
-            return len(self._queue)
         return len(self._near) + len(self._far)
 
     @property

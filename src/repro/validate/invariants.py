@@ -172,17 +172,12 @@ class OccupancyChecker(InvariantChecker):
     ground truth for the queued part.  An idle port's backlog must equal
     its queued bytes exactly; a busy port's may exceed them by the one
     packet on the wire, never fall short; and neither is ever negative.
-    (Burst batching would decouple the two mid-burst, which is one of
-    the reasons batching disqualifies itself while an auditor — or any
-    other observer — is attached.)
     """
 
     name = "occupancy"
 
     def sweep(self, fabric, report: Callable) -> None:
         for where, port in _all_ports(fabric):
-            if port._burst is not None:  # pragma: no cover - batching is
-                continue  # auditor-disqualified; guard stale attaches
             queued = 0.0
             npkts = 0
             for q in port.queues:

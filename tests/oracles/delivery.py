@@ -1,0 +1,148 @@
+"""Straight-line reference delivery path (executable specification).
+
+:class:`ReferenceNIC` and :class:`ReferenceOutputPort` must behave
+bit-identically to the production :class:`~repro.network.nic.NIC` and
+:class:`~repro.network.switch.OutputPort` — same packets, same event
+times, same event order — which ``tests/test_delivery_path_equivalence.py``
+enforces event for event (healthy, under fault schedules with
+retransmissions, and in the paced/marked regimes).  Keep these boring:
+every hook is an attribute check, every event goes through
+:meth:`Simulator.schedule`, and acked packets are never recycled.
+
+Fabrics built inside :func:`reference_delivery` use them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from unittest import mock
+
+from repro.core.congestion_control import PairState
+from repro.network import fabric as fabric_mod
+from repro.network.nic import NIC
+from repro.network.packet import Packet
+from repro.network.switch import OutputPort
+
+__all__ = ["ReferenceNIC", "ReferenceOutputPort", "reference_delivery"]
+
+
+class ReferenceOutputPort(OutputPort):
+    """Packet-at-a-time reference port.
+
+    Every transmission runs the general arbitrate→credit→serialize body;
+    the equivalence suite pins :class:`OutputPort`'s plain branch
+    bit-identical to this.
+    """
+
+    __slots__ = ()
+
+    def _try_send(self) -> None:
+        self._try_send_general()
+
+    def _on_sent(self, pkt) -> None:
+        self.busy = False
+        self.backlog -= pkt.size
+        self._score_ok = False
+        self.bytes_sent += pkt.size
+        self.pkts_sent += 1
+        if self.telem is not None:
+            self.telem.wire_tx(pkt, self)
+        if self.audit is not None:
+            self.audit.on_wire_tx(self, pkt)
+        up = pkt.arrival_port
+        if up is not None:
+            self.sim.schedule(
+                up.prop_delay,
+                up.credits[pkt.tc].release,
+                pkt.size,
+                pkt.arrival_vc,
+                pkt.arrival_buf_shared,
+            )
+        pkt.prop_sum += self.prop_delay
+        self.sim.schedule(self.prop_delay, self.rx.receive, pkt, self)
+        self._try_send()
+
+
+class ReferenceNIC(NIC):
+    """Straight-line reference NIC: pump, receive and ack path."""
+
+    __slots__ = ()
+
+    def _pump(self, state: PairState) -> None:
+        now = self.sim.now
+        while state.pending_count and state.in_flight < max(state.window, 1.0):
+            paced = state.window < 1.0
+            if paced and now < state.next_send_ns:
+                if not state.pace_armed:
+                    state.pace_armed = True
+                    self.sim.schedule(state.next_send_ns - now, self._pace_fire, state)
+                return
+            pkt = self._next_pending(state)
+            state.in_flight += 1
+            pkt.inject_time = now
+            self.bytes_injected += pkt.size
+            self.pkts_injected += 1
+            if self.telem is not None:
+                self.telem.injected(pkt, state)
+            if self.audit is not None:
+                self.audit.on_injected(self, pkt)
+            if self.retrans is not None:
+                self.retrans.on_inject(pkt, state)
+            if paced:
+                state.next_send_ns = now + pkt.size / self.out_port.bandwidth / state.window
+            self.out_port.enqueue(pkt)
+
+    def receive(self, pkt: Packet, from_port: OutputPort) -> None:
+        self.sim.schedule(
+            from_port.prop_delay,
+            from_port.credits[pkt.tc].release,
+            pkt.size,
+            pkt.vc,
+            pkt.buf_shared,
+        )
+        self.bytes_delivered += pkt.size
+        self.pkts_delivered += 1
+        msg = pkt.message
+        if self.retrans is not None and not self.retrans.on_deliver(pkt):
+            msg = None
+        if msg is not None:
+            msg.delivered_packets += 1
+            if msg.first_arrival_time is None:
+                msg.first_arrival_time = self.sim.now
+            if msg.complete and msg.complete_time is None:
+                msg.complete_time = self.sim.now
+                if msg.on_complete is not None:
+                    msg.on_complete(msg)
+                if self.on_message is not None:
+                    self.on_message(msg)
+        if self.telem is not None:
+            self.telem.delivered(pkt, msg)
+        if self.audit is not None:
+            self.audit.on_delivered(self, pkt)
+        src_nic = self.nic_lookup(pkt.src)
+        ack_latency = pkt.prop_sum + pkt.hops * self.switch_latency + self.ack_overhead
+        self.sim.schedule(ack_latency, src_nic.on_ack, pkt)
+
+    def on_ack(self, pkt: Packet) -> None:
+        if self.retrans is not None and not self.retrans.on_ack(pkt):
+            return
+        state = self.pairs[pkt.dst]
+        state.in_flight -= 1
+        state.last_activity_ns = self.sim.now
+        if pkt.marked:
+            self.acks_marked += 1
+        else:
+            self.acks_clean += 1
+        self.cc.on_ack(state, pkt.marked, self.sim.now)
+        if self.telem is not None:
+            self.telem.acked(pkt, state)
+        self._pump(state)
+
+
+@contextlib.contextmanager
+def reference_delivery():
+    """Build fabrics with the reference NIC and port while the block runs."""
+    with mock.patch.object(fabric_mod, "NIC", ReferenceNIC), mock.patch.object(
+        fabric_mod, "OutputPort", ReferenceOutputPort
+    ):
+        yield

@@ -1,14 +1,14 @@
 """Property: fast delivery path == reference delivery path, event for event.
 
-The allocation-free NIC/port delivery path (``delivery_fast_path=True``,
-the default) inlines scheduling, caches effective windows, and folds the
-telemetry/audit/retransmission hook checks into precomputed dispatch
-flags.  None of that may be *observable*: across random topologies,
+The allocation-free NIC/port delivery path inlines scheduling, caches
+effective windows, and folds the telemetry/audit/retransmission hook
+checks into precomputed dispatch flags.  None of that may be *observable*: across random topologies,
 seeds, traffic, congestion-control strategies, and generated fault
 schedules (which exercise retransmission, hook attachment, and the
 degraded-port paths), the entire simulated event stream must be
 identical to the straight-line reference implementation
-(``ReferenceNIC``/``ReferenceOutputPort``, ``delivery_fast_path=False``).
+(``ReferenceNIC``/``ReferenceOutputPort`` from ``tests/oracles/delivery.py``,
+patched into the fabric builder by ``reference_delivery()``).
 The comparison reuses the determinism differ's
 :class:`~repro.validate.differ.EventTrace` (pid/mid-normalized labels),
 so any divergence reports the exact first event where the two
@@ -25,6 +25,7 @@ from repro.network.dragonfly import DragonflyParams
 from repro.network.units import KiB
 from repro.systems import aries_config, slingshot_config
 from repro.validate.differ import EventTrace
+from tests.oracles.delivery import reference_delivery
 
 
 def _run_traced(cfg, seed, schedule_of=None, traffic=None):
@@ -71,9 +72,8 @@ def _norm(event):
 
 def _assert_equivalent(cfg, seed, schedule_of=None, traffic=None):
     fab_fast, trace_fast = _run_traced(cfg, seed, schedule_of, traffic)
-    fab_ref, trace_ref = _run_traced(
-        cfg.with_(delivery_fast_path=False), seed, schedule_of, traffic
-    )
+    with reference_delivery():
+        fab_ref, trace_ref = _run_traced(cfg, seed, schedule_of, traffic)
     # event-for-event identity (first mismatch pinpointed for debugging);
     # full-list equality over normalized labels subsumes the fingerprint
     n = min(len(trace_fast), len(trace_ref))
@@ -184,12 +184,3 @@ def test_fast_path_matches_reference_aries_shared_buffers():
     )
     _assert_equivalent(cfg, 11, traffic=_incast)
 
-
-def test_fast_path_matches_reference_burst_batching():
-    """Batching ports must take the general path on both implementations."""
-    cfg = slingshot_config(
-        DragonflyParams(2, 3, 3, links_per_pair=2),
-        seed=3,
-        burst_batching=True,
-    )
-    _assert_equivalent(cfg, 3)

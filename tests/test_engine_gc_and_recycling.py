@@ -1,12 +1,10 @@
-"""GC-aware run loops and packet free-list recycling.
+"""Run-loop exit paths and packet free-list recycling.
 
 Two properties matter and both are about *invisibility*:
 
-* ``gc_policy`` may change only wall-clock behaviour — never dispatch —
-  and must restore the collector's prior state on every exit path,
-  including stalls and handler exceptions (which additionally drain
-  registered free-lists so a reused campaign worker process carries no
-  pooled objects between runs).
+* ``run()`` leaves the cyclic collector alone, and every raising exit
+  (a stall, a handler exception) drains the registered free-lists, so a
+  reused campaign worker process carries no pooled objects between runs.
 * Packet recycling reuses object *identity* only: pids keep their
   construction-order assignment, all fields are re-initialized, and the
   recycle points guard against any observer (telemetry, auditor,
@@ -38,34 +36,12 @@ def _clean_pool():
     drain_packet_pool()
 
 
-# -- gc policy ------------------------------------------------------------
-
-
-def test_gc_policy_validation():
-    sim = Simulator()
-    assert sim.gc_policy is None
-    sim.gc_policy = "disable"
-    sim.gc_policy = "freeze"
-    sim.gc_policy = None
-    with pytest.raises(ValueError):
-        sim.gc_policy = "aggressive"
-
-
-def test_gc_disabled_during_run_and_restored():
-    sim = Simulator()
-    sim.gc_policy = "disable"
-    seen = []
-    sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
-    assert gc.isenabled()
-    sim.run()
-    assert seen == [False]
-    assert gc.isenabled()
+# -- run-loop exits --------------------------------------------------------
 
 
 def test_gc_prior_disabled_state_is_preserved():
     """A caller that already runs collector-free must stay collector-free."""
     sim = Simulator()
-    sim.gc_policy = "disable"
     sim.schedule(1.0, lambda: None)
     gc.disable()
     try:
@@ -75,20 +51,10 @@ def test_gc_prior_disabled_state_is_preserved():
         gc.enable()
 
 
-def test_gc_freeze_policy_unfreezes_on_exit():
-    sim = Simulator()
-    sim.gc_policy = "freeze"
-    hits = []
-    sim.schedule(1.0, hits.append, 1)
-    sim.run()
-    assert hits == [1]
-    assert gc.isenabled()
-    assert gc.get_freeze_count() == 0
-
-
 def test_exception_exit_restores_gc_and_drains_free_lists():
+    """A default simulator (no hook, no watchdog: the hot loop every
+    campaign worker runs) drains its free-lists on a handler exception."""
     sim = Simulator()
-    sim.gc_policy = "disable"
     drained = []
     sim.register_free_list(lambda: drained.append("a"))
     sim.register_free_list(lambda: drained.append("b"))
@@ -105,7 +71,6 @@ def test_exception_exit_restores_gc_and_drains_free_lists():
 
 def test_stall_exit_restores_gc_and_drains_free_lists():
     sim = Simulator()
-    sim.gc_policy = "disable"
     sim.watchdog(max_events=10)
     drained = []
     sim.register_free_list(lambda: drained.append(1))
@@ -143,30 +108,6 @@ def test_register_free_list_dedup_and_error_suppression():
     sim.register_free_list(bad)
     sim.drain_free_lists()  # must not raise
     assert calls == [1]
-
-
-def test_fabric_config_plumbs_gc_policy_and_queue():
-    fabric = malbec_mini().with_(gc_policy="disable", queue="heap").build()
-    assert fabric.sim.gc_policy == "disable"
-    assert fabric.sim.queue_kind == "heap"
-    assert malbec_mini().build().sim.gc_policy is None
-
-
-def test_gc_policy_does_not_change_dispatch():
-    def run(policy):
-        fabric = malbec_mini().build()
-        fabric.sim.gc_policy = policy
-        n = fabric.topology.n_nodes
-        for i in range(8):
-            fabric.send(i, (i + n // 2) % n, 16 * KiB)
-        fabric.sim.run()
-        return (
-            fabric.sim.events_processed,
-            fabric.sim.now,
-            fabric.packets_delivered(),
-        )
-
-    assert run(None) == run("disable") == run("freeze")
 
 
 # -- packet free-list -----------------------------------------------------

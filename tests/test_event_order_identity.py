@@ -6,12 +6,6 @@ final clock, and per-message latency digest hard-coded.  The cancellable
 timers, single-TC arbitration bypass, O(1) buffer accounting, lazy
 segmentation, and run-loop micro-optimizations must all reproduce the
 seed *bit for bit* — same events dispatched in the same order.
-
-Burst batching is the one deliberate exception: it pre-schedules a
-burst's receive/release events when the burst forms, which assigns
-earlier sequence numbers than per-packet scheduling would and therefore
-flips same-timestamp tie-breaks under congestion.  That is why it ships
-default-off; the test pins both facts.
 """
 
 import hashlib
@@ -55,28 +49,3 @@ def test_default_run_matches_seed_fingerprint():
     assert fabric.packets_delivered() == GOLDEN_DELIVERED
     assert _latency_sha(msgs) == GOLDEN_LATENCY_SHA
 
-
-def test_batching_off_by_default():
-    cfg = malbec_mini()
-    assert cfg.burst_batching is False
-    fabric = cfg.build()
-    assert all(
-        not p.batching for sw in fabric.switches for p in sw.all_ports()
-    )
-
-
-def test_burst_batching_conserves_traffic():
-    """Batching may re-order same-timestamp ties (hence default-off) but
-    must deliver the same packets and complete the same messages."""
-    base = malbec_mini().build()
-    base_msgs = _workload(base)
-
-    batched = malbec_mini().with_(burst_batching=True).build()
-    msgs = _workload(batched)
-    assert batched.packets_delivered() == base.packets_delivered()
-    assert len([m for m in msgs if m.complete_time is not None]) == len(
-        [m for m in base_msgs if m.complete_time is not None]
-    )
-    # Fewer (or equal) events: burst completions replace per-packet ones.
-    assert batched.sim.events_processed <= base.sim.events_processed
-    batched.assert_quiescent()

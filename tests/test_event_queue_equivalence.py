@@ -1,17 +1,17 @@
 """Property: calendar queue == heap queue, event for event.
 
-The calendar/ladder queue (``Simulator(queue="calendar")``, the default)
+The production calendar/ladder queue (:class:`~repro.sim.Simulator`)
 stores key-negated entries in a sorted near window plus an unsorted far
-overflow and refills adaptively; the binary heap (``queue="heap"``) is
-the retained reference.  None of that may be *observable*: across random
-operation interleavings (schedule / schedule_at / schedule_abs /
-cancellable timers / cancel / re-arm, same-tick ties, negative-drift
-clamps, horizon/bucket-resize boundaries) and across whole-fabric runs
-(healthy and faulted), the dispatched event stream must be identical —
-same times, same order, same event accounting.  The fabric comparison
-reuses the determinism differ's :class:`~repro.validate.differ.EventTrace`
-so any divergence reports the exact first event where the two queue
-implementations disagreed.
+overflow and refills adaptively; the binary heap
+(``tests/oracles/heap_sim.py``) is the reference.  None of that may be
+*observable*: across random operation interleavings (schedule /
+schedule_at / cancellable timers / cancel / re-arm, same-tick ties,
+negative-drift clamps, horizon/bucket-resize boundaries) and across
+whole-fabric runs (healthy and faulted), the dispatched event stream
+must be identical — same times, same order, same event accounting.  The
+fabric comparison reuses the determinism differ's
+:class:`~repro.validate.differ.EventTrace` so any divergence reports the
+exact first event where the two queue implementations disagreed.
 """
 
 import random
@@ -25,6 +25,7 @@ from repro.sim import Simulator
 from repro.sim.engine import _REFILL_TARGET
 from repro.systems import slingshot_config
 from repro.validate.differ import EventTrace
+from tests.oracles.heap_sim import HeapSimulator
 
 # Delay palette chosen to force every interesting queue regime: exact
 # ties (0.0 and repeated values), sub-ns fractions, values on both sides
@@ -92,8 +93,6 @@ def _drive(sim, ops, budget):
             sim.schedule(delay, fire, i)
         elif kind == 1:
             sim.schedule_at(delay, fire, i)
-        elif kind == 2:
-            sim.schedule_abs(delay, fire, i)
         else:
             handles.append(sim.schedule_cancellable(delay, fire, i))
     sim.run()
@@ -103,15 +102,15 @@ def _drive(sim, ops, budget):
 @settings(max_examples=30, deadline=None)
 @given(
     ops=st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, len(_DELAYS) - 1)),
+        st.tuples(st.integers(0, 2), st.integers(0, len(_DELAYS) - 1)),
         min_size=1,
         max_size=40,
     ),
     budget=st.integers(0, 400),
 )
 def test_random_interleavings_dispatch_identically(ops, budget):
-    log_cal = _drive(Simulator(queue="calendar"), ops, budget)
-    log_heap = _drive(Simulator(queue="heap"), ops, budget)
+    log_cal = _drive(Simulator(), ops, budget)
+    log_heap = _drive(HeapSimulator(), ops, budget)
     assert log_cal == log_heap
 
 
@@ -138,9 +137,7 @@ def test_run_until_stepping_dispatches_identically(seed):
             sim.run(until=t)
         return log
 
-    assert stepped(Simulator(queue="calendar")) == stepped(
-        Simulator(queue="heap")
-    )
+    assert stepped(Simulator()) == stepped(HeapSimulator())
 
 
 def test_refill_boundary_regimes():
@@ -155,8 +152,7 @@ def test_refill_boundary_regimes():
         (17, lambda i: float(i)),
     ):
         logs = []
-        for kind in ("calendar", "heap"):
-            sim = Simulator(queue=kind)
+        for sim in (Simulator(), HeapSimulator()):
             log = []
             for i in range(n):
                 sim.schedule(times(i), log.append, (times(i), i))
@@ -166,17 +162,6 @@ def test_refill_boundary_regimes():
         assert logs[0] == logs[1]
 
 
-def test_queue_kind_property_and_validation():
-    assert Simulator().queue_kind == "calendar"
-    assert Simulator(queue="heap").queue_kind == "heap"
-    try:
-        Simulator(queue="ladderzzz")
-    except ValueError as exc:
-        assert "queue kind" in str(exc)
-    else:  # pragma: no cover
-        raise AssertionError("bogus queue kind accepted")
-
-
 def test_mid_run_compaction_keeps_new_events_live():
     """Regression: _compact() must mutate the queue lists in place.
 
@@ -184,10 +169,10 @@ def test_mid_run_compaction_keeps_new_events_live():
     implementation *reassigned* ``_queue`` during compaction, so a
     compaction triggered from inside a handler (a cancel storm) would
     strand every event scheduled afterwards in a list the loop never
-    reads.  Both queue kinds must survive this.
+    reads.  Both queues must survive this.
     """
-    for kind in ("calendar", "heap"):
-        sim = Simulator(queue=kind)
+    for sim in (Simulator(), HeapSimulator()):
+        kind = type(sim).__name__
         fired = []
 
         def storm():
@@ -206,8 +191,8 @@ def test_mid_run_compaction_keeps_new_events_live():
 # -- whole-fabric equivalence (EventTrace) --------------------------------
 
 
-def _run_traced(cfg, seed, schedule_of=None):
-    fabric = cfg.build()
+def _run_traced(cfg, seed, schedule_of=None, sim=None):
+    fabric = cfg.build(sim=sim)
     if schedule_of is not None:
         fabric.attach_faults(
             schedule_of(fabric), base_rto_ns=100_000.0, max_rto_ns=400_000.0
@@ -229,11 +214,7 @@ def _run_traced(cfg, seed, schedule_of=None):
 
 def _assert_fabric_equivalent(cfg, seed, schedule_of=None):
     fab_cal, trace_cal = _run_traced(cfg, seed, schedule_of)
-    assert fab_cal.sim.queue_kind == "calendar"
-    fab_heap, trace_heap = _run_traced(
-        cfg.with_(queue="heap"), seed, schedule_of
-    )
-    assert fab_heap.sim.queue_kind == "heap"
+    fab_heap, trace_heap = _run_traced(cfg, seed, schedule_of, HeapSimulator())
     n = min(len(trace_cal), len(trace_heap))
     for i in range(n):
         assert trace_cal.events[i] == trace_heap.events[i], (

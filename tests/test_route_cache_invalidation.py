@@ -6,8 +6,8 @@ packet to the dead port; the instant ``restore_link`` returns, the
 restored port is a candidate again.  A flapping link — the worst case
 for any cache, with the mask changing dozens of times mid-run — must
 leave the cached router's behaviour indistinguishable from the
-table-free reference router's (same reroute/no-route counters, same
-deliveries, same event stream).
+table-free reference router's in ``tests/oracles/routing.py`` (same
+reroute/no-route counters, same deliveries, same event stream).
 """
 
 import random
@@ -19,6 +19,7 @@ from repro.faults import FaultSchedule
 from repro.network.dragonfly import DragonflyParams
 from repro.systems import malbec_mini, slingshot_config
 from repro.validate.differ import EventTrace
+from tests.oracles.routing import ReferenceAdaptiveRouter
 
 
 def _global_key(fabric):
@@ -82,7 +83,7 @@ def test_no_stale_route_exits_dead_port_under_flapping():
     )
 
     router = fabric.router
-    assert isinstance(router, AdaptiveRouter) and router._use_tables
+    assert type(router) is AdaptiveRouter
     route = router.route
     decisions = [0]
 
@@ -147,9 +148,7 @@ def test_flapping_counters_match_reference_router(flap_global):
         return fabric, trace
 
     fab_tab, trace_tab = run(None)  # default: table-driven AdaptiveRouter
-    fab_ref, trace_ref = run(
-        lambda topo, seed: AdaptiveRouter(topo, seed, use_tables=False)
-    )
+    fab_ref, trace_ref = run(ReferenceAdaptiveRouter)
     assert fab_tab.router.reroutes == fab_ref.router.reroutes
     assert fab_tab.router.no_route == fab_ref.router.no_route
     assert fab_tab.packets_delivered() == fab_ref.packets_delivered()

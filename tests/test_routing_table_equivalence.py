@@ -1,11 +1,11 @@
 """Property: table-driven routing == table-free routing, event for event.
 
 The routing fast path (precomputed candidate tables + epoch-guarded
-degraded caches, ``AdaptiveRouter(use_tables=True)``, the default) must
-be *invisible*: across random topologies, seeds, traffic, and generated
-fault schedules, every port choice — and therefore the entire simulated
-event stream — must be identical to the table-free reference
-implementation (``use_tables=False``), which recomputes candidate sets
+degraded caches in :class:`~repro.core.adaptive_routing.AdaptiveRouter`)
+must be *invisible*: across random topologies, seeds, traffic, and
+generated fault schedules, every port choice — and therefore the entire
+simulated event stream — must be identical to the table-free reference
+routers in ``tests/oracles/routing.py``, which recompute candidate sets
 per packet.  The comparison reuses the determinism differ's
 :class:`~repro.validate.differ.EventTrace` (pid/mid-normalized labels),
 so any divergence reports the exact first event where the two
@@ -17,15 +17,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive_routing import AdaptiveRouter, ValiantRouter
+from repro.core.adaptive_routing import ValiantRouter
 from repro.faults import FaultSchedule
 from repro.network.dragonfly import DragonflyParams
 from repro.systems import slingshot_config
 from repro.validate.differ import EventTrace
-
-
-def _reference_factory(topo, seed):
-    return AdaptiveRouter(topo, seed, use_tables=False)
+from tests.oracles.routing import ReferenceAdaptiveRouter, ReferenceValiantRouter
 
 
 def _run_traced(cfg, seed, schedule_of=None):
@@ -53,7 +50,7 @@ def _run_traced(cfg, seed, schedule_of=None):
 def _assert_equivalent(cfg, seed, schedule_of=None):
     fab_tab, trace_tab = _run_traced(cfg, seed, schedule_of)
     fab_ref, trace_ref = _run_traced(
-        cfg.with_(router_factory=_reference_factory), seed, schedule_of
+        cfg.with_(router_factory=ReferenceAdaptiveRouter), seed, schedule_of
     )
     # event-for-event identity (first mismatch pinpointed for debugging)
     n = min(len(trace_tab), len(trace_ref))
@@ -121,17 +118,13 @@ def test_tables_match_reference_under_faults(p, a, g, seed, n_faults):
 def test_valiant_tables_match_reference(a, g, seed):
     """The Valiant baseline uses the same tables; same contract."""
 
-    def tab(topo, s):
-        return ValiantRouter(topo, s)
-
-    def ref(topo, s):
-        return ValiantRouter(topo, s, use_tables=False)
-
     cfg = slingshot_config(
         DragonflyParams(1, a, g, links_per_pair=2),
         seed=seed,
-    ).with_(router_factory=tab)
+    ).with_(router_factory=ValiantRouter)
     fab_tab, trace_tab = _run_traced(cfg, seed)
-    fab_ref, trace_ref = _run_traced(cfg.with_(router_factory=ref), seed)
+    fab_ref, trace_ref = _run_traced(
+        cfg.with_(router_factory=ReferenceValiantRouter), seed
+    )
     assert trace_tab.fingerprint() == trace_ref.fingerprint()
     assert fab_tab.packets_delivered() == fab_ref.packets_delivered()

@@ -210,25 +210,24 @@ def test_wall_deadline_checked_on_a_stride_not_per_event():
     still raise — within the first stride, not per-event and not never."""
     from repro.sim.engine import _WALL_STRIDE
 
-    for kind in ("calendar", "heap"):
-        sim = Simulator(queue=kind)
-        fuel = [10 * _WALL_STRIDE]
+    sim = Simulator()
+    fuel = [10 * _WALL_STRIDE]
 
-        def chain():
-            if fuel[0] > 0:
-                fuel[0] -= 1
-                sim.schedule(1.0, chain)
+    def chain():
+        if fuel[0] > 0:
+            fuel[0] -= 1
+            sim.schedule(1.0, chain)
 
-        sim.schedule(0.0, chain)
-        # deadline so tight it is already exceeded at the first check
-        sim.watchdog(wall_deadline_s=1e-9)
-        time.sleep(0.002)
-        with pytest.raises(SimStall, match="wall-clock deadline"):
-            sim.run()
-        # tripped at the first stride boundary: the guard may be up to
-        # one stride late, never more (and never zero-cost-per-event)
-        assert 0 < sim.events_processed <= _WALL_STRIDE, kind
-        # resumable: the tripping entry went back on the queue
-        sim.watchdog()
+    sim.schedule(0.0, chain)
+    # deadline so tight it is already exceeded at the first check
+    sim.watchdog(wall_deadline_s=1e-9)
+    time.sleep(0.002)
+    with pytest.raises(SimStall, match="wall-clock deadline"):
         sim.run()
-        assert sim.events_processed == 10 * _WALL_STRIDE + 1, kind
+    # tripped at the first stride boundary: the guard may be up to
+    # one stride late, never more (and never zero-cost-per-event)
+    assert 0 < sim.events_processed <= _WALL_STRIDE
+    # resumable: the tripping entry went back on the queue
+    sim.watchdog()
+    sim.run()
+    assert sim.events_processed == 10 * _WALL_STRIDE + 1
