@@ -4,7 +4,7 @@ Attach a :class:`MessageTracer` to a fabric before running; it records
 one row per completed message (source, destination, size, latency,
 achieved bandwidth, hop distance class) and offers percentile summaries
 and CSV export — the raw material for latency-distribution figures like
-the paper's Fig. 2/4/8.
+the paper's Fig. 2/4/8.  It is a NIC probe (:mod:`repro.probe`).
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..network.fabric import Fabric
+from ..network.nic import NIC
+from ..probe import Probe
 from .stats import percentiles as _percentiles
 
 __all__ = ["MessageRecord", "MessageTracer"]
@@ -42,52 +44,25 @@ class MessageRecord:
         return self.nbytes / self.latency_ns if self.latency_ns > 0 else 0.0
 
 
-class MessageTracer:
+class MessageTracer(Probe):
     """Records every completed message on a fabric.
 
-    Wraps each destination NIC's ``on_message`` hook (chaining any hook
-    already installed) — attach once, before traffic starts.  Call
-    :meth:`detach` (or use the tracer as a context manager) to stop
-    recording and unwind the wrappers, so several tracers can observe
-    one fabric in sequence without double-recording.
+    Attaches as the probe of every NIC (``message_done``) — attach once,
+    before traffic starts.  Call :meth:`detach` (or use the tracer as a
+    context manager) to stop recording and remove exactly this tracer's
+    probes; any other tracer or subscriber keeps recording.
     """
 
     def __init__(self, fabric: Fabric):
         self.fabric = fabric
         self.records: List[MessageRecord] = []
-        self._active = False
-        self._installed: List[tuple] = []  # (nic, our_hook, previous_hook)
-        self._attach()
-
-    def _attach(self) -> None:
-        self._active = True
-        for nic in self.fabric.nics:
-            prev: Optional[Callable] = nic.on_message
-
-            def hook(msg, _prev=prev):
-                if self._active:
-                    self._record(msg)
-                if _prev is not None:
-                    _prev(msg)
-
-            nic.on_message = hook
-            self._installed.append((nic, hook, prev))
+        self._handle = fabric.attach_probe(
+            lambda c: self if isinstance(c, NIC) else None
+        )
 
     def detach(self) -> None:
-        """Stop recording and remove this tracer's hooks.
-
-        Idempotent.  If another wrapper was installed on a NIC after
-        ours, the chain cannot be unlinked there; recording still stops
-        (the hook goes inert) and only that NIC keeps the extra
-        indirection.
-        """
-        if not self._active:
-            return
-        self._active = False
-        for nic, hook, prev in self._installed:
-            if nic.on_message is hook:
-                nic.on_message = prev
-        self._installed = []
+        """Stop recording and remove this tracer's probes (idempotent)."""
+        self._handle.detach()
 
     def __enter__(self) -> "MessageTracer":
         return self
@@ -95,7 +70,7 @@ class MessageTracer:
     def __exit__(self, *exc) -> None:
         self.detach()
 
-    def _record(self, msg) -> None:
+    def message_done(self, nic, msg) -> None:
         if msg.src == msg.dst:
             distance = 0
         else:

@@ -136,8 +136,8 @@ class AdaptiveRouter:
         # per-TC multiplier on the non-minimal penalty (QoS routing bias)
         self.tc_routing_bias = tc_routing_bias or (lambda tc: 1.0)
         self._rng = random.Random(stable_hash("router", seed))
-        #: telemetry hooks (repro.telemetry); None = zero-overhead path
-        self.telem = None
+        #: observer slot (repro.probe); None = zero-overhead path
+        self.probe = None
         #: fault statistics, only ever touched on a degraded fabric:
         #: decisions where the minimal path was dead and traffic was
         #: steered around it, and decisions with no live port at all
@@ -198,8 +198,8 @@ class AdaptiveRouter:
             port, nonmin, inter = candidates[0]
             if inter is not None:
                 pkt.intermediate_group = inter
-            if self.telem is not None:
-                self.telem.routed(sw.sim, sw, pkt, port, nonmin, inter)
+            if self.probe is not None:
+                self.probe.routed(self, sw, pkt, port, nonmin, inter)
             return port
 
         bias_mult = self.tc_routing_bias(pkt.tc)
@@ -229,8 +229,8 @@ class AdaptiveRouter:
         port, nonmin, inter = best
         if inter is not None:
             pkt.intermediate_group = inter
-        if self.telem is not None:
-            self.telem.routed(sw.sim, sw, pkt, port, nonmin, inter)
+        if self.probe is not None:
+            self.probe.routed(self, sw, pkt, port, nonmin, inter)
         return port
 
     # -- candidate tables ----------------------------------------------------
@@ -328,7 +328,7 @@ class AdaptiveRouter:
 
         dst_g = dst_sw // self._spg
         target_g = dst_g if inter is None else inter
-        telem = self.telem
+        probe = self.probe
         n = self.n_candidates
 
         if target_g == group:
@@ -346,8 +346,8 @@ class AdaptiveRouter:
                     for p in self._sample(detours, n):
                         cand.append((p, True, None))
                     return self._pick(sw, pkt, cand)
-            if telem is not None:
-                telem.routed(sw.sim, sw, pkt, port, False, None)
+            if probe is not None:
+                probe.routed(self, sw, pkt, port, False, None)
             return port
 
         # Global leg: direct global links if this switch has them,
@@ -380,8 +380,8 @@ class AdaptiveRouter:
         # Minimal-only candidate set: UGAL over same-length minimal paths
         # reduces to least-loaded with first-wins tie-break.
         port = mins[0] if len(mins) == 1 else self._least_loaded(mins)
-        if telem is not None:
-            telem.routed(sw.sim, sw, pkt, port, False, None)
+        if probe is not None:
+            probe.routed(self, sw, pkt, port, False, None)
         return port
 
     def _ptg_tables(self, sw, group):
@@ -428,8 +428,8 @@ class AdaptiveRouter:
         if dst_sw == sw.id:
             port = sw.port_to_node[dst]
             if port.up:
-                if self.telem is not None:
-                    self.telem.routed(sw.sim, sw, pkt, port, False, None)
+                if self.probe is not None:
+                    self.probe.routed(self, sw, pkt, port, False, None)
                 return port
             self.no_route += 1
             return None
@@ -540,8 +540,8 @@ class ValiantRouter(AdaptiveRouter):
                         ports = self._build_detour_ports(sw, dst_sw)
                 if ports:
                     port = self._rng.choice(ports)
-                    if self.telem is not None:
-                        self.telem.routed(sw.sim, sw, pkt, port, True, None)
+                    if self.probe is not None:
+                        self.probe.routed(self, sw, pkt, port, True, None)
                     return port
         target_g = pkt.intermediate_group if pkt.intermediate_group is not None else dst_g
         if target_g == sw.group:
@@ -555,8 +555,8 @@ class ValiantRouter(AdaptiveRouter):
         if port is None:
             self.no_route += 1
             return None
-        if self.telem is not None:
-            self.telem.routed(
-                sw.sim, sw, pkt, port, misrouted is not None, misrouted
+        if self.probe is not None:
+            self.probe.routed(
+                self, sw, pkt, port, misrouted is not None, misrouted
             )
         return port

@@ -121,9 +121,9 @@ class CongestionControl:
     #: human-readable name used in reports
     name = "abstract"
 
-    #: telemetry hooks (repro.telemetry); None = zero-overhead path.  A
-    #: class attribute so strategy subclasses need no __init__ plumbing.
-    telem = None
+    #: observer slot (repro.probe); None = zero-overhead path.  A class
+    #: attribute so strategy subclasses need no __init__ plumbing.
+    probe = None
 
     def initial_window(self) -> float:
         raise NotImplementedError
@@ -186,8 +186,8 @@ class SlingshotCC(CongestionControl):
                 w = self.max_window
         state._window = w
         state.eff_window = w if w > 1.0 else 1.0
-        if self.telem is not None:
-            self.telem.acked(before, w)
+        if self.probe is not None:
+            self.probe.window_update(self, before, w)
 
 
 class NoCC(CongestionControl):
@@ -250,8 +250,8 @@ class EcnCC(CongestionControl):
                 )
             else:
                 state.window = min(self.max_window, state.window + self.recovery_step)
-            if self.telem is not None:
-                self.telem.acked(before, state.window)
+            if self.probe is not None:
+                self.probe.window_update(self, before, state.window)
         state.acks_since_update = 0
         state.marks_since_update = 0
 

@@ -3,7 +3,8 @@
 :class:`FaultInjector` is the attach point of the whole subsystem.  On
 construction it
 
-* registers itself as ``fabric.fault_injector``;
+* registers itself as ``fabric.fault_injector`` and as a probe point
+  of every attached observer (:mod:`repro.probe`);
 * arms :class:`~repro.faults.reliability.EndToEndReliability` on every
   NIC (unless ``reliability=False``), so fail-stop losses are repaired
   end-to-end;
@@ -50,8 +51,8 @@ class FaultInjector:
         self.fabric = fabric
         self.sim = fabric.sim
         self.schedule = schedule
-        #: telemetry hook (repro.telemetry FaultTelemetry); None = off
-        self.telem = None
+        #: observer slot (repro.probe); None = zero-overhead path
+        self.probe = None
         #: (sim time, event) log of everything applied so far
         self.applied: List[Tuple[float, FaultEvent]] = []
         self.events_applied = 0
@@ -59,13 +60,11 @@ class FaultInjector:
         if reliability:
             # The retransmission tracker keeps a reference to every
             # unsettled packet, so a dropped packet is NOT dead — port
-            # drop recycling must be off (the NIC ack-path recycling
-            # already suspends itself via the retrans hook / _hot flag).
-            for sw in fabric.switches:
-                for port in sw.all_ports():
-                    port.recycle_drops = False
+            # drop recycling must be off (the NIC ack path never recycles
+            # while ``retrans`` is set).
+            for _, port in fabric.all_ports():
+                port.recycle_drops = False
             for nic in fabric.nics:
-                nic.out_port.recycle_drops = False
                 nic.retrans = EndToEndReliability(
                     nic,
                     base_rto_ns=base_rto_ns,
@@ -75,6 +74,8 @@ class FaultInjector:
                 )
         for ev in schedule.events:
             self.sim.schedule_at(ev.t, self._apply, ev)
+        for handle in fabric.probe_handles:
+            handle.offer(self)
 
     def _apply(self, ev: FaultEvent) -> None:
         f = self.fabric
@@ -101,13 +102,8 @@ class FaultInjector:
             f.topology.bump_health_epoch()
         self.events_applied += 1
         self.applied.append((self.sim.now, ev))
-        if self.telem is not None:
-            self.telem.fault(self.sim.now, ev, f)
-        if f.auditor is not None:
-            # Health-mask mutations must leave every layer consistent;
-            # sweeping right at the mutation point catches a desync at
-            # the exact fault tick instead of the next periodic sweep.
-            f.auditor.on_fault(self.sim.now, ev)
+        if self.probe is not None:
+            self.probe.fault(self, ev)
 
     # -- aggregate reliability statistics -----------------------------------
 

@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..core.adaptive_routing import AdaptiveRouter
 from ..core.congestion_control import CongestionControl, make_cc
 from ..core.traffic_classes import TrafficClass, default_traffic_classes
+from ..probe import ProbeHandle
 from ..sim import Event, Simulator
 from ..sim.rng import stable_hash
 from .dragonfly import DragonflyParams, DragonflyTopology
@@ -132,12 +133,6 @@ class FabricConfig:
     #: each wire its own dedicated ``LinkSpec.buffer_bytes``.
     shared_switch_buffers: bool = False
     switch_buffer_bytes: float = 256 * KiB
-    #: return dead packets (acked, or dropped unobserved) to the module
-    #: free-list for reuse.  Invisible to simulation results — pids are
-    #: still assigned in construction order — and automatically suspended
-    #: wherever an observer (telemetry, auditor, reliability layer) could
-    #: hold a reference past the packet's death.
-    recycle_packets: bool = True
     seed: int = 0
 
     def build(self, sim: Optional[Simulator] = None) -> "Fabric":
@@ -180,7 +175,6 @@ class Fabric:
                 config.header_bytes,
                 ack_overhead=config.ack_overhead,
                 nic_lookup=self._nic_lookup,
-                recycle_packets=config.recycle_packets,
             )
             for n in range(self.topology.n_nodes)
         ]
@@ -190,23 +184,18 @@ class Fabric:
         #: link keys attached to each switch (whole-switch failure support)
         self._switch_links: Dict[int, List[tuple]] = {}
         self._wire_everything()
-        if config.recycle_packets:
-            # Dead-packet recycling: drops with no observer return the
-            # packet to the free-list (the ack-path return lives in
-            # NIC.on_ack), and the pool is registered as a drain hook so
-            # an aborted run cannot leak it across runs of one process.
-            for sw in self.switches:
-                for port in sw.all_ports():
-                    port.recycle_drops = True
-            for nic in self.nics:
-                nic.out_port.recycle_drops = True
-            self.sim.register_free_list(drain_packet_pool)
+        # Dead packets (acked, or dropped unobserved) return to the packet
+        # free-list; registering its drain means an aborted run cannot
+        # leak pooled packets across runs of one process.
+        self.sim.register_free_list(drain_packet_pool)
         self.messages_sent = 0
         self.messages_completed = 0
         #: the attached FaultInjector, if any (set by repro.faults)
         self.fault_injector = None
         #: the attached InvariantAuditor, if any (set by repro.validate)
         self.auditor = None
+        #: live probe attachments, in attach order (repro.probe)
+        self.probe_handles: List[ProbeHandle] = []
         #: links a fail_switch() brought down, per switch (for restore)
         self._switch_downed: Dict[int, List[tuple]] = {}
         # If the engine watchdog ever trips, its SimStall should carry the
@@ -357,57 +346,52 @@ class Fabric:
         self.send(src, dst, nbytes, tc=tc, tag=tag, on_complete=lambda m: ev.succeed(m))
         return ev
 
-    # -- observability ------------------------------------------------------------
+    # -- observability (see repro.probe) -------------------------------------------
+
+    def probe_points(self):
+        """Every component with a ``probe`` slot, in attach order."""
+        for sw in self.switches:
+            yield sw
+            yield from sw.all_ports()
+        for nic in self.nics:
+            yield nic
+            yield nic.out_port
+        yield self.router
+        yield self.cc
+        if self.fault_injector is not None:
+            yield self.fault_injector
+
+    def attach_probe(self, factory: Callable) -> ProbeHandle:
+        """Install ``factory(component)`` (a :class:`~repro.probe.Probe`
+        or None) on every probe point; the handle's ``detach()`` removes
+        exactly these probes."""
+        return ProbeHandle(self, factory)
 
     def attach_telemetry(self, **kwargs):
-        """Attach the unified telemetry subsystem to this fabric.
-
-        Convenience wrapper over
-        :class:`repro.telemetry.FabricTelemetry`; see that class for the
-        keyword arguments (``sample_rate``, ``scrape_interval_ns`` …).
-        Without this call the fabric runs with zero telemetry overhead.
-        """
+        """Attach a :class:`repro.telemetry.FabricTelemetry` (keyword
+        arguments ``sample_rate``, ``scrape_interval_ns`` …)."""
         from ..telemetry import FabricTelemetry
 
         return FabricTelemetry(self, **kwargs)
 
     def attach_observer(self, telemetry=None, **kwargs):
-        """Attach the second-generation observability layer (windowed
-        time-series + latency attribution + congestion forensics).
-
-        Convenience wrapper over :class:`repro.observe.FabricObserver`;
-        see that class for keyword arguments (``window_ns``,
-        ``max_windows`` …).  Builds a full-sampling
-        :class:`repro.telemetry.FabricTelemetry` if *telemetry* is None.
-        Without this call the fabric runs with zero observability
-        overhead.
-        """
+        """Attach a :class:`repro.observe.FabricObserver` (windowed
+        time-series, latency attribution, congestion forensics) over
+        *telemetry*, or over a new full-sampling one."""
         from ..observe import FabricObserver
 
         return FabricObserver(self, telemetry=telemetry, **kwargs)
 
     def attach_faults(self, schedule=None, **kwargs):
-        """Attach the fault-injection subsystem to this fabric.
-
-        Convenience wrapper over :class:`repro.faults.FaultInjector`; see
-        that class for keyword arguments (``base_rto_ns``, ``max_retries``
-        …).  Without this call the fabric runs with zero fault-machinery
-        overhead and is bit-identical to a fault-unaware build.
-        """
+        """Attach a :class:`repro.faults.FaultInjector` (keyword
+        arguments ``base_rto_ns``, ``max_retries`` …)."""
         from ..faults import FaultInjector
 
         return FaultInjector(self, schedule, **kwargs)
 
     def attach_auditor(self, **kwargs):
-        """Attach the runtime invariant auditor to this fabric.
-
-        Convenience wrapper over
-        :class:`repro.validate.InvariantAuditor`; see that class for the
-        keyword arguments (``sweep_interval_ns``, ``checkers``,
-        ``raise_on_violation`` …).  Without this call the fabric runs
-        with zero auditing overhead and is bit-identical to an
-        audit-unaware build.
-        """
+        """Attach a :class:`repro.validate.InvariantAuditor` (keyword
+        arguments ``sweep_interval_ns``, ``checkers`` …)."""
         from ..validate import InvariantAuditor
 
         return InvariantAuditor(self, **kwargs)
@@ -513,8 +497,7 @@ class Fabric:
         """Every OutputPort in the fabric as ``(owner_label, port)`` pairs:
         ``("switch.3", port)`` for switch egress ports, ``("nic.7", port)``
         for NIC injection ports.  Deterministic order (switches then NICs,
-        each in id order) — the canonical walk for telemetry attachment
-        and per-port series."""
+        each in id order) — the canonical walk for per-port series."""
         for sw in self.switches:
             for port in sw.all_ports():
                 yield f"switch.{sw.id}", port

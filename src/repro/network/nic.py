@@ -21,18 +21,17 @@ outright.  When a :class:`~repro.faults.FaultInjector` is attached it
 arms ``self.retrans`` — an exponential-backoff retransmission timer that
 re-injects stranded packets, with receiver-side duplicate suppression —
 preserving the paper's "lossless to the application" behaviour under
-faults.  ``retrans`` is None by default.
+faults.  ``retrans`` is None by default.  Observers attach through the
+one ``probe`` slot (:mod:`repro.probe`).
 
 Delivery fast path: :class:`NIC` is the production implementation —
 ``_pump``/``on_ack``/``receive`` are allocation-free and branch-lean
-(cached effective window via ``PairState.eff_window``, the three
-``telem``/``audit``/``retrans`` hook checks folded into one precomputed
-``_hot`` flag maintained by property setters, event scheduling through
-the engine's ``sim.push`` producer contract, and acked packets returned
-to the :mod:`repro.network.packet` free-list when no hook could still
-hold a reference to them).  The straight-line specification lives in
-``tests/oracles/delivery.py``; ``tests/test_delivery_path_equivalence.py``
-pins the two event-for-event.
+(cached effective window via ``PairState.eff_window``, ``probe`` and
+``retrans`` read into locals, event scheduling through ``sim.push``, and
+acked packets returned to the :mod:`repro.network.packet` free-list when
+no probe, reliability layer or span could still hold them).  The
+straight-line specification lives in ``tests/oracles/delivery.py``;
+``tests/test_delivery_path_equivalence.py`` pins the two event-for-event.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class NIC:
         "pairs",
         "header_bytes",
         "rx_messages",
-        "on_message",
         "bytes_injected",
         "bytes_delivered",
         "pkts_injected",
@@ -69,12 +67,8 @@ class NIC:
         "acks_clean",
         "nic_lookup",
         "idle_reset_ns",
-        "_telem",
-        "_audit",
-        "_retrans",
-        "_hot",
-        "_recycle_cfg",
-        "_recycle",
+        "probe",
+        "retrans",
     )
 
     def __init__(
@@ -87,7 +81,6 @@ class NIC:
         ack_overhead: float = 100.0,
         nic_lookup: Optional[Callable[[int], "NIC"]] = None,
         idle_reset_ns: float = 100_000.0,
-        recycle_packets: bool = True,
     ):
         self.sim = sim
         self.node = node
@@ -99,8 +92,6 @@ class NIC:
         self.out_port: Optional[OutputPort] = None  # set by the fabric builder
         self.pairs: Dict[int, PairState] = {}
         self.rx_messages: Dict[int, Message] = {}
-        #: delivery hook: called with each completed Message at this NIC
-        self.on_message: Optional[Callable[[Message], None]] = None
         self.bytes_injected = 0
         self.bytes_delivered = 0
         self.pkts_injected = 0
@@ -111,64 +102,10 @@ class NIC:
         self.nic_lookup = nic_lookup
         #: CC state for a pair idle this long resets to the initial window
         self.idle_reset_ns = idle_reset_ns
-        self._telem = None
-        self._audit = None
-        self._retrans = None
-        self._hot = False
-        #: packet free-list policy: _recycle_cfg is the configured wish,
-        #: _recycle the effective flag — recycling is suspended whenever
-        #: any hook is attached (_hot), because telemetry spans, auditors
-        #: and the reliability layer hold packet references past the ack.
-        self._recycle_cfg = recycle_packets
-        self._recycle = recycle_packets
-
-    # -- hook plumbing --------------------------------------------------------
-    #
-    # telem/audit/retrans are attached and detached by external layers
-    # (telemetry, validate, faults).  They are properties so that every
-    # assignment refreshes ``_hot`` — the single per-packet dispatch flag
-    # the fast path checks instead of three attribute tests.  None = the
-    # zero-overhead path; an un-hooked fabric is bit-identical to one
-    # built before these layers existed.
-
-    @property
-    def telem(self):
-        """Telemetry hooks (repro.telemetry); None = zero-overhead path."""
-        return self._telem
-
-    @telem.setter
-    def telem(self, value) -> None:
-        self._telem = value
-        self._hot = (
-            value is not None or self._audit is not None or self._retrans is not None
-        )
-        self._recycle = self._recycle_cfg and not self._hot
-
-    @property
-    def audit(self):
-        """Invariant auditor (repro.validate); None = zero-overhead path."""
-        return self._audit
-
-    @audit.setter
-    def audit(self, value) -> None:
-        self._audit = value
-        self._hot = (
-            self._telem is not None or value is not None or self._retrans is not None
-        )
-        self._recycle = self._recycle_cfg and not self._hot
-
-    @property
-    def retrans(self):
-        """End-to-end reliability (repro.faults); None = zero-overhead path."""
-        return self._retrans
-
-    @retrans.setter
-    def retrans(self, value) -> None:
-        self._retrans = value
-        self._hot = (
-            self._telem is not None or self._audit is not None or value is not None
-        )
-        self._recycle = self._recycle_cfg and not self._hot
+        #: observer slot (repro.probe); None = zero-overhead path
+        self.probe = None
+        #: end-to-end reliability (repro.faults); None = off
+        self.retrans = None
 
     # -- send side ----------------------------------------------------------
 
@@ -235,8 +172,8 @@ class NIC:
     def _pump(self, state: PairState) -> None:
         # Admission fast path.  The unpaced regime (window >= 1, by far
         # the common case) compares in_flight against the cached
-        # eff_window once per admitted packet and checks the folded _hot
-        # flag instead of three hook attributes; the paced regime keeps
+        # eff_window once per admitted packet and tests the probe and
+        # retrans slots as locals; the paced regime keeps
         # the straight-line reference structure (it is throttled to at
         # most one packet per pacing interval by construction).
         if state._window >= 1.0:
@@ -245,7 +182,8 @@ class NIC:
             now = self.sim.now
             eff = state.eff_window
             enqueue = self.out_port.enqueue
-            hot = self._hot
+            probe = self.probe
+            retrans = self.retrans
             pending = state.pending
             iters = state.pending_iters
             while state.in_flight < eff:
@@ -263,13 +201,10 @@ class NIC:
                 pkt.inject_time = now
                 self.bytes_injected += size
                 self.pkts_injected += 1
-                if hot:
-                    if self._telem is not None:
-                        self._telem.injected(pkt, state)
-                    if self._audit is not None:
-                        self._audit.on_injected(self, pkt)
-                    if self._retrans is not None:
-                        self._retrans.on_inject(pkt, state)
+                if probe is not None:
+                    probe.injected(self, pkt, state)
+                if retrans is not None:
+                    retrans.on_inject(pkt, state)
                 enqueue(pkt)
                 if not state.pending_count:
                     return
@@ -286,12 +221,10 @@ class NIC:
             pkt.inject_time = now
             self.bytes_injected += pkt.size
             self.pkts_injected += 1
-            if self._telem is not None:
-                self._telem.injected(pkt, state)
-            if self._audit is not None:
-                self._audit.on_injected(self, pkt)
-            if self._retrans is not None:
-                self._retrans.on_inject(pkt, state)
+            if self.probe is not None:
+                self.probe.injected(self, pkt, state)
+            if self.retrans is not None:
+                self.retrans.on_inject(pkt, state)
             # Fractional window => rate pacing: one packet per
             # (serialization / window) interval.
             state.next_send_ns = now + pkt.size / self.out_port.bandwidth / state._window
@@ -308,10 +241,8 @@ class NIC:
         pkt.inject_time = self.sim.now
         self.bytes_injected += pkt.size
         self.pkts_injected += 1
-        if self._telem is not None:
-            self._telem.injected(pkt, self._pair(pkt.dst))
-        if self._audit is not None:
-            self._audit.on_injected(self, pkt)
+        if self.probe is not None:
+            self.probe.injected(self, pkt, self._pair(pkt.dst))
         self.out_port.enqueue(pkt)
 
     def _deliver_loopback(self, msg: Message) -> None:
@@ -320,8 +251,8 @@ class NIC:
         msg.complete_time = self.sim.now
         if msg.on_complete is not None:
             msg.on_complete(msg)
-        if self.on_message is not None:
-            self.on_message(msg)
+        if self.probe is not None:
+            self.probe.message_done(self, msg)
 
     # -- receive side ---------------------------------------------------------
 
@@ -341,8 +272,8 @@ class NIC:
         self.bytes_delivered += pkt.size
         self.pkts_delivered += 1
         msg = pkt.message
-        hot = self._hot
-        if hot and self._retrans is not None and not self._retrans.on_deliver(pkt):
+        retrans = self.retrans
+        if retrans is not None and not retrans.on_deliver(pkt):
             # Duplicate of a packet that already arrived (the "lost"
             # original survived after all): suppress message accounting,
             # but still ack so the sender settles this attempt too.
@@ -355,13 +286,10 @@ class NIC:
                 msg.complete_time = now
                 if msg.on_complete is not None:
                     msg.on_complete(msg)
-                if self.on_message is not None:
-                    self.on_message(msg)
-        if hot:
-            if self._telem is not None:
-                self._telem.delivered(pkt, msg)
-            if self._audit is not None:
-                self._audit.on_delivered(self, pkt)
+                if self.probe is not None:
+                    self.probe.message_done(self, msg)
+        if self.probe is not None:
+            self.probe.delivered(self, pkt, msg)
         # End-to-end ack back to the source (contention-free reverse path:
         # wire propagation both ways + switch pipelines + NIC overhead).
         src_nic = self.nic_lookup(pkt.src)
@@ -377,7 +305,7 @@ class NIC:
     # -- ack path -------------------------------------------------------------
 
     def on_ack(self, pkt: Packet) -> None:
-        retrans = self._retrans
+        retrans = self.retrans
         if retrans is not None and not retrans.on_ack(pkt):
             return  # ack for an attempt that was already settled
         state = self.pairs[pkt.dst]
@@ -389,12 +317,14 @@ class NIC:
         else:
             self.acks_clean += 1
         self.cc.on_ack(state, pkt.marked, now)
-        if self._telem is not None:
-            self._telem.acked(pkt, state)
-        # The ack settles the packet's last obligation: with no hook
-        # attached (and the packet never traced), nothing can still hold
-        # a reference, so it goes back to the free-list for reuse.
-        if self._recycle and not pkt.traced:
+        probe = self.probe
+        if probe is not None:
+            probe.acked(self, pkt, state)
+        elif retrans is None and not pkt.traced:
+            # The ack settles the packet's last obligation: with no probe
+            # or reliability layer attached (and the packet never traced),
+            # nothing can still hold a reference, so it goes back to the
+            # free-list for reuse.
             recycle_packet(pkt)
         self._pump(state)
 

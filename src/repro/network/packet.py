@@ -13,9 +13,9 @@ module-level pool; :meth:`Message.packets` draws from the pool before
 allocating.  Recycled packets are fully re-initialized — including a
 fresh ``pid`` from the same global counter — so simulation behaviour and
 diagnostics are bit-identical with the pool on or off; only object
-*identity* is reused.  Producers guard the recycle call so telemetry
-spans, auditors, and the reliability layer never see a reused object
-(see ``NIC._recycle`` / ``OutputPort.recycle_drops``).
+*identity* is reused.  Producers recycle only when no probe
+(:mod:`repro.probe`), reliability layer or traced span could still see
+the packet (see ``NIC.on_ack`` / ``OutputPort.recycle_drops``).
 """
 
 from __future__ import annotations

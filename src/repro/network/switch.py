@@ -24,12 +24,14 @@ Tree saturation — the mechanism behind the paper's Aries victim numbers
 — emerges naturally here: when an incast fills the input buffers of the
 last-hop switch, upstream ports lose credits and stall, their queues
 fill, and any victim packet that shares one of those buffers waits.
+Ports and switches are observed through one ``probe`` slot each
+(:mod:`repro.probe`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.traffic_classes import TcScheduler, TrafficClass
 from ..sim import Simulator
@@ -69,12 +71,10 @@ class OutputPort:
         "pkts_sent",
         "marks_set",
         "name",
-        "_telem",
-        "_audit",
+        "_probe",
         "_retry_armed",
         "_retry_timer",
         "_single_tc",
-        "_on_dequeue",
         "_plain",
         "_mark_at",
         "_q0",
@@ -137,16 +137,13 @@ class OutputPort:
         self.pkts_sent = 0
         self.marks_set = 0
         self.name = name
-        self._telem = None
-        self._audit = None
+        self._probe = None
         self._retry_armed = False
         self._retry_timer = None
         # With one uncapped class, arbitration is trivial (serve the head
         # whenever credits fit) and the DRR/EWMA bookkeeping is
         # unobservable, so _try_send bypasses the scheduler entirely.
         self._single_tc = ntc == 1 and classes[0].max_share >= 1.0
-        #: optional hook fired with each dequeued packet (telemetry)
-        self._on_dequeue: Optional[Callable] = None
         # Link-level reliability: transient frame errors are replayed
         # locally (LLR, paper §II-F).  Zero-cost when error_rate == 0.
         self.error_rate = error_rate
@@ -157,11 +154,9 @@ class OutputPort:
         # a failed one refuses new transmissions and has dropped its queue.
         self.up = True
         self.pkts_dropped = 0
-        #: return dropped packets to the free-list?  Off by default; the
-        #: fabric turns it on when recycling is configured, and the fault
-        #: injector turns it back off whenever end-to-end reliability is
-        #: attached (the retransmission tracker holds packet references).
-        self.recycle_drops = False
+        #: recycle unobserved drops?  Off under end-to-end reliability,
+        #: whose tracker holds packet references (set by the injector).
+        self.recycle_drops = True
         # congestion_score cache: adaptive routing scores the same port
         # several times per arbitration tick (one per candidate set it
         # appears in).  The score is a pure function of backlog and pool
@@ -189,55 +184,28 @@ class OutputPort:
         self._mark_at = mark_threshold if kind == "host" else float("inf")
         self._refresh_plain()
 
-    # -- hook plumbing ------------------------------------------------------
+    # -- probe plumbing -----------------------------------------------------
     #
-    # telem/audit/on_dequeue are assigned by external layers (telemetry,
-    # validate, observe).  They are properties so every assignment
-    # refreshes ``_plain`` — the single precomputed flag that routes
-    # ``_try_send`` onto the allocation-free fast branch.  A port is
-    # *plain* when arbitration is trivial (one uncapped class), the wire
-    # is up, and nothing observes per-packet dequeues: exactly the state
-    # in which the general path's scheduler/hook/LLR branches are all
-    # dead.
+    # ``_plain`` routes ``_try_send`` onto the allocation-free branch: one
+    # uncapped class, wire up, no LLR, no probe — the state in which the
+    # general path's scheduler/probe/LLR branches are all dead.
 
     def _refresh_plain(self) -> None:
         self._plain = (
             self._single_tc
             and self.up
-            and self._telem is None
-            and self._audit is None
-            and self._on_dequeue is None
             and self._err_rng is None
+            and self._probe is None
         )
 
     @property
-    def telem(self):
-        """Telemetry hooks (repro.telemetry); None = zero-overhead path."""
-        return self._telem
+    def probe(self):
+        """Observer slot (repro.probe); None = zero-overhead path."""
+        return self._probe
 
-    @telem.setter
-    def telem(self, value) -> None:
-        self._telem = value
-        self._refresh_plain()
-
-    @property
-    def audit(self):
-        """Invariant auditor (repro.validate); None = zero-overhead path."""
-        return self._audit
-
-    @audit.setter
-    def audit(self, value) -> None:
-        self._audit = value
-        self._refresh_plain()
-
-    @property
-    def on_dequeue(self):
-        """Optional hook fired with each dequeued packet (telemetry)."""
-        return self._on_dequeue
-
-    @on_dequeue.setter
-    def on_dequeue(self, value) -> None:
-        self._on_dequeue = value
+    @probe.setter
+    def probe(self, value) -> None:
+        self._probe = value
         self._refresh_plain()
 
     # -- congestion telemetry (adaptive routing reads these) ---------------
@@ -277,8 +245,8 @@ class OutputPort:
         self.queues[pkt.tc].append(pkt)
         self.backlog += pkt.size
         self._score_ok = False
-        if self._telem is not None:
-            self._telem.enqueue(pkt, self)
+        if self._probe is not None:
+            self._probe.enqueued(self, pkt)
         if not self.busy:
             self._try_send()
 
@@ -291,7 +259,7 @@ class OutputPort:
         return self.credits[tc].can_fit(pkt.vc, pkt.size)
 
     def _try_send(self) -> None:
-        # Plain regime (single uncapped class, wire up, no hooks, no
+        # Plain regime (single uncapped class, wire up, no probe, no
         # LLR): the arbitrate→credit→serialize cycle with every dead
         # branch removed, enqueuing through the engine's sim.push()
         # producer contract.  Must stay op-for-op equivalent to
@@ -314,7 +282,7 @@ class OutputPort:
             ):
                 self._arm_retry()
                 return
-            # inlined _clear_retry(): telem is None and the uncap timer is
+            # inlined _clear_retry(): probe is None and the uncap timer is
             # never armed for a single uncapped class, so only the flag.
             self._retry_armed = False
             pkt = q.popleft()
@@ -371,12 +339,10 @@ class OutputPort:
         if self.backlog > self.mark_threshold and self.kind == "host":
             pkt.marked = True
             self.marks_set += 1
-            if self._telem is not None:
-                self._telem.marked(pkt, self)
-        if self._telem is not None:
-            self._telem.arbitrated(pkt, self)
-        if self._on_dequeue is not None:
-            self._on_dequeue(pkt)
+            if self._probe is not None:
+                self._probe.marked(self, pkt)
+        if self._probe is not None:
+            self._probe.arbitrated(self, pkt)
         self.busy = True
         wire_time = pkt.size / self.bandwidth
         if self._err_rng is not None:
@@ -402,9 +368,9 @@ class OutputPort:
         self._retry_armed = True
         # Credit-stall accounting (repro.observe): the port has traffic it
         # cannot move because the downstream buffer is out of space (or a
-        # rate cap is pending).  Zero-cost unless telemetry is attached.
-        if self._telem is not None:
-            self._telem.stall_begin(self)
+        # rate cap is pending).  Zero-cost unless a probe is attached.
+        if self._probe is not None:
+            self._probe.stall_begin(self)
         if self._single_tc:
             return  # an uncapped class is never token-bucket blocked
         t = self.scheduler.earliest_uncap_time(self.sim.now, self._head_size)
@@ -416,8 +382,8 @@ class OutputPort:
     def _clear_retry(self) -> None:
         """Progress was made: disarm, cancelling any uncap-time timer so
         it never pops through the event queue as a stale no-op."""
-        if self._retry_armed and self._telem is not None:
-            self._telem.stall_end(self)
+        if self._retry_armed and self._probe is not None:
+            self._probe.stall_end(self)
         self._retry_armed = False
         if self._retry_timer is not None:
             self._retry_timer.cancel()
@@ -440,10 +406,8 @@ class OutputPort:
         self._score_ok = False
         self.bytes_sent += size
         self.pkts_sent += 1
-        if self._telem is not None:
-            self._telem.wire_tx(pkt, self)
-        if self._audit is not None:
-            self._audit.on_wire_tx(self, pkt)
+        if self._probe is not None:
+            self._probe.wire_tx(self, pkt)
         # The packet has physically left the owner: return the credit for
         # the upstream buffer slot it occupied (credit flies back over the
         # upstream wire).
@@ -514,8 +478,8 @@ class OutputPort:
             return
         self.up = False
         self._refresh_plain()
-        if self._retry_armed and self._telem is not None:
-            self._telem.stall_end(self)  # close the open credit-stall span
+        if self._retry_armed and self._probe is not None:
+            self._probe.stall_end(self)  # close the open credit-stall span
         self._retry_armed = False
         if self.kind == "inject":
             return  # park, don't drop: the queue is host memory
@@ -541,9 +505,9 @@ class OutputPort:
                 pkt.arrival_vc,
                 pkt.arrival_buf_shared,
             )
-        if self._telem is not None:
-            self._telem.dropped(pkt, self)
-        elif self.recycle_drops and self._audit is None and not pkt.traced:
+        if self._probe is not None:
+            self._probe.dropped(self, pkt)
+        elif self.recycle_drops and not pkt.traced:
             # Dropped with nobody watching: the packet is dead the moment
             # the credit-release event above is scheduled (it captured
             # scalars, not the packet), so recycle it.
@@ -608,7 +572,7 @@ class Switch:
         "pkts_forwarded",
         "pkts_dropped",
         "up",
-        "telem",
+        "probe",
     )
 
     def __init__(self, sim: Simulator, switch_id: int, group: int, latency: float, router):
@@ -635,8 +599,8 @@ class Switch:
         self.pkts_dropped = 0
         #: fault state (repro.faults): a down switch drops every arrival
         self.up = True
-        #: telemetry hooks (repro.telemetry); None = zero-overhead path
-        self.telem = None
+        #: observer slot (repro.probe); None = zero-overhead path
+        self.probe = None
 
     def all_ports(self) -> List[OutputPort]:
         out = list(self.port_to_switch.values())
@@ -655,8 +619,8 @@ class Switch:
             # on a dead input stage and is lost (e2e recovery re-sends it).
             self._drop(pkt)
             return
-        if self.telem is not None:
-            self.telem.rx(pkt, self)
+        if self.probe is not None:
+            self.probe.switch_rx(self, pkt)
         sim = self.sim
         sim.push(sim.now + self.latency, self._forward, (pkt,))
 
@@ -687,8 +651,8 @@ class Switch:
                 pkt.arrival_vc,
                 pkt.arrival_buf_shared,
             )
-        if self.telem is not None:
-            self.telem.dropped(pkt, self)
+        if self.probe is not None:
+            self.probe.dropped(self, pkt)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Switch(id={self.id}, group={self.group})"

@@ -17,8 +17,8 @@ gauges, packet spans.  This package answers *why the run was slow*:
 
 :class:`FabricObserver` is the one-call entry point wiring all of it to
 a built fabric (``fabric.attach_observer()``).  Everything rides on the
-PR 1 hooks, so a fabric without an observer keeps the zero-overhead
-single-attribute-check path and stays bit-identical to the seed.
+telemetry probes (:mod:`repro.probe`), so a fabric without an observer
+stays on the zero-overhead path, bit-identical to the seed.
 """
 
 from __future__ import annotations

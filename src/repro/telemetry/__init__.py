@@ -17,10 +17,10 @@ Typical use::
     ... run traffic ...
     telem.export("out/")   # out/trace.json loads in Perfetto
 
-Cost model: components carry a ``telem`` attribute that defaults to
-``None``; with no :class:`FabricTelemetry` attached every hook is a
-single attribute check and the simulation is event-for-event identical
-to one that never imported this package.
+Cost model: telemetry rides on the fabric's one probe slot per
+component (see :mod:`repro.probe`); with no :class:`FabricTelemetry`
+attached every hook is a single attribute check and the simulation is
+event-for-event identical to one that never imported this package.
 """
 
 from .exporters import (

@@ -15,12 +15,12 @@ stream under stable hierarchical names::
 
 Design rules (the whole point of this module):
 
-* **Disabled cost is one attribute check.**  Components carry a
-  ``telem`` attribute that is ``None`` until attached; every hot-path
-  hook is ``if self.telem is not None: ...``.  Nothing is scheduled,
-  allocated, or hashed on the disabled path, so an un-instrumented run
-  is event-for-event identical to a build that never imported this
-  package.
+* **Disabled cost is one attribute check.**  Telemetry is a set of
+  :class:`~repro.probe.Probe` subscribers installed through the
+  fabric's one probe slot per component (see :mod:`repro.probe`).
+  Nothing is scheduled, allocated, or hashed on the disabled path, so an
+  un-instrumented run is event-for-event identical to a build that never
+  imported this package.
 * **Levels over events where possible.**  Quantities the components
   already track (``bytes_sent``, ``backlog``, ``marks_set`` …) are
   exposed as callable-backed gauges evaluated only at scrape time —
@@ -35,6 +35,9 @@ import json
 import os
 from typing import Optional
 
+from ..network.nic import NIC
+from ..network.switch import OutputPort, Switch
+from ..probe import Probe
 from .exporters import (
     counters_to_csv,
     timeseries_to_csv,
@@ -50,31 +53,30 @@ __all__ = ["FabricTelemetry", "PortTelemetry", "SwitchTelemetry",
            "FaultTelemetry"]
 
 
-class SwitchTelemetry:
-    """Span hook for packet arrival at a switch's input stage."""
+class SwitchTelemetry(Probe):
+    """Span hooks for the switches' input stages."""
 
-    __slots__ = ("spans", "sim")
+    __slots__ = ("spans",)
 
-    def __init__(self, parent: "FabricTelemetry", sw):
+    def __init__(self, parent: "FabricTelemetry"):
         self.spans = parent.spans
-        self.sim = sw.sim
 
-    def rx(self, pkt, sw) -> None:
+    def switch_rx(self, sw, pkt) -> None:
         if pkt.traced:
             self.spans.record(
-                self.sim.now, pkt.pid, "switch", "switch_rx",
+                sw.sim.now, pkt.pid, "switch", "switch_rx",
                 switch=sw.id, group=sw.group, hops=pkt.hops, vc=pkt.vc,
             )
 
-    def dropped(self, pkt, sw) -> None:
+    def dropped(self, sw, pkt) -> None:
         if pkt.traced:
             self.spans.record(
-                self.sim.now, pkt.pid, "fault", "pkt_dropped",
+                sw.sim.now, pkt.pid, "fault", "pkt_dropped",
                 switch=sw.id, up=sw.up, hops=pkt.hops,
             )
 
 
-class PortTelemetry:
+class PortTelemetry(Probe):
     """Span hooks for one output port (switch VOQ or NIC injection).
 
     Also tracks credit-stall time: the cumulative sim-time this port
@@ -86,12 +88,11 @@ class PortTelemetry:
     (:mod:`repro.observe`) can difference them per window.
     """
 
-    __slots__ = ("spans", "sim", "port_name", "layer",
+    __slots__ = ("spans", "port_name", "layer",
                  "stall_ns", "stalls", "_stall_t0")
 
     def __init__(self, parent: "FabricTelemetry", port, base: str):
         self.spans = parent.spans
-        self.sim = port.sim
         self.port_name = port.name or port.kind
         # the NIC's injection port is NIC-layer; everything else is a
         # switch VOQ
@@ -104,60 +105,58 @@ class PortTelemetry:
         # Re-arming an already-armed retry just moves the deadline; the
         # stall started at the *first* arm, so keep the original t0.
         if self._stall_t0 is None:
-            self._stall_t0 = self.sim.now
+            self._stall_t0 = port.sim.now
 
     def stall_end(self, port) -> None:
         if self._stall_t0 is not None:
-            self.stall_ns.inc(self.sim.now - self._stall_t0)
+            self.stall_ns.inc(port.sim.now - self._stall_t0)
             self.stalls.inc()
             self._stall_t0 = None
 
-    def enqueue(self, pkt, port) -> None:
+    def enqueued(self, port, pkt) -> None:
         if pkt.traced:
             self.spans.record(
-                self.sim.now, pkt.pid, self.layer, "voq_enqueue",
+                port.sim.now, pkt.pid, self.layer, "voq_enqueue",
                 port=self.port_name, tc=pkt.tc, vc=pkt.vc,
                 voq_bytes=port.backlog,
             )
 
-    def arbitrated(self, pkt, port) -> None:
+    def arbitrated(self, port, pkt) -> None:
         if pkt.traced:
             self.spans.record(
-                self.sim.now, pkt.pid, self.layer, "arbitrated",
+                port.sim.now, pkt.pid, self.layer, "arbitrated",
                 port=self.port_name, tc=pkt.tc, voq_bytes=port.backlog,
             )
 
-    def marked(self, pkt, port) -> None:
+    def marked(self, port, pkt) -> None:
         if pkt.traced:
             self.spans.record(
-                self.sim.now, pkt.pid, self.layer, "ecn_marked",
+                port.sim.now, pkt.pid, self.layer, "ecn_marked",
                 port=self.port_name, voq_bytes=port.backlog,
             )
 
-    def wire_tx(self, pkt, port) -> None:
+    def wire_tx(self, port, pkt) -> None:
         if pkt.traced:
             self.spans.record(
-                self.sim.now, pkt.pid, self.layer, "wire_tx",
+                port.sim.now, pkt.pid, self.layer, "wire_tx",
                 port=self.port_name, bytes=pkt.size,
             )
 
-    def dropped(self, pkt, port) -> None:
+    def dropped(self, port, pkt) -> None:
         if pkt.traced:
             self.spans.record(
-                self.sim.now, pkt.pid, "fault", "pkt_dropped",
+                port.sim.now, pkt.pid, "fault", "pkt_dropped",
                 port=self.port_name, tc=pkt.tc, hops=pkt.hops,
             )
 
 
-class NicTelemetry:
-    """Span + histogram hooks for one NIC (injection and delivery)."""
+class NicTelemetry(Probe):
+    """Span + histogram hooks for the NICs (injection and delivery)."""
 
-    __slots__ = ("spans", "sim", "node", "pkt_latency", "msg_latency")
+    __slots__ = ("spans", "pkt_latency", "msg_latency")
 
-    def __init__(self, parent: "FabricTelemetry", nic):
+    def __init__(self, parent: "FabricTelemetry"):
         self.spans = parent.spans
-        self.sim = nic.sim
-        self.node = nic.node
         self.pkt_latency = parent.registry.histogram(
             "fabric.pkt_latency_ns", lo=10.0, hi=1e9, bins_per_decade=8
         )
@@ -165,41 +164,42 @@ class NicTelemetry:
             "fabric.msg_latency_ns", lo=10.0, hi=1e10, bins_per_decade=8
         )
 
-    def injected(self, pkt, state) -> None:
+    def injected(self, nic, pkt, state) -> None:
         pkt.traced = self.spans.sample(pkt.pid)
         if pkt.traced:
             # mid/seq identify the *logical* packet across retransmission
             # clones (which get fresh pids); attribution stitches retry
             # chains back together from them.
             self.spans.record(
-                self.sim.now, pkt.pid, "nic", "injected",
+                nic.sim.now, pkt.pid, "nic", "injected",
                 src=pkt.src, dst=pkt.dst, bytes=pkt.size, tc=pkt.tc,
                 window=state.window, in_flight=state.in_flight,
                 mid=pkt.message.mid, seq=pkt.seq, attempt=pkt.attempt,
             )
 
-    def delivered(self, pkt, msg) -> None:
-        self.pkt_latency.observe(self.sim.now - pkt.inject_time)
-        if msg is not None and msg.complete_time == self.sim.now and msg.complete:
-            self.msg_latency.observe(self.sim.now - msg.submit_time)
+    def delivered(self, nic, pkt, msg) -> None:
+        now = nic.sim.now
+        self.pkt_latency.observe(now - pkt.inject_time)
+        if msg is not None and msg.complete_time == now and msg.complete:
+            self.msg_latency.observe(now - msg.submit_time)
         if pkt.traced:
             self.spans.record(
-                self.sim.now, pkt.pid, "nic", "delivered",
-                node=self.node, hops=pkt.hops,
-                latency_ns=self.sim.now - pkt.inject_time,
+                now, pkt.pid, "nic", "delivered",
+                node=nic.node, hops=pkt.hops,
+                latency_ns=now - pkt.inject_time,
                 marked=pkt.marked,
             )
 
-    def acked(self, pkt, state) -> None:
+    def acked(self, nic, pkt, state) -> None:
         if pkt.traced:
             self.spans.record(
-                self.sim.now, pkt.pid, "cc", "cc_window",
+                nic.sim.now, pkt.pid, "cc", "cc_window",
                 dst=pkt.dst, window=state.window,
                 in_flight=state.in_flight, marked=pkt.marked,
             )
 
 
-class RouterTelemetry:
+class RouterTelemetry(Probe):
     """Counters + spans for adaptive-routing decisions."""
 
     __slots__ = ("spans", "decisions", "nonmin", "valiant")
@@ -210,7 +210,7 @@ class RouterTelemetry:
         self.nonmin = parent.registry.counter("router.nonmin_decisions")
         self.valiant = parent.registry.counter("router.valiant_misroutes")
 
-    def routed(self, sim, sw, pkt, port, nonminimal: bool,
+    def routed(self, router, sw, pkt, port, nonminimal: bool,
                intermediate_group: Optional[int]) -> None:
         self.decisions.inc()
         if nonminimal:
@@ -219,14 +219,14 @@ class RouterTelemetry:
             self.valiant.inc()
         if pkt.traced:
             self.spans.record(
-                sim.now, pkt.pid, "routing", "routed",
+                sw.sim.now, pkt.pid, "routing", "routed",
                 switch=sw.id, port=port.name or port.kind,
                 nonmin=nonminimal,
                 via_group=intermediate_group,
             )
 
 
-class CcTelemetry:
+class CcTelemetry(Probe):
     """Counters + window histogram for the congestion-control strategy."""
 
     __slots__ = ("acks", "cuts", "grows", "window_hist")
@@ -240,20 +240,21 @@ class CcTelemetry:
             "cc.window", lo=1.0 / 64.0, hi=1e3, bins_per_decade=8
         )
 
-    def acked(self, window_before: float, window_after: float) -> None:
+    def window_update(self, cc, before: float, after: float) -> None:
         self.acks.inc()
-        if window_after < window_before:
+        if after < before:
             self.cuts.inc()
-        elif window_after > window_before:
+        elif after > before:
             self.grows.inc()
-        self.window_hist.observe(window_after)
+        self.window_hist.observe(after)
 
 
-class FaultTelemetry:
+class FaultTelemetry(Probe):
     """Counters + spans for the fault-injection subsystem (repro.faults).
 
-    Attached automatically when the fabric carries a
-    :class:`~repro.faults.FaultInjector`.  Fault events land in their own
+    Attached automatically to the fabric's
+    :class:`~repro.faults.FaultInjector`, whether it was attached before
+    or after the telemetry.  Fault events land in their own
     ``fault`` span layer (alongside per-packet ``pkt_dropped`` events),
     and the reliability counters are exposed as scrape-time gauges.
     """
@@ -271,12 +272,12 @@ class FaultTelemetry:
         reg.gauge("faults.giveups", fn=injector.giveups)
         reg.gauge("faults.outstanding", fn=injector.outstanding)
 
-    def fault(self, now, ev, fabric) -> None:
+    def fault(self, injector, ev) -> None:
         self.events.inc()
         self.spans.record(
-            now, 0, "fault", ev.action,
+            injector.sim.now, 0, "fault", ev.action,
             target=list(ev.target) if isinstance(ev.target, tuple) else ev.target,
-            value=ev.value, links_down=len(fabric.links_down()),
+            value=ev.value, links_down=len(injector.fabric.links_down()),
         )
 
 
@@ -310,83 +311,69 @@ class FabricTelemetry:
             self.scraper = CounterScraper(
                 fabric.sim, self.registry, scrape_interval_ns
             ).start()
-        self._attached = False
-        self._attach()
-
-    # -- wiring ----------------------------------------------------------------
-
-    def _attach(self) -> None:
-        fabric, reg = self.fabric, self.registry
-        sim = fabric.sim
+        reg, sim = self.registry, fabric.sim
         reg.gauge("sim.queue_depth", fn=lambda: sim.queue_length)
         reg.gauge("sim.events_processed", fn=lambda: sim.events_processed)
         reg.gauge("sim.events_per_wall_s", fn=lambda: sim.events_per_wall_second)
         reg.gauge("fabric.messages_sent", fn=lambda: fabric.messages_sent)
         reg.gauge("fabric.messages_completed",
                   fn=lambda: fabric.messages_completed)
+        # switches and NICs pass themselves to every hook, so one probe
+        # serves them all; ports keep per-port stall state
+        self._switch_probe = SwitchTelemetry(self)
+        self._nic_probe = NicTelemetry(self)
+        self._handle = fabric.attach_probe(self._probe_for)
 
-        for sw in fabric.switches:
-            base = f"switch.{sw.id}"
-            reg.gauge(f"{base}.pkts_forwarded", fn=lambda s=sw: s.pkts_forwarded)
-            reg.gauge(f"{base}.pkts_dropped", fn=lambda s=sw: s.pkts_dropped)
-            sw.telem = SwitchTelemetry(self, sw)
-            for port in sw.all_ports():
-                self._attach_port(port, f"{base}.port.{port.name or port.kind}")
+    # -- wiring ----------------------------------------------------------------
 
-        for nic in fabric.nics:
-            base = f"nic.{nic.node}"
-            reg.gauge(f"{base}.tx_bytes", fn=lambda n=nic: n.bytes_injected)
-            reg.gauge(f"{base}.rx_bytes", fn=lambda n=nic: n.bytes_delivered)
-            reg.gauge(f"{base}.tx_pkts", fn=lambda n=nic: n.pkts_injected)
-            reg.gauge(f"{base}.rx_pkts", fn=lambda n=nic: n.pkts_delivered)
-            reg.gauge(f"{base}.acks_marked", fn=lambda n=nic: n.acks_marked)
-            reg.gauge(f"{base}.cc_queued_bytes", fn=nic.queued_bytes)
-            reg.gauge(f"{base}.pending_pkts", fn=nic.pending_packets)
-            reg.gauge(f"{base}.blocked_pairs", fn=nic.blocked_pairs)
-            nic.telem = NicTelemetry(self, nic)
-            self._attach_port(
-                nic.out_port, f"{base}.port.{nic.out_port.name or 'inject'}"
+    def _probe_for(self, c) -> Probe:
+        """One probe per component, registering its gauges on the way."""
+        fabric, reg = self.fabric, self.registry
+        if isinstance(c, OutputPort):
+            owner = c.owner
+            label = (
+                f"switch.{owner.id}" if isinstance(owner, Switch)
+                else f"nic.{owner.node}"
             )
-
-        fabric.router.telem = RouterTelemetry(self)
-        reg.gauge("router.reroutes",
-                  fn=lambda: getattr(fabric.router, "reroutes", 0))
-        reg.gauge("router.no_route",
-                  fn=lambda: getattr(fabric.router, "no_route", 0))
-        fabric.cc.telem = CcTelemetry(self)
-        if fabric.fault_injector is not None:
-            fabric.fault_injector.telem = FaultTelemetry(
-                self, fabric.fault_injector
-            )
-        self._attached = True
-
-    def _attach_port(self, port, base: str) -> None:
-        reg = self.registry
-        reg.gauge(f"{base}.voq_depth", fn=lambda p=port: p.backlog)
-        reg.gauge(f"{base}.tx_bytes", fn=lambda p=port: p.bytes_sent)
-        reg.gauge(f"{base}.credited_bytes", fn=lambda p=port: p.credited_bytes)
-        reg.gauge(f"{base}.marks", fn=lambda p=port: p.marks_set)
-        reg.gauge(f"{base}.drops", fn=lambda p=port: p.pkts_dropped)
-        port.telem = PortTelemetry(self, port, base)
+            base = f"{label}.port.{c.name or c.kind}"
+            reg.gauge(f"{base}.voq_depth", fn=lambda p=c: p.backlog)
+            reg.gauge(f"{base}.tx_bytes", fn=lambda p=c: p.bytes_sent)
+            reg.gauge(f"{base}.credited_bytes", fn=lambda p=c: p.credited_bytes)
+            reg.gauge(f"{base}.marks", fn=lambda p=c: p.marks_set)
+            reg.gauge(f"{base}.drops", fn=lambda p=c: p.pkts_dropped)
+            return PortTelemetry(self, c, base)
+        if isinstance(c, Switch):
+            base = f"switch.{c.id}"
+            reg.gauge(f"{base}.pkts_forwarded", fn=lambda s=c: s.pkts_forwarded)
+            reg.gauge(f"{base}.pkts_dropped", fn=lambda s=c: s.pkts_dropped)
+            return self._switch_probe
+        if isinstance(c, NIC):
+            base = f"nic.{c.node}"
+            reg.gauge(f"{base}.tx_bytes", fn=lambda n=c: n.bytes_injected)
+            reg.gauge(f"{base}.rx_bytes", fn=lambda n=c: n.bytes_delivered)
+            reg.gauge(f"{base}.tx_pkts", fn=lambda n=c: n.pkts_injected)
+            reg.gauge(f"{base}.rx_pkts", fn=lambda n=c: n.pkts_delivered)
+            reg.gauge(f"{base}.acks_marked", fn=lambda n=c: n.acks_marked)
+            reg.gauge(f"{base}.cc_queued_bytes", fn=c.queued_bytes)
+            reg.gauge(f"{base}.pending_pkts", fn=c.pending_packets)
+            reg.gauge(f"{base}.blocked_pairs", fn=c.blocked_pairs)
+            return self._nic_probe
+        if c is fabric.router:
+            reg.gauge("router.reroutes", fn=lambda: getattr(c, "reroutes", 0))
+            reg.gauge("router.no_route", fn=lambda: getattr(c, "no_route", 0))
+            return RouterTelemetry(self)
+        if c is fabric.cc:
+            return CcTelemetry(self)
+        return FaultTelemetry(self, c)
 
     def detach(self) -> None:
-        """Remove every hook; the fabric reverts to zero-overhead mode."""
-        if not self._attached:
+        """Remove this telemetry's probes (other subscribers keep theirs)."""
+        if self._handle is None:
             return
-        fabric = self.fabric
-        for sw in fabric.switches:
-            sw.telem = None
-        for nic in fabric.nics:
-            nic.telem = None
-        for _, port in fabric.all_ports():
-            port.telem = None
-        fabric.router.telem = None
-        fabric.cc.telem = None
-        if fabric.fault_injector is not None:
-            fabric.fault_injector.telem = None
+        self._handle.detach()
+        self._handle = None
         if self.scraper is not None:
             self.scraper.stop()
-        self._attached = False
 
     def __enter__(self) -> "FabricTelemetry":
         return self

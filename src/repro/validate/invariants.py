@@ -12,12 +12,12 @@ those quantities the slow way, on a periodic sweep and at targeted
 event hooks, and reports any disagreement as a structured
 :class:`InvariantViolation`.
 
-Attachment follows the telemetry/faults zero-overhead pattern: every
-component carries an ``audit`` attribute that is ``None`` by default and
-every hook is a single attribute check, so an unaudited fabric is
-bit-identical to one built before this module existed (enforced by
-``tests/test_event_order_identity.py``).  Sweeps are ordinary simulator
-events that re-arm only while real events remain, mirroring
+Checkers are :class:`~repro.probe.Probe` subscribers on the fabric's
+one probe slot per component (see :mod:`repro.probe`), so an unaudited
+fabric is bit-identical to one built before this module existed
+(enforced by ``tests/test_event_order_identity.py``).  Sweeps are
+ordinary simulator events that re-arm only while real events remain,
+mirroring
 :class:`repro.telemetry.CounterScraper`, and never mutate state — an
 audited run delivers the same packets at the same times as an unaudited
 one.
@@ -28,6 +28,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..core.adaptive_routing import reachable_switches
+from ..network.nic import NIC
+from ..network.switch import OutputPort
+from ..probe import Probe, ProbeFanout
 
 __all__ = [
     "InvariantViolation",
@@ -88,15 +91,15 @@ class InvariantViolation(AssertionError):
         return "\n".join(lines)
 
 
-class InvariantChecker:
+class InvariantChecker(Probe):
     """Base class for pluggable checkers.
 
     ``sweep`` runs on the periodic cadence (and immediately after every
     fault-injection event); ``final`` runs once when the auditor is
-    asked for its end-of-run verdict.  Checkers may additionally define
-    the event hooks ``on_injected(nic, pkt)``, ``on_delivered(nic,
-    pkt)`` and ``on_wire_tx(port, pkt)`` — the auditor wires any that
-    exist into the corresponding fabric hot-path hooks.
+    asked for its end-of-run verdict.  Checkers may additionally
+    override the NIC and port hook points of :class:`~repro.probe.Probe`
+    (``injected``, ``delivered``, ``wire_tx`` …): the auditor attaches
+    its checkers as the probe of every NIC and output port.
     """
 
     name = "invariant"
@@ -208,7 +211,7 @@ class OccupancyChecker(InvariantChecker):
                     snap,
                 )
 
-    def on_wire_tx(self, port, pkt) -> None:
+    def wire_tx(self, port, pkt) -> None:
         if port.backlog < -_EPS:
             self.auditor.report(
                 self.name,
@@ -298,7 +301,7 @@ class TimestampChecker(InvariantChecker):
         self._last_deliver: Dict[int, float] = {}
         self._last_sweep: Optional[float] = None
 
-    def on_injected(self, nic, pkt) -> None:
+    def injected(self, nic, pkt, state) -> None:
         now = nic.sim.now
         entity = f"nic {nic.node}"
         last = self._last_inject.get(nic.node)
@@ -321,7 +324,7 @@ class TimestampChecker(InvariantChecker):
                     {"submit_ns": msg.submit_time, "now_ns": now, "pkt": pkt.pid},
                 )
 
-    def on_delivered(self, nic, pkt) -> None:
+    def delivered(self, nic, pkt, msg) -> None:
         now = nic.sim.now
         entity = f"nic {nic.node}"
         last = self._last_deliver.get(nic.node)
@@ -459,13 +462,14 @@ def default_checkers() -> List[InvariantChecker]:
     ]
 
 
-class InvariantAuditor:
+class InvariantAuditor(Probe):
     """Attach point of the invariant-auditing subsystem.
 
-    Registers itself as ``fabric.auditor``, installs the per-packet
-    ``audit`` hooks on every NIC and output port, and arms a periodic
-    sweep (an ordinary simulator event that re-arms only while real
-    events remain, so an audited run still drains).  Violations are
+    Registers itself as ``fabric.auditor``, attaches its checkers as the
+    probe of every NIC and output port and itself as the fault
+    injector's, and arms a periodic sweep (an ordinary simulator event
+    that re-arms only while real events remain, so an audited run still
+    drains); :meth:`detach` undoes all of it.  Violations are
     recorded on :attr:`violations` and, with ``raise_on_violation``
     (the default), raised immediately so the offending event is at the
     top of the traceback.
@@ -497,22 +501,17 @@ class InvariantAuditor:
         self.checkers = list(checkers) if checkers is not None else default_checkers()
         self.violations: List[InvariantViolation] = []
         self.sweeps = 0
-        self._armed = False
+        self._timer = None  # the pending sweep (None = not armed)
         self._finalized = False
         for c in self.checkers:
             c.attach(self)
-        # Event-hook dispatch lists, precomputed so each fabric hook is a
-        # loop over exactly the checkers that asked for it.
-        self._inject_hooks = [c.on_injected for c in self.checkers if hasattr(c, "on_injected")]
-        self._deliver_hooks = [c.on_delivered for c in self.checkers if hasattr(c, "on_delivered")]
-        self._wire_hooks = [c.on_wire_tx for c in self.checkers if hasattr(c, "on_wire_tx")]
         fabric.auditor = self
-        for sw in fabric.switches:
-            for port in sw.all_ports():
-                port.audit = self
-        for nic in fabric.nics:
-            nic.audit = self
-            nic.out_port.audit = self
+        checkers = ProbeFanout(tuple(self.checkers))
+        self._handle = fabric.attach_probe(
+            lambda c: checkers if isinstance(c, (NIC, OutputPort))
+            else self if c is fabric.fault_injector
+            else None
+        )
         if auto_start:
             self.start()
 
@@ -520,20 +519,27 @@ class InvariantAuditor:
 
     def start(self) -> "InvariantAuditor":
         """Arm the periodic sweep (idempotent)."""
-        if not self._armed:
-            self._armed = True
-            self.sim.schedule(self.sweep_interval_ns, self._sweep_tick)
+        if self._timer is None:
+            self._timer = self.sim.schedule_cancellable(
+                self.sweep_interval_ns, self._sweep_tick
+            )
         return self
 
     def _sweep_tick(self) -> None:
-        if not self._armed:
-            return
+        self._timer = None
         self.sweep()
         # Re-arm only while real events remain, so an audited run drains.
         if self.sim.queue_length > 0:
-            self.sim.schedule(self.sweep_interval_ns, self._sweep_tick)
-        else:
-            self._armed = False
+            self.start()
+
+    def detach(self) -> None:
+        """Cancel the sweep and remove every probe (idempotent)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._handle.detach()
+        if self.fabric.auditor is self:
+            self.fabric.auditor = None
 
     # -- reporting ------------------------------------------------------------
 
@@ -574,24 +580,10 @@ class InvariantAuditor:
         if self.violations:
             raise self.violations[0]
 
-    # -- fabric hooks (hot path: one attribute check at each call site) -------
-
-    def on_injected(self, nic, pkt) -> None:
-        for hook in self._inject_hooks:
-            hook(nic, pkt)
-
-    def on_delivered(self, nic, pkt) -> None:
-        for hook in self._deliver_hooks:
-            hook(nic, pkt)
-
-    def on_wire_tx(self, port, pkt) -> None:
-        for hook in self._wire_hooks:
-            hook(port, pkt)
-
-    def on_fault(self, now: float, event) -> None:
-        """Called by the FaultInjector right after it mutates the fabric:
-        sweep immediately so a mask/data-plane desync is pinned to the
-        fault's own tick, not the next periodic sweep."""
+    def fault(self, injector, ev) -> None:
+        """Right after the fault injector mutates the fabric: sweep
+        immediately so a mask/data-plane desync is pinned to the fault's
+        own tick, not the next periodic sweep."""
         self.sweep()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

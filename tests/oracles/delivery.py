@@ -6,10 +6,12 @@ bit-identically to the production :class:`~repro.network.nic.NIC` and
 times, same event order — which ``tests/test_delivery_path_equivalence.py``
 enforces event for event (healthy, under fault schedules with
 retransmissions, and in the paced/marked regimes).  Keep these boring:
-every hook is an attribute check, every event goes through
+every probe call is an attribute check, every event goes through
 :meth:`Simulator.schedule`, and acked packets are never recycled.
 
 Fabrics built inside :func:`reference_delivery` use them.
+:func:`recycling_off` is the reference for packet recycling: while it
+runs, the production NIC and port never return a packet to the pool.
 """
 
 from __future__ import annotations
@@ -19,11 +21,18 @@ from unittest import mock
 
 from repro.core.congestion_control import PairState
 from repro.network import fabric as fabric_mod
+from repro.network import nic as nic_mod
+from repro.network import switch as switch_mod
 from repro.network.nic import NIC
 from repro.network.packet import Packet
 from repro.network.switch import OutputPort
 
-__all__ = ["ReferenceNIC", "ReferenceOutputPort", "reference_delivery"]
+__all__ = [
+    "ReferenceNIC",
+    "ReferenceOutputPort",
+    "recycling_off",
+    "reference_delivery",
+]
 
 
 class ReferenceOutputPort(OutputPort):
@@ -45,10 +54,8 @@ class ReferenceOutputPort(OutputPort):
         self._score_ok = False
         self.bytes_sent += pkt.size
         self.pkts_sent += 1
-        if self.telem is not None:
-            self.telem.wire_tx(pkt, self)
-        if self.audit is not None:
-            self.audit.on_wire_tx(self, pkt)
+        if self.probe is not None:
+            self.probe.wire_tx(self, pkt)
         up = pkt.arrival_port
         if up is not None:
             self.sim.schedule(
@@ -82,10 +89,8 @@ class ReferenceNIC(NIC):
             pkt.inject_time = now
             self.bytes_injected += pkt.size
             self.pkts_injected += 1
-            if self.telem is not None:
-                self.telem.injected(pkt, state)
-            if self.audit is not None:
-                self.audit.on_injected(self, pkt)
+            if self.probe is not None:
+                self.probe.injected(self, pkt, state)
             if self.retrans is not None:
                 self.retrans.on_inject(pkt, state)
             if paced:
@@ -113,12 +118,10 @@ class ReferenceNIC(NIC):
                 msg.complete_time = self.sim.now
                 if msg.on_complete is not None:
                     msg.on_complete(msg)
-                if self.on_message is not None:
-                    self.on_message(msg)
-        if self.telem is not None:
-            self.telem.delivered(pkt, msg)
-        if self.audit is not None:
-            self.audit.on_delivered(self, pkt)
+                if self.probe is not None:
+                    self.probe.message_done(self, msg)
+        if self.probe is not None:
+            self.probe.delivered(self, pkt, msg)
         src_nic = self.nic_lookup(pkt.src)
         ack_latency = pkt.prop_sum + pkt.hops * self.switch_latency + self.ack_overhead
         self.sim.schedule(ack_latency, src_nic.on_ack, pkt)
@@ -134,8 +137,8 @@ class ReferenceNIC(NIC):
         else:
             self.acks_clean += 1
         self.cc.on_ack(state, pkt.marked, self.sim.now)
-        if self.telem is not None:
-            self.telem.acked(pkt, state)
+        if self.probe is not None:
+            self.probe.acked(self, pkt, state)
         self._pump(state)
 
 
@@ -144,5 +147,16 @@ def reference_delivery():
     """Build fabrics with the reference NIC and port while the block runs."""
     with mock.patch.object(fabric_mod, "NIC", ReferenceNIC), mock.patch.object(
         fabric_mod, "OutputPort", ReferenceOutputPort
+    ):
+        yield
+
+
+@contextlib.contextmanager
+def recycling_off():
+    """Run with the packet free-list disabled: ``recycle_packet`` becomes
+    a no-op where the NIC and the port bind it."""
+    noop = lambda pkt: None  # noqa: E731
+    with mock.patch.object(nic_mod, "recycle_packet", noop), mock.patch.object(
+        switch_mod, "recycle_packet", noop
     ):
         yield

@@ -107,8 +107,8 @@ class ReferenceAdaptiveRouter(AdaptiveRouter):
         if dst_sw == sw.id:
             port = sw.port_to_node[pkt.dst]
             if port.up:
-                if self.telem is not None:
-                    self.telem.routed(sw.sim, sw, pkt, port, False, None)
+                if self.probe is not None:
+                    self.probe.routed(self, sw, pkt, port, False, None)
                 return port
             self.no_route += 1
             return None
@@ -233,8 +233,8 @@ class ReferenceValiantRouter(ReferenceAdaptiveRouter):
                     ]
                 if others:
                     port = sw.port_to_switch[self._rng.choice(others)]
-                    if self.telem is not None:
-                        self.telem.routed(sw.sim, sw, pkt, port, True, None)
+                    if self.probe is not None:
+                        self.probe.routed(self, sw, pkt, port, True, None)
                     return port
         target_g = pkt.intermediate_group if pkt.intermediate_group is not None else dst_g
         if target_g == sw.group:
@@ -248,8 +248,8 @@ class ReferenceValiantRouter(ReferenceAdaptiveRouter):
         if port is None:
             self.no_route += 1
             return None
-        if self.telem is not None:
-            self.telem.routed(
-                sw.sim, sw, pkt, port, misrouted is not None, misrouted
+        if self.probe is not None:
+            self.probe.routed(
+                self, sw, pkt, port, misrouted is not None, misrouted
             )
         return port

@@ -9,7 +9,18 @@ import pytest
 from repro.core.traffic_classes import TrafficClass
 from repro.flowsim import Flow, MaxMinNetwork, allocate_classes
 from repro.network.units import KiB, MiB, MS
+from repro.probe import Probe
 from repro.systems import malbec_mini
+
+
+class OnArbitrated(Probe):
+    """Calls ``fn(pkt)`` for every packet a port's arbiter serves."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def arbitrated(self, port, pkt):
+        self.fn(pkt)
 
 
 def test_single_stream_matches_store_and_forward_formula():
@@ -93,8 +104,8 @@ def test_des_tc_shares_match_fluid_allocation():
     fabric = cfg.build()
     port = fabric.host_port(0)
     served = {0: 0, 1: 0}
-    port.on_dequeue = lambda pkt: served.__setitem__(
-        pkt.tc, served[pkt.tc] + pkt.size
+    port.probe = OnArbitrated(
+        lambda pkt: served.__setitem__(pkt.tc, served[pkt.tc] + pkt.size)
     )
     for _ in range(60):
         for src in (20, 24):
@@ -124,8 +135,8 @@ def test_des_priority_class_preempts_like_fluid():
     fabric = cfg.build()
     port = fabric.host_port(0)
     served = {0: 0, 1: 0}
-    port.on_dequeue = lambda pkt: served.__setitem__(
-        pkt.tc, served[pkt.tc] + pkt.size
+    port.probe = OnArbitrated(
+        lambda pkt: served.__setitem__(pkt.tc, served[pkt.tc] + pkt.size)
     )
     for _ in range(60):
         for src in (20, 24):

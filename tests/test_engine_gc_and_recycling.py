@@ -12,6 +12,7 @@ Two properties matter and both are about *invisibility*:
   the packet's death.
 """
 
+import contextlib
 import gc
 
 import pytest
@@ -24,9 +25,12 @@ from repro.network.packet import (
     packet_pool_size,
     recycle_packet,
 )
+from repro.network.nic import NIC
 from repro.network.units import KiB
+from repro.probe import Probe
 from repro.sim import SimStall, Simulator
 from repro.systems import malbec_mini
+from tests.oracles.delivery import recycling_off
 
 
 @pytest.fixture(autouse=True)
@@ -156,14 +160,19 @@ def test_pool_cap_bounds_graveyard():
     assert packet_pool_size() <= packet_mod._POOL_CAP
 
 
+def _cross_traffic(fabric, senders=8):
+    n = fabric.topology.n_nodes
+    for i in range(senders):
+        fabric.send(i, (i + n // 2) % n, 16 * KiB)
+    fabric.sim.run()
+
+
 def test_fabric_run_recycles_and_results_match_recycling_off():
     def run(recycle):
         drain_packet_pool()
-        fabric = malbec_mini().with_(recycle_packets=recycle).build()
-        n = fabric.topology.n_nodes
-        for i in range(8):
-            fabric.send(i, (i + n // 2) % n, 16 * KiB)
-        fabric.sim.run()
+        with contextlib.nullcontext() if recycle else recycling_off():
+            fabric = malbec_mini().build()
+            _cross_traffic(fabric)
         return fabric
 
     f_on = run(True)
@@ -185,27 +194,29 @@ def test_fabric_run_recycles_and_results_match_recycling_off():
     assert stats_on == stats_off
 
 
-def test_hooks_suspend_nic_recycling():
+def test_attached_probe_suspends_ack_recycling():
+    """An observer may hold a packet past its ack: while any probe sits
+    on the NICs nothing is pooled, and detaching resumes recycling."""
     fabric = malbec_mini().build()
-    nic = fabric.nics[0]
-    assert nic._recycle
-    nic.telem = object()
-    assert not nic._recycle
-    nic.telem = None
-    assert nic._recycle
-    nic.audit = object()
-    assert not nic._recycle
-    nic.audit = None
-    assert nic._recycle
+    handle = fabric.attach_probe(lambda c: Probe() if isinstance(c, NIC) else None)
+    _cross_traffic(fabric)
+    assert packet_pool_size() == 0
+    handle.detach()
+    _cross_traffic(fabric)
+    assert packet_pool_size() > 0
 
 
-def test_recycling_off_by_config_stays_off_despite_hook_churn():
-    fabric = malbec_mini().with_(recycle_packets=False).build()
-    nic = fabric.nics[0]
-    assert not nic._recycle
-    nic.telem = object()
-    nic.telem = None
-    assert not nic._recycle
+def test_retrans_keeps_ack_recycling_off_despite_probe_churn():
+    """The reliability layer tracks every unsettled packet, so a NIC with
+    ``retrans`` never recycles, however probes come and go."""
+    fabric = malbec_mini().build()
+    fabric.attach_faults(FaultSchedule(()))
+    assert all(nic.retrans is not None for nic in fabric.nics)
+    fabric.attach_probe(lambda c: Probe()).detach()
+    assert all(nic.probe is None for nic in fabric.nics)
+    _cross_traffic(fabric)
+    assert fabric.packets_delivered() > 0
+    assert packet_pool_size() == 0
 
 
 def test_fault_injector_with_reliability_disables_drop_recycling():
@@ -214,8 +225,8 @@ def test_fault_injector_with_reliability_disables_drop_recycling():
     assert all(port.recycle_drops for port in ports)
     fabric.attach_faults(FaultSchedule(()))
     assert not any(port.recycle_drops for port in ports)
-    # the ack-path side is suspended through the retrans hook / _hot flag
-    assert all(not nic._recycle for nic in fabric.nics)
+    # the ack-path side is off through the retrans slot
+    assert all(nic.retrans is not None for nic in fabric.nics)
 
 
 def test_faulted_run_with_drops_keeps_accounting(tmp_path):
@@ -224,16 +235,16 @@ def test_faulted_run_with_drops_keeps_accounting(tmp_path):
 
     def run(recycle):
         drain_packet_pool()
-        fabric = malbec_mini().with_(recycle_packets=recycle).build()
-        key = next(iter(fabric.links))
-        fabric.attach_faults(
-            FaultSchedule([link_fail(5_000.0, key), link_recover(200_000.0, key)]),
-            reliability=False,
-        )
-        n = fabric.topology.n_nodes
-        for i in range(n):
-            fabric.send(i, (i + n // 2) % n, 16 * KiB)
-        fabric.sim.run()
+        with contextlib.nullcontext() if recycle else recycling_off():
+            fabric = malbec_mini().build()
+            key = next(iter(fabric.links))
+            fabric.attach_faults(
+                FaultSchedule(
+                    [link_fail(5_000.0, key), link_recover(200_000.0, key)]
+                ),
+                reliability=False,
+            )
+            _cross_traffic(fabric, senders=fabric.topology.n_nodes)
         return (
             fabric.sim.events_processed,
             fabric.packets_delivered(),

@@ -12,12 +12,23 @@ from repro.core.traffic_classes import TrafficClass
 from repro.mpi import MpiWorld
 from repro.mpi.comm import TAG_TO_OP
 from repro.network.units import KiB, MS
+from repro.probe import Probe
 from repro.systems import malbec_mini
 
 CLASSES = [
     TrafficClass("bulk", priority=0),
     TrafficClass("latency", priority=1, max_share=0.3),
 ]
+
+
+class TcsOnWire(Probe):
+    """Collects the traffic class of every packet a port serves."""
+
+    def __init__(self):
+        self.tcs = set()
+
+    def arbitrated(self, port, pkt):
+        self.tcs.add(pkt.tc)
 
 
 def build_world(tc_map=None):
@@ -51,9 +62,9 @@ def test_tc_map_validation():
 
 def test_collective_packets_ride_their_mapped_class():
     fabric, world = build_world(tc_map={"allreduce": 1, "barrier": 1})
-    tcs_on_wire = set()
+    tcs_on_wire = TcsOnWire()
     for nic in fabric.nics[:8]:
-        nic.out_port.on_dequeue = lambda pkt: tcs_on_wire.add(pkt.tc)
+        nic.out_port.probe = tcs_on_wire
 
     def main(rank):
         yield from rank.allreduce(8)  # -> TC1
@@ -64,21 +75,21 @@ def test_collective_packets_ride_their_mapped_class():
 
     world.spawn(main)
     fabric.sim.run()
-    assert tcs_on_wire == {0, 1}
+    assert tcs_on_wire.tcs == {0, 1}
 
 
 def test_unmapped_operations_use_default_class():
     fabric, world = build_world(tc_map={"barrier": 1})
-    tcs_on_wire = set()
+    tcs_on_wire = TcsOnWire()
     for nic in fabric.nics[:8]:
-        nic.out_port.on_dequeue = lambda pkt: tcs_on_wire.add(pkt.tc)
+        nic.out_port.probe = tcs_on_wire
 
     def main(rank):
         yield from rank.allreduce(8)  # unmapped -> default TC0
 
     world.spawn(main)
     fabric.sim.run()
-    assert tcs_on_wire == {0}
+    assert tcs_on_wire.tcs == {0}
 
 
 def test_mapped_allreduce_protected_from_bulk_job():

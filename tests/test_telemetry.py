@@ -322,15 +322,8 @@ def test_fabric_export_writes_artifacts(tmp_path, traced_run):
 def test_detach_restores_zero_overhead(traced_run):
     fabric, telem = traced_run
     telem.detach()
-    for sw in fabric.switches:
-        assert sw.telem is None
-        for port in sw.all_ports():
-            assert port.telem is None
-    for nic in fabric.nics:
-        assert nic.telem is None
-        assert nic.out_port.telem is None
-    assert fabric.router.telem is None
-    assert fabric.cc.telem is None
+    assert all(c.probe is None for c in fabric.probe_points())
+    assert all(port._plain for _, port in fabric.all_ports())
     n_before = len(telem.spans)
     fabric.send(0, 40, 4 * KiB)
     fabric.sim.run()
@@ -343,7 +336,7 @@ def test_telemetry_context_manager():
         fabric.send(0, 40, KiB)
         fabric.sim.run()
         assert len(telem.spans) > 0
-    assert fabric.router.telem is None
+    assert fabric.router.probe is None
 
 
 def test_sampling_reduces_span_volume():

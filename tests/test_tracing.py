@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import MessageTracer
 from repro.network.units import KiB
+from repro.probe import Probe
 from repro.systems import malbec_mini
 
 
@@ -48,14 +49,30 @@ def test_latency_percentiles_by_distance(traced_fabric):
         assert summary[3][q] > summary[1][q]
 
 
+class MessageLog(Probe):
+    """An observer already on a NIC before the tracer arrives."""
+
+    def __init__(self):
+        self.seen = []
+
+    def message_done(self, nic, msg):
+        self.seen.append(msg.mid)
+
+
+def _observe_nic(fabric, index):
+    log = MessageLog()
+    nic = fabric.nics[index]
+    fabric.attach_probe(lambda c: log if c is nic else None)
+    return log
+
+
 def test_chains_existing_on_message_hook():
     fabric = malbec_mini().build()
-    seen = []
-    fabric.nics[5].on_message = lambda m: seen.append(m.mid)
+    log = _observe_nic(fabric, 5)
     tracer = MessageTracer(fabric)
     fabric.send(0, 5, 128)
     fabric.sim.run()
-    assert len(seen) == 1  # the original hook still fires
+    assert len(log.seen) == 1  # the earlier observer still fires
     assert len(tracer) == 1
 
 
@@ -100,14 +117,15 @@ def test_detach_stops_recording():
 
 def test_detach_restores_previous_hooks():
     fabric = malbec_mini().build()
-    seen = []
-    fabric.nics[5].on_message = lambda m: seen.append(m.mid)
+    log = _observe_nic(fabric, 5)
     tracer = MessageTracer(fabric)
     tracer.detach()
+    assert fabric.nics[5].probe is log  # unwrapped back to the earlier observer
     fabric.send(0, 5, 128)
     fabric.sim.run()
-    assert len(seen) == 1  # original hook back in place and firing
-    assert fabric.nics[0].on_message is None
+    assert len(log.seen) == 1  # and it is still firing
+    assert len(tracer) == 0
+    assert fabric.nics[0].probe is None
 
 
 def test_two_sequential_tracers_do_not_double_record():
@@ -125,6 +143,5 @@ def test_two_sequential_tracers_do_not_double_record():
 def test_context_manager_detaches_on_exit():
     fabric = malbec_mini().build()
     with MessageTracer(fabric) as tracer:
-        assert tracer._active
-    assert not tracer._active
-    assert all(nic.on_message is None for nic in fabric.nics)
+        assert all(nic.probe is tracer for nic in fabric.nics)
+    assert all(nic.probe is None for nic in fabric.nics)
