@@ -44,12 +44,14 @@ sets additionally depend on the link-health mask and are cached per
 ``(switch, target, health_epoch)`` — every fault-control mutation bumps
 the topology's ``health_epoch``, so caches invalidate immediately and
 rebuild lazily on the next decision.  RNG sampling still happens live on
-the cached populations (``random.sample``/``choice`` consume the RNG as
-a function of population *length* only, and the tuples preserve the
-exact length and order of the per-decision lists they replace), so
-decisions are bit-identical to the table-free reference router in
-``tests/oracles/routing.py``, which property tests pin against the fast
-path.
+the cached populations, through :func:`repro.sim.rng.sample` — an inlined
+copy of ``random.Random.sample`` that makes the same ``getrandbits``
+draws.  Sampling (like ``choice``) consumes the RNG as a function of
+population *length* only, and the tuples preserve the exact length and
+order of the per-decision lists they replace, so decisions are
+bit-identical to the table-free reference router in
+``tests/oracles/routing.py``, which samples through the library and
+which property tests pin against the fast path.
 
 Three policies are provided: :class:`AdaptiveRouter` (Slingshot and, with
 different parameters, Aries), :class:`MinimalRouter` and
@@ -61,7 +63,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from ..sim.rng import stable_hash
+from ..sim.rng import sample, stable_hash
 
 __all__ = [
     "AdaptiveRouter",
@@ -136,6 +138,7 @@ class AdaptiveRouter:
         # per-TC multiplier on the non-minimal penalty (QoS routing bias)
         self.tc_routing_bias = tc_routing_bias or (lambda tc: 1.0)
         self._rng = random.Random(stable_hash("router", seed))
+        self._getrandbits = self._rng.getrandbits
         #: observer slot (repro.probe); None = zero-overhead path
         self.probe = None
         #: fault statistics, only ever touched on a degraded fabric:
@@ -166,13 +169,15 @@ class AdaptiveRouter:
         """*k* RNG-sampled elements, or *seq* itself when it already fits.
 
         The no-sample branch returns the input sequence uncopied (callers
-        only iterate); the sampled branch consumes the RNG as a function
-        of ``len(seq)`` alone, which is what lets the cached port tuples
-        substitute for the historical id lists bit-identically.
+        only iterate).  The sampled branch is :func:`repro.sim.rng.sample`,
+        the library sampler drawn through ``getrandbits``; it consumes the
+        RNG as a function of ``len(seq)`` alone, which is what lets the
+        cached port tuples substitute for the historical id lists
+        bit-identically.
         """
         if len(seq) <= k:
             return seq
-        return self._rng.sample(seq, k)
+        return sample(self._getrandbits, seq, k)
 
     @staticmethod
     def _least_loaded(ports) -> "object":
@@ -351,16 +356,16 @@ class AdaptiveRouter:
             return port
 
         # Global leg: direct global links if this switch has them,
-        # otherwise a local hop towards a gateway switch.  _sample is
-        # inlined (its no-sample branch is the common case at mini scale).
+        # otherwise a local hop towards a gateway switch.  _sample's
+        # no-sample branch is inlined (the common case at mini scale).
         direct = sw.ports_to_group.get(target_g)
         if direct:
-            mins = direct if len(direct) <= n else self._rng.sample(direct, n)
+            mins = direct if len(direct) <= n else self._sample(direct, n)
         else:
             gws = sw.rt_gateway_ports.get(target_g)
             if gws is None:
                 gws = self._build_gateway_ports(sw, target_g)
-            mins = gws if len(gws) <= n else self._rng.sample(gws, n)
+            mins = gws if len(gws) <= n else self._sample(gws, n)
 
         if (
             self.allow_nonminimal

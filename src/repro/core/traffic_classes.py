@@ -101,13 +101,16 @@ class TcScheduler:
 
     def __init__(self, classes: Sequence[TrafficClass], port_bandwidth: float):
         validate_classes(classes)
-        self.classes = list(classes)
+        # Read-only state is held in tuples: a tuple of numbers drops out
+        # of the garbage collector's tracking, which matters with
+        # thousands of ports (one scheduler each) per fabric.
+        self.classes = tuple(classes)
         n = len(self.classes)
         # Guaranteed quanta; a class with no guarantee still gets a sliver
         # so it is never fully starved inside its priority level.
-        self._quantum = [
+        self._quantum = tuple(
             max(64.0, tc.min_share * self.QUANTUM_BYTES) for tc in self.classes
-        ]
+        )
         self._deficit = [0.0] * n
         self._served_ewma = [0.0] * n
         # Buckets start full so a capped class can send immediately.
@@ -115,7 +118,9 @@ class TcScheduler:
         self._bucket_t = 0.0
         self._port_bw = port_bandwidth
         # Service order: higher priority first, then declaration order.
-        self._order = sorted(range(n), key=lambda i: (-self.classes[i].priority, i))
+        self._order = tuple(
+            sorted(range(n), key=lambda i: (-self.classes[i].priority, i))
+        )
 
     def _refill_buckets(self, now: float) -> None:
         dt = now - self._bucket_t

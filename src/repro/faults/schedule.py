@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Sequence, Tuple
 
-from ..sim.rng import stable_hash
+from ..sim.rng import sample, stable_hash
 from .events import (
     FaultEvent,
     link_degrade,
@@ -147,7 +147,7 @@ class FaultSchedule:
             raise ValueError(f"fabric has no links of kinds {kinds!r}")
         events: List[FaultEvent] = []
         span = t_end - t_start
-        chosen = rng.sample(keys, min(n_faults, len(keys))) if keys else []
+        chosen = sample(rng.getrandbits, keys, min(n_faults, len(keys)))
         for i in range(n_faults):
             key = chosen[i] if i < len(chosen) else rng.choice(keys)
             t_f = t_start + rng.uniform(0.0, 0.6 * span)
@@ -161,8 +161,10 @@ class FaultSchedule:
                 events.append(link_error(t_f, key, rng.choice((0.01, 0.05, 0.1))))
             if restore:
                 events.append(link_recover(t_r, key))
-        switch_ids = rng.sample(
-            range(len(fabric.switches)), min(switch_faults, len(fabric.switches))
+        switch_ids = sample(
+            rng.getrandbits,
+            range(len(fabric.switches)),
+            min(switch_faults, len(fabric.switches)),
         )
         for s in switch_ids:
             t_f = t_start + rng.uniform(0.0, 0.6 * span)

@@ -20,9 +20,7 @@ choice so the release is symmetric).
 
 from __future__ import annotations
 
-from typing import List
-
-from ..sim import Credits, Simulator
+from typing import List, Optional
 
 __all__ = ["VcBufferPool"]
 
@@ -30,33 +28,44 @@ __all__ = ["VcBufferPool"]
 class VcBufferPool:
     """One wire's receive buffer: shared bytes + per-VC reserved bytes.
 
-    Waiter management is deduplicated by callback identity: a blocked
-    port registers once, no matter how many times it re-arms before the
-    next release, so listener lists stay bounded by the number of ports
+    Every slice is a pair of plain numbers on the pool — its size and
+    its free bytes (``shared_total``/``shared_avail`` for the shared
+    region, ``reserve_total``/``reserve_avail[vc]`` for each VC's
+    reserve) — so a fabric pays one object per wire buffer, not one
+    per slice.  Nothing ever blocks on a slice directly: a stalled port
+    waits on the pool through :meth:`notify_on_release`.
+
+    Waiter management is deduplicated by callback: a blocked port
+    registers once, no matter how many times it re-arms before the next
+    release, so listener lists stay bounded by the number of ports
     sharing the pool (an earlier one-shot-list design leaked hundreds of
     thousands of stale entries under saturation).
     """
 
-    __slots__ = ("shared", "reserved", "_waiters", "_in_use", "watchers")
+    __slots__ = (
+        "shared_total",
+        "shared_avail",
+        "reserve_total",
+        "reserve_avail",
+        "_waiters",
+        "_in_use",
+        "watchers",
+    )
 
-    def __init__(
-        self,
-        sim: Simulator,
-        shared_bytes: float,
-        reserve_bytes: float,
-        n_vcs: int,
-    ):
+    def __init__(self, shared_bytes: float, reserve_bytes: float, n_vcs: int):
         if shared_bytes <= 0 or reserve_bytes <= 0:
             raise ValueError("buffer slices must be positive")
-        self.shared = Credits(sim, shared_bytes)
-        self.reserved: List[Credits] = [
-            Credits(sim, reserve_bytes) for _ in range(n_vcs)
-        ]
+        self.shared_total = shared_bytes
+        self.shared_avail = shared_bytes
+        self.reserve_total = reserve_bytes
+        self.reserve_avail: List[float] = [reserve_bytes] * n_vcs
+        #: one-shot release callbacks, keyed by the callback itself (a
+        #: dict as an insertion-ordered set)
         self._waiters: dict = {}
         # Maintained occupancy counter: `in_use` sits on the adaptive-
         # routing hot path (read once per candidate port per routed
-        # packet), so it must not sum n_vcs+1 Credits objects per read.
-        # Sizes are integer-valued floats, so += / -= stays exact.
+        # packet), so it must not sum n_vcs+1 slices per read.  Sizes
+        # are integer-valued floats, so += / -= stays exact.
         self._in_use: float = 0.0
         # OutputPorts whose cached congestion_score reads this pool's
         # occupancy; every _in_use mutation marks their caches stale.
@@ -65,26 +74,19 @@ class VcBufferPool:
         self.watchers: list = []
 
     def can_fit(self, vc: int, size: float) -> bool:
-        return (
-            self.shared.available >= size or self.reserved[vc].available >= size
-        )
+        return self.shared_avail >= size or self.reserve_avail[vc] >= size
 
     def acquire(self, pkt) -> bool:
-        """Take buffer space for *pkt* (marks where it came from).
-
-        Runs once per wire transmission, so the two
-        ``Credits.try_acquire`` bodies (FIFO-waiter guard + availability
-        check + decrement) are inlined here.
-        """
+        """Take buffer space for *pkt* (marks where it came from)."""
         size = pkt.size
-        shared = self.shared
-        if not shared._waiters and shared.available >= size:
-            shared.available -= size
+        if self.shared_avail >= size:
+            self.shared_avail -= size
             pkt.buf_shared = True
         else:
-            res = self.reserved[pkt.vc]
-            if not res._waiters and res.available >= size:
-                res.available -= size
+            reserve = self.reserve_avail
+            vc = pkt.vc
+            if reserve[vc] >= size:
+                reserve[vc] -= size
                 pkt.buf_shared = False
             else:
                 return False
@@ -97,31 +99,29 @@ class VcBufferPool:
         self._in_use -= size
         for port in self.watchers:
             port._score_ok = False
-        # Inlined Credits.release (one call per wire transmission): the
-        # over-release invariant, FIFO waiter drain, and one-shot
-        # listeners, verbatim.
-        c = self.shared if was_shared else self.reserved[vc]
-        c.available += size
-        if c.available > c.total + 1e-9:
-            raise RuntimeError(
-                f"credit over-release: {c.available} > total {c.total}"
-            )
-        while c._waiters and c.available >= c._waiters[0][1]:
-            ev, amt = c._waiters.popleft()
-            c.available -= amt
-            ev.succeed()
-        if c._release_listeners:
-            listeners, c._release_listeners = c._release_listeners, []
-            for fn in listeners:
-                fn()
+        if was_shared:
+            avail = self.shared_avail = self.shared_avail + size
+            total = self.shared_total
+        else:
+            reserve = self.reserve_avail
+            avail = reserve[vc] = reserve[vc] + size
+            total = self.reserve_total
+        if avail > total + 1e-9:
+            raise RuntimeError(f"credit over-release: {avail} > total {total}")
         if self._waiters:
             waiters, self._waiters = self._waiters, {}
-            for fn in waiters.values():
+            for fn in waiters:
                 fn()
 
     def notify_on_release(self, vc: int, fn) -> None:
-        """One-shot wakeup on the next release (dedup by callback id)."""
-        self._waiters[id(fn)] = fn
+        """One-shot wakeup on the next release.
+
+        Deduplicated by the callback itself: ``port._retry`` is a fresh
+        bound method on every access, but bound methods hash and compare
+        by ``__self__``/``__func__``, so a port re-arming while still
+        registered keeps its one entry (and its place in wake order).
+        """
+        self._waiters[fn] = None
 
     @property
     def in_use(self) -> float:
@@ -129,16 +129,25 @@ class VcBufferPool:
 
     @property
     def total(self) -> float:
-        return self.shared.total + sum(r.total for r in self.reserved)
+        return self.shared_total + self.reserve_total * len(self.reserve_avail)
+
+    def slice_in_use(self, vc: Optional[int] = None) -> float:
+        """Bytes held in one slice: the shared region (*vc* None) or
+        VC *vc*'s reserve."""
+        if vc is None:
+            return self.shared_total - self.shared_avail
+        return self.reserve_total - self.reserve_avail[vc]
 
     def occupancy_breakdown(self) -> tuple:
         """``(maintained, recomputed)`` occupancy in bytes.
 
         *maintained* is the O(1) ``_in_use`` counter the routing hot
         path reads; *recomputed* re-derives the same quantity from the
-        underlying Credits objects.  The invariant auditor
-        (repro.validate) cross-checks the two — any drift means a
-        credit was acquired or released without the counter update.
+        per-slice free-byte counters.  The invariant auditor
+        (repro.validate) cross-checks the two — any drift means a slice
+        was charged or credited without the counter update.
         """
-        recomputed = self.shared.in_use + sum(r.in_use for r in self.reserved)
+        recomputed = self.slice_in_use() + sum(
+            self.slice_in_use(vc) for vc in range(len(self.reserve_avail))
+        )
         return self._in_use, recomputed

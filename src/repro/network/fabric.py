@@ -216,7 +216,6 @@ class Fabric:
 
             pools = [
                 VcBufferPool(
-                    self.sim,
                     self.config.switch_buffer_bytes,
                     VC_RESERVE_BYTES,
                     NUM_VCS,

@@ -108,7 +108,6 @@ class Packet:
         "message",
         "inject_time",
         "hops",
-        "path",
         "prop_sum",
         "intermediate_group",
         "arrival_port",
@@ -146,7 +145,6 @@ class Packet:
         self.vc = 0  # virtual channel; bumped per switch hop (deadlock avoidance)
         self.inject_time = 0.0
         self.hops = 0  # switch traversals so far
-        self.path: List[int] = []  # switch ids visited (for diagnostics)
         self.prop_sum = 0.0  # accumulated wire propagation (for ack latency)
         self.intermediate_group: Optional[int] = None
         self.arrival_port: Any = None
@@ -265,7 +263,6 @@ class Message:
                 pkt.vc = 0
                 pkt.inject_time = 0.0
                 pkt.hops = 0
-                pkt.path.clear()
                 pkt.prop_sum = 0.0
                 pkt.intermediate_group = None
                 pkt.arrival_port = None

@@ -126,7 +126,7 @@ class OutputPort:
             self.credits = pools
         else:
             self.credits = [
-                VcBufferPool(sim, buffer_bytes, VC_RESERVE_BYTES, NUM_VCS)
+                VcBufferPool(buffer_bytes, VC_RESERVE_BYTES, NUM_VCS)
                 for _ in range(ntc)
             ]
         self.scheduler = TcScheduler(classes, bandwidth)
@@ -277,8 +277,8 @@ class OutputPort:
             size = head.size
             # inlined VcBufferPool.can_fit(head.vc, size)
             if (
-                pool.shared.available < size
-                and pool.reserved[head.vc].available < size
+                pool.shared_avail < size
+                and pool.reserve_avail[head.vc] < size
             ):
                 self._arm_retry()
                 return
@@ -438,8 +438,8 @@ class OutputPort:
             pool = self._pool0
             size = head.size
             if (
-                pool.shared.available < size
-                and pool.reserved[head.vc].available < size
+                pool.shared_avail < size
+                and pool.reserve_avail[head.vc] < size
             ):
                 self._arm_retry()
                 return
@@ -629,7 +629,6 @@ class Switch:
         pkt.hops = hops
         # VC = hops taken so far; strictly increasing => no buffer cycles.
         pkt.vc = hops if hops < NUM_VCS else NUM_VCS - 1
-        pkt.path.append(self.id)
         self.pkts_forwarded += 1
         out = self.router.route(self, pkt)
         if out is None:

@@ -11,9 +11,12 @@ runs event-for-event.
 The queue is a two-level calendar/ladder queue.  A sorted *near* list
 holds every entry below a moving time ``horizon``; everything later lands
 unsorted in a *far* overflow list.  Enqueues into the near window are a
-``bisect.insort`` that in steady state touches only the tail (network
-events are scheduled a link delay ahead of ``now``), and dequeue is an
-O(1) ``list.pop()``.  When the near list drains, a *refill* carves the
+``bisect.insort``: a binary search plus a memmove of every entry that
+sorts after the new one.  New events land mid-window, not at the tail —
+measured, an insort shifts ~340 entries on average on the 80-node
+``malbec_mini`` bisection stream and ~780 on the 1024-node SHANDY one —
+so the memmove, not the search, is what grows with the window.  Dequeue
+is an O(1) ``list.pop()``.  When the near list drains, a *refill* carves the
 earliest time slice out of the far list (adaptive width, targeting a few
 hundred entries per slice) and Timsort puts it in order.  Entries are
 stored key-negated as ``(-time, -seq, fn, args)`` so the minimum
@@ -79,7 +82,7 @@ _NEGATIVE_DRIFT_NS = 1e-6
 
 #: Calendar refill aims for about this many entries per near-window slice.
 #: Big enough that refill bookkeeping amortizes to noise, small enough
-#: that insorts into the near list stay short-memmove cheap.
+#: to bound the memmove behind each near-list insort.
 _REFILL_TARGET = 512
 
 #: Guarded run loop: events dispatched between wall-clock deadline checks.

@@ -2,8 +2,8 @@
 
 The simulator's layers each maintain redundant views of the same
 physical quantities — an :class:`~repro.network.buffers.VcBufferPool`
-keeps an O(1) occupancy counter next to the Credits objects it
-summarizes, an output port's ``backlog`` shadows its queues, the
+keeps an O(1) occupancy counter next to the per-slice free-byte
+counters it summarizes, an output port's ``backlog`` shadows its queues, the
 topology's link-health mask shadows the per-port ``up`` flags, and the
 NIC counters together encode packet conservation.  Each redundancy is a
 performance or layering win, and each is a place where a bug can let
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: float slack for integer-valued byte arithmetic (sizes are integers
-#: stored in floats; exact in IEEE754, but sums through Credits may
+#: stored in floats; exact in IEEE754, but slice counters may
 #: round-trip through releases)
 _EPS = 1e-6
 
@@ -125,8 +125,9 @@ def _all_ports(fabric):
 class CreditConservationChecker(InvariantChecker):
     """Per-pool credit conservation and occupancy bounds.
 
-    The maintained ``_in_use`` counter must equal the sum of the shared
-    and per-VC reserved Credits it caches, and must stay inside
+    The maintained ``_in_use`` counter must equal the bytes held in the
+    shared slice plus every per-VC reserve slice, re-derived from the
+    slices' free-byte counters, and must stay inside
     ``[0, total]``.  Any drift means bytes were acquired or released
     without the mirror update — exactly the corruption that would skew
     every adaptive-routing decision reading ``congestion_score``.
@@ -147,7 +148,7 @@ class CreditConservationChecker(InvariantChecker):
                 snap = {
                     "in_use_maintained": maintained,
                     "in_use_recomputed": recomputed,
-                    "shared_in_use": pool.shared.in_use,
+                    "shared_in_use": pool.slice_in_use(),
                     "total": pool.total,
                 }
                 if abs(maintained - recomputed) > _EPS:
@@ -155,7 +156,7 @@ class CreditConservationChecker(InvariantChecker):
                         self.name,
                         entity,
                         "maintained pool occupancy disagrees with the "
-                        "underlying credit objects",
+                        "buffer slices",
                         snap,
                     )
                 if maintained < -_EPS or maintained > pool.total + _EPS:

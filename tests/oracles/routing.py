@@ -4,8 +4,10 @@ The production :class:`~repro.core.adaptive_routing.AdaptiveRouter`
 materializes candidate sets as tables and epoch-guarded caches.  The
 routers here are the pre-table implementation, byte for byte: candidate
 sets are recomputed per packet from the topology and the live health
-mask.  The hypothesis equivalence suite and the flapping-schedule
-regression test pin the tables against them, decision for decision.
+mask, and RNG samples are drawn by ``random.Random.sample`` itself.  The
+hypothesis equivalence suite and the flapping-schedule regression test
+pin the tables and the inlined sampler against them, decision for
+decision.
 
 Use them through ``FabricConfig.router_factory``, e.g.
 ``cfg.with_(router_factory=ReferenceAdaptiveRouter)``.
@@ -22,6 +24,12 @@ __all__ = ["ReferenceAdaptiveRouter", "ReferenceValiantRouter"]
 
 class ReferenceAdaptiveRouter(AdaptiveRouter):
     """:class:`AdaptiveRouter` with per-packet candidate generation."""
+
+    def _sample(self, seq, k: int):
+        """The library sampler the production router inlines."""
+        if len(seq) <= k:
+            return seq
+        return self._rng.sample(seq, k)
 
     def _port_towards_group(self, sw, group):
         """Best port from *sw* towards *group*: direct global link if any,

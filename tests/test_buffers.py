@@ -4,7 +4,6 @@ import pytest
 
 from repro.network.buffers import VcBufferPool
 from repro.network.packet import Packet
-from repro.sim import Simulator
 
 
 def make_pkt(size=1000, vc=1):
@@ -15,15 +14,14 @@ def make_pkt(size=1000, vc=1):
 
 @pytest.fixture
 def pool():
-    sim = Simulator()
-    return VcBufferPool(sim, shared_bytes=10_000, reserve_bytes=2_000, n_vcs=4)
+    return VcBufferPool(shared_bytes=10_000, reserve_bytes=2_000, n_vcs=4)
 
 
 def test_acquire_prefers_shared(pool):
     pkt = make_pkt(5000)
     assert pool.acquire(pkt)
     assert pkt.buf_shared
-    assert pool.shared.in_use == 5000
+    assert pool.slice_in_use() == 5000
 
 
 def test_falls_back_to_reserve_when_shared_full(pool):
@@ -32,7 +30,7 @@ def test_falls_back_to_reserve_when_shared_full(pool):
     small = make_pkt(1500, vc=2)
     assert pool.acquire(small)
     assert not small.buf_shared
-    assert pool.reserved[2].in_use == 1500
+    assert pool.slice_in_use(2) == 1500
 
 
 def test_rejects_when_both_exhausted(pool):
@@ -49,9 +47,16 @@ def test_release_goes_back_to_right_slice(pool):
     resv = make_pkt(1000, vc=1)
     pool.acquire(resv)
     pool.release(1000, 1, was_shared=False)
-    assert pool.reserved[1].in_use == 0
+    assert pool.slice_in_use(1) == 0
     pool.release(10_000, 1, was_shared=True)
-    assert pool.shared.in_use == 0
+    assert pool.slice_in_use() == 0
+
+
+@pytest.mark.parametrize("was_shared", [True, False])
+def test_over_release_raises(pool, was_shared):
+    pool.acquire(make_pkt(1000, vc=1))
+    with pytest.raises(RuntimeError, match="over-release"):
+        pool.release(2000 if was_shared else 1, 1, was_shared=was_shared)
 
 
 def test_can_fit_checks_both_slices(pool):
@@ -91,8 +96,7 @@ def test_in_use_and_total_accounting(pool):
 
 
 def test_validation():
-    sim = Simulator()
     with pytest.raises(ValueError):
-        VcBufferPool(sim, 0, 100, 2)
+        VcBufferPool(0, 100, 2)
     with pytest.raises(ValueError):
-        VcBufferPool(sim, 100, 0, 2)
+        VcBufferPool(100, 0, 2)

@@ -140,7 +140,7 @@ def test_recycle_and_reuse_preserves_pid_sequence():
     assert reused.message is msg2
     assert reused.src == 2 and reused.dst == 3
     assert reused.seq == 0 and reused.attempt == 0 and not reused.traced
-    assert reused.hops == 0 and reused.path == []
+    assert reused.hops == 0
 
 
 def test_recycle_never_pools_a_message_less_packet():

@@ -5,6 +5,7 @@ import pytest
 from repro.core.traffic_classes import TrafficClass
 from repro.network.packet import Packet
 from repro.network.switch import OutputPort
+from repro.probe import Probe
 from repro.sim import Simulator
 
 
@@ -158,6 +159,49 @@ def test_stale_retry_wakeup_is_harmless():
     assert [pid for pid, _ in rx.got] == [p1.pid, p2.pid]
     assert port.pkts_sent == 2
     assert port.backlog == 0
+
+
+def test_blocked_port_is_woken_once_after_fail_and_recover():
+    """A port blocked, failed, recovered and blocked again must hold one
+    wakeup on the pool, not two: ``port._retry`` is a fresh bound method
+    on every access, so deduplicating by its ``id`` let the second arming
+    pile up behind the first, and each release then woke the port twice
+    for as long as it stayed blocked."""
+
+    class StallLog(Probe):
+        def __init__(self):
+            self.begins = 0
+
+        def stall_begin(self, port):
+            self.begins += 1
+
+    sim = Simulator()
+
+    class HoldRx(FakeRx):
+        def receive(self, pkt, from_port):
+            self.got.append((pkt.pid, from_port.sim.now))  # never releases
+
+    # An injection port parks its queue across fail(); the shared pool
+    # fits one 5000B packet and the vc0 reserve one more, so the third
+    # blocks.
+    port = OutputPort(
+        sim, None, "inject", HoldRx(), 10.0, 0.0, [TrafficClass()],
+        buffer_bytes=5000,
+    )
+    log = port.probe = StallLog()
+    for _ in range(3):
+        port.enqueue(pkt(5000))
+    sim.run()
+    assert port._retry_armed and log.begins == 1
+    port.fail()
+    port.recover()  # blocked again: re-arms
+    assert port._retry_armed and log.begins == 2
+    pool = port.credits[0]
+    assert len(pool._waiters) == 1
+    # a release too small to unblock the head wakes the port exactly once
+    pool.release(1000, 0, was_shared=False)
+    assert log.begins == 3
+    assert len(pool._waiters) == 1
 
 
 def test_unarmed_retry_call_is_a_noop():

@@ -5,10 +5,33 @@ configurations (`REPRO_SCALE=paper`) actually build and move traffic,
 so the scale knob is not a paper promise.
 """
 
+import gc
+
 import pytest
 
 from repro.network.units import KiB
-from repro.systems import crystal_paper, malbec_paper, shandy_paper
+from repro.systems import crystal_paper, malbec_mini, malbec_paper, shandy_paper
+
+
+def test_fabric_build_stays_lean_per_port():
+    """Per-port state must not pull in per-slice objects again.
+
+    Every GC-tracked object a build adds is walked by each collector
+    pass, and at paper scale there are thousands of ports.  A port, its
+    queue, its buffer pool and its scheduler come to ~14 tracked objects
+    (amortizing switches, NICs and the router); one object per buffer
+    slice, each with its own waiter queue and listener list, comes to
+    ~37.
+    """
+    config = malbec_mini()
+    gc.collect()
+    before = len(gc.get_objects())
+    fabric = config.build()
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    n_ports = sum(1 for _ in fabric.all_ports())
+    assert n_ports == 300
+    assert added <= 20 * n_ports, f"{added / n_ports:.1f} objects per port"
 
 
 @pytest.mark.slow
