@@ -79,10 +79,10 @@ class FaultInjector:
 
     def _apply(self, ev: FaultEvent) -> None:
         f = self.fabric
-        # The adaptive router caches degraded-mode candidate sets keyed by
-        # the topology's health_epoch; every fault-control primitive bumps
-        # it.  Snapshot it here and backstop below so a future action that
-        # forgets the bump can never leave a stale route cache live.
+        # The adaptive router drops its live candidate tables whenever the
+        # topology's health_epoch moves; every fault-control primitive
+        # bumps it.  Snapshot it here and backstop below so a future action
+        # that forgets the bump can never leave a stale table entry live.
         epoch_before = f.topology.health_epoch
         if ev.action == "link_fail":
             f.fail_link(ev.target)

@@ -117,27 +117,27 @@ class DragonflyTopology:
         # The installed wiring never changes after construction, so pure
         # functions of it (gateway sets, Valiant pools) are cached as
         # immutable tuples, filled lazily on first use.  The adaptive
-        # router reads these on every decision; rebuilding them per packet
-        # was the single hottest allocation in the simulator.
+        # router reads a Valiant pool on every injection decision;
+        # rebuilding them per packet was the single hottest allocation in
+        # the simulator.
         self._gateway_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._valiant_pools: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
         # -- mutable link-health mask (repro.faults) -----------------------
         # The wiring above is the *installed* fabric; these sets record
         # which installed links are currently dead.  All empty on a healthy
-        # fabric, and ``degraded`` is the single flag the router checks
-        # before paying any fault-awareness cost.
+        # fabric, which is what ``degraded`` reports (the invariant
+        # auditor checks it against the ports' ``up`` flags).
         self._down_local: set = set()  # {(min(si,sj), max(si,sj))}
         self._down_global: set = set()  # {(min(gi,gj), max(gi,gj), idx)}
         self._down_hosts: set = set()  # {node}
         self.degraded = False
         #: monotonically increasing counter bumped on *every* health-mask
         #: mutation (and by Fabric.degrade_link).  Consumers that cache
-        #: anything derived from the mask — the router's degraded-mode
-        #: candidate sets, :meth:`live_gateways` — key their caches on it
-        #: and rebuild lazily when it moves.
+        #: anything derived from the mask — the adaptive router's live
+        #: per-switch candidate tables — compare it once per use and drop
+        #: their entries when it has moved.
         self.health_epoch = 0
-        self._live_gw_cache: Dict[Tuple[int, int], tuple] = {}
 
     # -- id helpers ---------------------------------------------------------
 
@@ -251,13 +251,13 @@ class DragonflyTopology:
         self.health_epoch += 1
 
     def bump_health_epoch(self) -> None:
-        """Invalidate every epoch-guarded routing cache.
+        """Invalidate every epoch-guarded routing table.
 
         Called by mask mutations implicitly (via :meth:`_refresh_degraded`)
         and explicitly by fault-control operations that change link state
         without touching the mask (``Fabric.degrade_link``): the rule
         "any fault-control mutation moves the epoch" is cheap insurance
-        against a cache consumer depending on state the mask misses.
+        against a table depending on state the mask misses.
         """
         self.health_epoch += 1
 
@@ -307,24 +307,17 @@ class DragonflyTopology:
 
         Identical to :meth:`gateways` on a healthy fabric (same sorted
         order), so routing decisions are unchanged until a link dies.
-        On a degraded fabric the filtered set is cached per health epoch,
-        so chaos sweeps re-filter once per fault, not once per packet.
+        Not cached: the adaptive router reads it only when it builds a
+        live table entry, once per health epoch.
         """
         if not self._down_global:
             return self.gateways(gi, gj)
-        key = (gi, gj)
-        epoch = self.health_epoch
-        cached = self._live_gw_cache.get(key)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
         lo, hi = min(gi, gj), max(gi, gj)
-        live = tuple(sorted({
+        return tuple(sorted({
             si
-            for idx, (si, _) in enumerate(self._pair_links[key])
+            for idx, (si, _) in enumerate(self._pair_links[(gi, gj)])
             if (lo, hi, idx) not in self._down_global
         }))
-        self._live_gw_cache[key] = (epoch, live)
-        return live
 
     # -- analytic bandwidth figures (used by Fig. 6 theory lines) -----------
 

@@ -567,8 +567,8 @@ class Switch:
         "port_to_switch",
         "ports_to_group",
         "port_to_node",
-        "rt_gateway_ports",
-        "rt_detour_ports",
+        "rt_global",
+        "rt_detour",
         "pkts_forwarded",
         "pkts_dropped",
         "up",
@@ -584,15 +584,17 @@ class Switch:
         self.port_to_switch: Dict[int, OutputPort] = {}
         self.ports_to_group: Dict[int, Sequence[OutputPort]] = {}
         self.port_to_node: Dict[int, OutputPort] = {}
-        # Routing candidate tables (filled lazily by AdaptiveRouter once
-        # the fabric has wired the port maps; pure functions of the
-        # installed wiring, so they are never invalidated):
-        #: target group -> tuple of local ports towards that group's
-        #: gateway switches, in ascending gateway-id order
-        self.rt_gateway_ports: Dict[int, tuple] = {}
-        #: destination switch -> tuple of local ports towards every other
-        #: same-group switch (the non-minimal detour candidates)
-        self.rt_detour_ports: Dict[int, tuple] = {}
+        # Live routing candidate tables, filled lazily by AdaptiveRouter
+        # from the wiring and the link-health mask, and cleared by it
+        # whenever the topology's health_epoch moves:
+        #: target group -> (ports, direct, rerouted): the live global
+        #: links to that group, or else the live local ports towards its
+        #: live gateway switches (ascending id), and whether the minimal
+        #: route is gone
+        self.rt_global: Dict[int, tuple] = {}
+        #: destination switch -> tuple of live local ports towards the
+        #: other same-group switches that still reach it (the detours)
+        self.rt_detour: Dict[int, tuple] = {}
         self.pkts_forwarded = 0
         #: packets discarded here (dead switch, or no live route); always 0
         #: on a healthy fabric — end-to-end recovery re-injects them

@@ -1,13 +1,17 @@
 """Table-free reference routers (executable specification).
 
-The production :class:`~repro.core.adaptive_routing.AdaptiveRouter`
-materializes candidate sets as tables and epoch-guarded caches.  The
-routers here are the pre-table implementation, byte for byte: candidate
-sets are recomputed per packet from the topology and the live health
-mask, and RNG samples are drawn by ``random.Random.sample`` itself.  The
-hypothesis equivalence suite and the flapping-schedule regression test
-pin the tables and the inlined sampler against them, decision for
-decision.
+The production :class:`~repro.core.adaptive_routing.AdaptiveRouter` has
+one candidate generator that reads per-switch live tables, dropped
+whenever the topology's health epoch moves.  The routers here are the
+pre-table implementation, byte for byte: a healthy branch and a
+degraded branch chosen by ``topology.degraded``, candidate sets
+recomputed per packet from the topology and the live health mask, and
+RNG samples drawn by ``random.Random.sample`` itself.  The hypothesis
+equivalence suite and the flapping-schedule regression test pin the
+tables and the inlined sampler against them, decision for decision, on
+healthy and faulted fabrics.  They differ from production only in what
+they tell a probe: no final-hop decision on a healthy fabric, and from
+the Valiant reference none at all.
 
 Use them through ``FabricConfig.router_factory``, e.g.
 ``cfg.with_(router_factory=ReferenceAdaptiveRouter)``.

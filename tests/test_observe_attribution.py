@@ -153,6 +153,31 @@ def test_real_run_stage_budgets_sum_within_1ns():
     assert set(means) == set(STAGES)
 
 
+def test_unrelated_link_fault_leaves_stage_budgets_unchanged():
+    """A dead link no flow uses moves no packet, so no stage budget."""
+
+    def run(fail):
+        fabric = malbec_mini().build()
+        obs = fabric.attach_observer()
+        key = next(k for k in sorted(fabric.links) if k[0] == "local")
+        if fail:
+            fabric.fail_link(key)
+        n = fabric.topology.n_nodes
+        for i in range(n):
+            fabric.send(i, (i + n // 2) % n, 16 * KiB)
+        fabric.sim.run()
+        obs.stop()
+        unused = all(p.pkts_sent == 0 for p in fabric.links[key].ports)
+        return obs.attribution().overall, unused
+
+    healthy, unused = run(False)
+    faulted, _ = run(True)
+    assert unused  # the failed link carries none of this traffic
+    assert healthy.n == faulted.n > 0
+    assert faulted.stage_means_ns == healthy.stage_means_ns
+    assert faulted.stage_percentiles == healthy.stage_percentiles
+
+
 def test_unsampled_and_undelivered_packets_are_skipped():
     # a packet with only mid-stream events (sampled-out head) yields no budget
     events = [

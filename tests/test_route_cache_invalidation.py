@@ -1,13 +1,14 @@
-"""Regression: route caches observe fault-control mutations immediately.
+"""Regression: live route tables observe fault-control mutations immediately.
 
-The epoch-guarded degraded caches must never serve a stale candidate
-set: the instant ``fail_link`` returns, no routing decision may hand a
-packet to the dead port; the instant ``restore_link`` returns, the
-restored port is a candidate again.  A flapping link — the worst case
-for any cache, with the mask changing dozens of times mid-run — must
-leave the cached router's behaviour indistinguishable from the
-table-free reference router's in ``tests/oracles/routing.py`` (same
-reroute/no-route counters, same deliveries, same event stream).
+The per-switch live candidate tables must never serve a stale entry: the
+instant ``fail_link`` returns, no routing decision may hand a packet to
+the dead port — including from an entry built while the fabric was
+still healthy; the instant ``restore_link`` returns, the restored port
+is a candidate again.  A flapping link — the worst case for any cache,
+with the mask changing dozens of times mid-run — must leave the
+router's behaviour indistinguishable from the table-free reference
+router's in ``tests/oracles/routing.py`` (same reroute/no-route
+counters, same deliveries, same event stream).
 """
 
 import random
@@ -17,6 +18,7 @@ import pytest
 from repro.core.adaptive_routing import AdaptiveRouter
 from repro.faults import FaultSchedule
 from repro.network.dragonfly import DragonflyParams
+from repro.network.packet import Packet
 from repro.systems import malbec_mini, slingshot_config
 from repro.validate.differ import EventTrace
 from tests.oracles.routing import ReferenceAdaptiveRouter
@@ -30,34 +32,78 @@ def _local_key(fabric):
     return next(k for k in sorted(fabric.links) if k[0] == "local")
 
 
-def test_deg_cache_sees_fail_and_restore_immediately():
-    """Unit-level: the cached candidate tuples flip with the link state."""
-    fabric = malbec_mini().build()
-    router = fabric.router
+def _global_entry(fabric, sw, group):
+    """Route one transit packet from *sw* towards *group* (which brings
+    the router's tables up to the current health epoch) and return the
+    live entry it routed from."""
     topo = fabric.topology
+    pkt = Packet(topo.nodes_on_switch(sw.id)[0], topo.nodes_in_group(group)[0], 1024)
+    pkt.hops = 2  # past injection: minimal candidates only
+    port = fabric.router.route(sw, pkt)
+    assert port is None or port.up
+    return sw.rt_global[group]
+
+
+def test_live_table_sees_fail_and_restore_immediately():
+    """Unit-level: the live candidate entry flips with the link state."""
+    fabric = malbec_mini().build()
     key = _global_key(fabric)
     ref = fabric.links[key]
     dead_ports = set(ref.ports)
     sw = ref.ports[0].owner
     target_g = ref.ports[0].rx.group
 
-    # Prime the degraded caches while a *different* link is down, so the
-    # fabric is in degraded mode but this link's candidates are live.
+    # Build the entry while a *different* link is down, so the fabric is
+    # degraded but this link's candidates are live.
     other = _local_key(fabric)
     fabric.fail_link(other)
-    direct, _gws, had = router._deg_global_ports(sw, target_g)
-    assert had and ref.ports[0] in direct
-    rebuilds = router.deg_cache_rebuilds
+    entry = _global_entry(fabric, sw, target_g)
+    ports, direct, rerouted = entry
+    assert direct and not rerouted and ref.ports[0] in ports
 
     fabric.fail_link(key)
-    direct2, _gws2, _had2 = router._deg_global_ports(sw, target_g)
-    assert router.deg_cache_rebuilds > rebuilds  # epoch bump forced a rebuild
-    assert not (set(direct2) & dead_ports)
+    entry2 = _global_entry(fabric, sw, target_g)
+    assert entry2 is not entry  # the epoch bump forced a rebuild
+    assert not (set(entry2[0]) & dead_ports)
 
     fabric.restore_link(key)
-    direct3, _gws3, _had3 = router._deg_global_ports(sw, target_g)
-    assert direct3 == direct
+    assert _global_entry(fabric, sw, target_g) == entry
     fabric.restore_link(other)
+
+
+def test_entry_built_while_healthy_never_serves_a_port_killed_later():
+    """First fault: tables filled on a healthy fabric must not outlive it.
+
+    Every switch routes injection and transit packets to every node, so
+    every global and detour entry the traffic can reach exists; then a
+    global and a local link fail, and no decision may return a dead port.
+    """
+    fabric = malbec_mini().build()
+    router = fabric.router
+    topo = fabric.topology
+
+    def route_everywhere():
+        out = []
+        for sw in fabric.switches:
+            src = topo.nodes_on_switch(sw.id)[0]
+            for dst in range(topo.n_nodes):
+                for hops in (1, 2):
+                    pkt = Packet(src, dst, 1024)
+                    pkt.hops = hops
+                    out.append(router.route(sw, pkt))
+        return out
+
+    assert all(p is not None and p.up for p in route_everywhere())
+    assert not topo.degraded and any(sw.rt_global for sw in fabric.switches)
+    assert any(sw.rt_detour for sw in fabric.switches)
+
+    dead = set()
+    for key in (_global_key(fabric), _local_key(fabric)):
+        fabric.fail_link(key)
+        dead.update(fabric.links[key].ports)
+    routed = [p for p in route_everywhere() if p is not None]
+    assert routed and not (set(routed) & dead)
+    assert all(p.up for p in routed)
 
 
 def test_degrade_link_bumps_epoch():
@@ -69,7 +115,7 @@ def test_degrade_link_bumps_epoch():
 
 def test_no_stale_route_exits_dead_port_under_flapping():
     """Every routing decision taken during a flap must return a live port
-    (or None) — a stale cached candidate would surface right here."""
+    (or None) — a stale table entry would surface right here."""
     cfg = slingshot_config(
         DragonflyParams(2, 2, 4, links_per_pair=1), seed=7
     )
@@ -118,7 +164,7 @@ def test_no_stale_route_exits_dead_port_under_flapping():
 @pytest.mark.parametrize("flap_global", [True, False])
 def test_flapping_counters_match_reference_router(flap_global):
     """reroutes/no_route (and the whole event stream) under a flapping
-    schedule are identical between the cached and uncached routers."""
+    schedule are identical between the table-driven and reference routers."""
     cfg = slingshot_config(
         DragonflyParams(2, 2, 4, links_per_pair=1), seed=11
     )
@@ -147,7 +193,7 @@ def test_flapping_counters_match_reference_router(flap_global):
         fabric.sim.run()
         return fabric, trace
 
-    fab_tab, trace_tab = run(None)  # default: table-driven AdaptiveRouter
+    fab_tab, trace_tab = run(None)  # default: the live-table AdaptiveRouter
     fab_ref, trace_ref = run(ReferenceAdaptiveRouter)
     assert fab_tab.router.reroutes == fab_ref.router.reroutes
     assert fab_tab.router.no_route == fab_ref.router.no_route

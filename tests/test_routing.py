@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.adaptive_routing import AdaptiveRouter, MinimalRouter, ValiantRouter
 from repro.network import KiB
+from repro.network.dragonfly import DragonflyParams, DragonflyTopology
 from repro.systems import malbec_mini, shandy_mini
 
 
@@ -136,3 +137,12 @@ def test_router_determinism():
         return [m.complete_time for m in msgs]
 
     assert run_once() == run_once()
+
+
+@pytest.mark.parametrize("router_cls", [AdaptiveRouter, MinimalRouter, ValiantRouter])
+@pytest.mark.parametrize("n", [0, -1])
+def test_n_candidates_below_one_is_rejected_at_construction(router_cls, n):
+    """With no candidate slot every decision would drop its packet."""
+    topo = DragonflyTopology(DragonflyParams(1, 2, 3))
+    with pytest.raises(ValueError, match=f"n_candidates must be >= 1, got {n}"):
+        router_cls(topo, 0, n_candidates=n)

@@ -1,15 +1,17 @@
 """Property: table-driven routing == table-free routing, event for event.
 
-The routing fast path (precomputed candidate tables + epoch-guarded
-degraded caches in :class:`~repro.core.adaptive_routing.AdaptiveRouter`)
-must be *invisible*: across random topologies, seeds, traffic, and
-generated fault schedules, every port choice — and therefore the entire
-simulated event stream — must be identical to the table-free reference
-routers in ``tests/oracles/routing.py``, which recompute candidate sets
-per packet.  The comparison reuses the determinism differ's
-:class:`~repro.validate.differ.EventTrace` (pid/mid-normalized labels),
-so any divergence reports the exact first event where the two
-implementations disagreed.
+The production routers read per-switch live candidate tables, dropped
+whenever the topology's health epoch moves
+(:class:`~repro.core.adaptive_routing.AdaptiveRouter`,
+:class:`~repro.core.adaptive_routing.ValiantRouter`).  The tables must
+be *invisible*: across random topologies, seeds, traffic, and generated
+fault schedules, every port choice — and therefore the entire simulated
+event stream — must be identical to the table-free reference routers in
+``tests/oracles/routing.py``, which recompute candidate sets per packet
+from the topology and the live health mask.  The comparison reuses the
+determinism differ's :class:`~repro.validate.differ.EventTrace`
+(pid/mid-normalized labels), so any divergence reports the exact first
+event where the two implementations disagreed.
 """
 
 import random
@@ -26,7 +28,11 @@ from tests.oracles.routing import ReferenceAdaptiveRouter, ReferenceValiantRoute
 
 
 def _run_traced(cfg, seed, schedule_of=None):
-    """Build, inject deterministic random traffic, run under an EventTrace."""
+    """Build, inject deterministic random traffic, run under an EventTrace.
+
+    Under a fault schedule the messages start at random times across the
+    fault window, so routing decisions meet links going down and up.
+    """
     fabric = cfg.build()
     if schedule_of is not None:
         fabric.attach_faults(
@@ -41,16 +47,21 @@ def _run_traced(cfg, seed, schedule_of=None):
         src, dst = rng.randrange(nn), rng.randrange(nn)
         if src == dst:
             continue
-        fabric.send(src, dst, rng.choice([8, 4_000, 24_000]))
+        nbytes = rng.choice([8, 4_000, 24_000])
+        if schedule_of is None:
+            fabric.send(src, dst, nbytes)
+        else:
+            t = rng.uniform(0.0, 300_000.0)
+            fabric.sim.schedule_at(t, fabric.send, src, dst, nbytes)
         sent += 1
     fabric.sim.run()
     return fabric, trace
 
 
-def _assert_equivalent(cfg, seed, schedule_of=None):
+def _assert_equivalent(cfg, seed, schedule_of=None, reference=ReferenceAdaptiveRouter):
     fab_tab, trace_tab = _run_traced(cfg, seed, schedule_of)
     fab_ref, trace_ref = _run_traced(
-        cfg.with_(router_factory=ReferenceAdaptiveRouter), seed, schedule_of
+        cfg.with_(router_factory=reference), seed, schedule_of
     )
     # event-for-event identity (first mismatch pinpointed for debugging)
     n = min(len(trace_tab), len(trace_ref))
@@ -89,6 +100,20 @@ def test_tables_match_reference_healthy(p, a, g, links, seed):
     _assert_equivalent(cfg, seed)
 
 
+def _fault_schedule(seed, n_faults):
+    def schedule_of(fabric):
+        return FaultSchedule.generate(
+            fabric,
+            seed=seed,
+            n_faults=n_faults,
+            t_start=5_000.0,
+            t_end=400_000.0,
+            switch_faults=seed % 2,
+        )
+
+    return schedule_of
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     p=st.integers(1, 2),
@@ -103,18 +128,7 @@ def test_tables_match_reference_under_faults(p, a, g, links, seed, n_faults):
     cfg = slingshot_config(
         DragonflyParams(p, a, g, links_per_pair=links), seed=seed
     )
-
-    def schedule_of(fabric):
-        return FaultSchedule.generate(
-            fabric,
-            seed=seed,
-            n_faults=n_faults,
-            t_start=5_000.0,
-            t_end=400_000.0,
-            switch_faults=seed % 2,
-        )
-
-    _assert_equivalent(cfg, seed, schedule_of)
+    _assert_equivalent(cfg, seed, _fault_schedule(seed, n_faults))
 
 
 @settings(max_examples=6, deadline=None)
@@ -126,14 +140,27 @@ def test_tables_match_reference_under_faults(p, a, g, links, seed, n_faults):
 @example(a=5, g=6, seed=0)
 def test_valiant_tables_match_reference(a, g, seed):
     """The Valiant baseline uses the same tables; same contract."""
-
     cfg = slingshot_config(
         DragonflyParams(1, a, g, links_per_pair=2),
         seed=seed,
     ).with_(router_factory=ValiantRouter)
-    fab_tab, trace_tab = _run_traced(cfg, seed)
-    fab_ref, trace_ref = _run_traced(
-        cfg.with_(router_factory=ReferenceValiantRouter), seed
+    _assert_equivalent(cfg, seed, reference=ReferenceValiantRouter)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    a=st.integers(2, 5),
+    g=st.integers(2, 6),
+    seed=st.integers(0, 1_000),
+    n_faults=st.integers(1, 4),
+)
+@example(a=5, g=6, seed=1, n_faults=4)
+def test_valiant_tables_match_reference_under_faults(a, g, seed, n_faults):
+    """Valiant routes around dead links through the same live tables."""
+    cfg = slingshot_config(
+        DragonflyParams(1, a, g, links_per_pair=2),
+        seed=seed,
+    ).with_(router_factory=ValiantRouter)
+    _assert_equivalent(
+        cfg, seed, _fault_schedule(seed, n_faults), reference=ReferenceValiantRouter
     )
-    assert trace_tab.fingerprint() == trace_ref.fingerprint()
-    assert fab_tab.packets_delivered() == fab_ref.packets_delivered()

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.core.adaptive_routing import ValiantRouter
 from repro.network.units import KiB
 from repro.sim import Simulator
 from repro.systems import malbec_mini
@@ -281,6 +282,23 @@ def test_fabric_lifecycle_order(traced_run):
         # monotone timestamps
         ts = [e["t"] for e in evs]
         assert ts == sorted(ts)
+
+
+@pytest.mark.parametrize("router", ["adaptive", "valiant"])
+def test_every_switch_forward_is_one_routing_decision(router):
+    """The final hop to the host port is a decision too, on every router."""
+    cfg = malbec_mini()
+    if router == "valiant":
+        cfg = cfg.with_(router_factory=ValiantRouter)
+    fabric = cfg.build()
+    telem = fabric.attach_telemetry()
+    n = fabric.topology.n_nodes
+    for i in range(n):
+        fabric.send(i, (i + n // 2) % n, 16 * KiB)
+    fabric.sim.run()
+    forwards = sum(sw.pkts_forwarded for sw in fabric.switches)
+    assert forwards > fabric.packets_delivered()
+    assert telem.registry.get("router.decisions").read() == forwards
 
 
 def test_fabric_counters_and_gauges(traced_run):
