@@ -25,23 +25,27 @@ Two global options come *before* the subcommand:
   ``python -m pstats``); ``--profile-out PATH`` sends the formatted
   table to a file instead of stdout (and implies ``--profile``), so
   campaign workers profiling in parallel don't interleave output;
-* sweep subcommands take ``--jobs N`` to fan independent cells over a
-  process pool (0 = all cores / ``REPRO_JOBS``) with bit-identical
-  output.
+* sweep subcommands take ``--jobs N`` to fan independent cells over
+  forked worker processes (0 = all cores / ``REPRO_JOBS``) with
+  bit-identical output.
 
-Sweep subcommands (``heatmap``, ``allocation``, ``chaos``) also take the
+Sweep subcommands (``heatmap``, ``allocation``, ``chaos``) always run
+their cells on the supervised pool of :mod:`repro.resilient`, so a
+killed worker fails its cell instead of hanging the sweep.  The
 supervised-campaign flags — ``--cell-timeout`` / ``--retries`` /
-``--journal`` / ``--resume`` — which run the cells under
-:mod:`repro.resilient`: hung or killed workers are retried with
-deterministic backoff, exhausted cells are quarantined as holes, and a
-journaled campaign resumes after a crash computing only the missing
-cells.  ``observe`` and non-curve ``chaos`` accept ``--cell-timeout`` as
-an in-sim watchdog: a wedged run exits with stall diagnostics.
+``--journal`` / ``--resume`` — add the rest: hung or killed workers are
+retried with deterministic backoff, exhausted cells are quarantined as
+holes, and a journaled campaign resumes after a crash computing only
+the missing cells.  ``observe`` and non-curve ``chaos`` accept
+``--cell-timeout`` as an in-sim watchdog: a wedged run exits with stall
+diagnostics.  Bad harness arguments (``--jobs`` or ``--retries`` below
+0, ``--cell-timeout`` not above 0) are usage errors (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .analysis import format_time_ns, render_table
@@ -170,6 +174,28 @@ def cmd_congestion(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type for ``--jobs`` / ``--retries``: an integer >= 0."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}"
+        )
+    return int(text)
+
+
+def _seconds(text: str) -> float:
+    """argparse type for ``--cell-timeout``: a number of seconds > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds > 0, got {text!r}"
+        )
+    return value
+
+
 def _jobs_arg(args) -> "int | None":
     """``--jobs 0`` means "pick for me" (REPRO_JOBS env, else all cores)."""
     return None if args.jobs == 0 else args.jobs
@@ -183,19 +209,21 @@ def _add_resilience_args(p) -> None:
     p.add_argument("--resume", action="store_true",
                    help="skip cells already completed in --journal and "
                         "compute only the missing ones")
-    p.add_argument("--cell-timeout", type=float, default=None,
+    p.add_argument("--cell-timeout", type=_seconds, default=None,
                    metavar="SECONDS",
                    help="wall-clock budget per sweep cell; a wedged worker "
                         "is killed (the in-sim watchdog usually trips first "
                         "with stall diagnostics) and the cell retried")
-    p.add_argument("--retries", type=int, default=None,
+    p.add_argument("--retries", type=_count, default=None,
                    help="retry budget per failing cell before it is "
                         "quarantined as a hole in the sweep (default 2 "
-                        "when supervision is enabled)")
+                        "when another supervision flag is set; with none, "
+                        "the first failing cell aborts the sweep)")
 
 
 def _resilience_arg(args):
-    """Build a ResilienceConfig from the CLI flags (None = legacy path)."""
+    """Build a ResilienceConfig from the CLI flags (None = plain sweep:
+    no timeout, no retry, no journal; the first failing cell aborts)."""
     if (
         args.journal is None
         and not args.resume
@@ -233,8 +261,6 @@ def _quarantine_report(failures) -> None:
 
 
 def cmd_heatmap(args) -> int:
-    import math
-
     from .analysis import render_heatmap
     from .resilient import CellFailure
     from .sweeps import app_victims, micro_victims, run_heatmap
@@ -247,7 +273,6 @@ def cmd_heatmap(args) -> int:
         "apps": app_victims,
         "all": lambda: {**app_victims(), **micro_victims()},
     }[args.victims]()
-    resilience = _resilience_arg(args)
     rows, cols, values = run_heatmap(
         config,
         victims,
@@ -257,7 +282,7 @@ def cmd_heatmap(args) -> int:
         seed=args.seed,
         max_ns=args.budget_ms * MS,
         jobs=_jobs_arg(args),
-        resilience=resilience,
+        resilience=_resilience_arg(args),
     )
     # quarantined cells render as NaN holes; the sweep still completes
     failures = [v for row in values for v in row if isinstance(v, CellFailure)]
@@ -277,9 +302,8 @@ def cmd_heatmap(args) -> int:
             ),
         )
     )
-    if resilience is not None:
-        _quarantine_report(failures)
-        _print_harness_summary()
+    _quarantine_report(failures)
+    _print_harness_summary()
     return 1 if failures else 0
 
 
@@ -318,14 +342,11 @@ def cmd_allocation(args) -> int:
         if failures:
             _quarantine_report(failures)
         arr = np.array([v for v in flat if not isinstance(v, CellFailure)])
-        out_rows.append(
-            [
-                policy,
-                f"{np.median(arr):.2f}",
-                f"{np.percentile(arr, 90):.2f}",
-                f"{arr.max():.2f}",
-            ]
-        )
+        if arr.size:
+            stats = [np.median(arr), np.percentile(arr, 90), arr.max()]
+            out_rows.append([policy] + [f"{x:.2f}" for x in stats])
+        else:  # every cell of this policy was quarantined
+            out_rows.append([policy, "-", "-", "-"])
     print(
         render_table(
             ["allocation", "median C", "p90 C", "max C"],
@@ -336,8 +357,7 @@ def cmd_allocation(args) -> int:
             ),
         )
     )
-    if resilience is not None:
-        _print_harness_summary()
+    _print_harness_summary()
     return 1 if n_failures else 0
 
 
@@ -550,9 +570,8 @@ def cmd_chaos(args) -> int:
                 ),
             )
         )
-        if resilience is not None:
-            _quarantine_report(failures)
-            _print_harness_summary()
+        _quarantine_report(failures)
+        _print_harness_summary()
         if failures:
             return 1
         if args.require_lossless and any(
@@ -730,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppn", type=int, default=1)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--budget-ms", type=float, default=400.0)
-    p.add_argument("--jobs", type=int, default=0,
+    p.add_argument("--jobs", type=_count, default=0,
                    help="worker processes for the grid cells "
                         "(0 = all cores / REPRO_JOBS)")
     _add_resilience_args(p)
@@ -744,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppn", type=int, default=1)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--budget-ms", type=float, default=400.0)
-    p.add_argument("--jobs", type=int, default=0,
+    p.add_argument("--jobs", type=_count, default=0,
                    help="worker processes for the grid cells "
                         "(0 = all cores / REPRO_JOBS)")
     _add_resilience_args(p)
@@ -800,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hot links / shared ports to show per report")
     p.add_argument("--sample-rate", type=float, default=1.0,
                    help="fraction of packets given lifecycle spans")
-    p.add_argument("--cell-timeout", type=float, default=None,
+    p.add_argument("--cell-timeout", type=_seconds, default=None,
                    metavar="SECONDS",
                    help="wall-clock watchdog for the run: a wedged "
                         "simulation exits with stall diagnostics instead "
@@ -827,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulated-time budget")
     p.add_argument("--require-lossless", action="store_true",
                    help="exit nonzero if any traffic failed to complete")
-    p.add_argument("--jobs", type=int, default=0,
+    p.add_argument("--jobs", type=_count, default=0,
                    help="worker processes for the --curve k-points "
                         "(0 = all cores / REPRO_JOBS)")
     _add_resilience_args(p)

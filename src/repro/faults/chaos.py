@@ -93,8 +93,8 @@ def chaos_run(
 
 
 def _curve_cell(args):
-    """One degradation-curve point (module-level: sweep workers pickle
-    this by reference).  Returns the row dict minus ``relative``, which
+    """One degradation-curve point (module-level: the journal keys
+    results by its name).  Returns the row dict minus ``relative``, which
     needs the whole curve and is filled in after the gather."""
     config, gi, gj, k, msg_bytes, max_ns = args
     links_per_pair = config.params.links_per_pair
@@ -146,8 +146,8 @@ def degradation_curve(
     The k-points are independent simulations; ``jobs`` fans them out via
     :func:`repro.parallel.run_cells` (``None`` = all cores), with rows
     guaranteed cell-for-cell identical to a serial run.  *resilience*
-    (a :class:`repro.resilient.ResilienceConfig`) runs the sweep under
-    the supervised pool — quarantined k-points come back as
+    (a :class:`repro.resilient.ResilienceConfig`) turns on supervision
+    for the sweep — quarantined k-points come back as
     :class:`repro.resilient.CellFailure` holes with no ``relative``
     entry, and a journaled sweep resumes after a crash.
     """

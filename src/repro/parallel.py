@@ -3,12 +3,12 @@
 Every heatmap, allocation-policy grid, and degradation curve in the
 reproduction is a set of *independent cells*: each builds its own fresh
 fabric from a config and returns plain data.  :func:`run_cells` fans
-those cells out over a process pool while keeping the results
+those cells out over worker processes while keeping the results
 **deterministic and order-stable**:
 
-* cells are dispatched with ``Pool.map`` (order-preserving), so the
-  result list lines up with the input list no matter which worker ran
-  which cell or in what order they finished;
+* results are assembled by cell index, so the result list lines up
+  with the input list no matter which worker ran which cell or in what
+  order they finished;
 * each cell must carry everything it needs (config + parameters + its
   own seed) — workers share no state, so a cell computes the same value
   in any process, including the parent.  Per-cell seeds should be
@@ -17,31 +17,26 @@ those cells out over a process pool while keeping the results
   cross-cell globals in the package are diagnostic id counters
   (packet/message ids), which never feed back into behaviour.
 
-The runner degrades gracefully: ``jobs=1`` (or a single cell) runs
-serially in-process, bit-identical to the pool result; an unpicklable
-worker/cell set also degrades to serial, but *audibly* — a
-:class:`SerialFallbackWarning` plus a ``harness.serial_fallbacks``
-telemetry counter, so a "parallel" sweep that quietly ran on one core
-is diagnosable.  ``REPRO_JOBS`` overrides the default worker count.
+There is one executor: the supervised pool of :mod:`repro.resilient`,
+which forks one process per cell attempt.  A forked attempt inherits
+the worker, so closures and lambdas run in parallel like module-level
+functions, and a worker that is SIGKILLed or OOM-killed fails its cell
+instead of blocking the sweep.  ``REPRO_JOBS`` overrides the default
+worker count.
 
-A worker exception no longer throws away every finished cell: both the
-serial and the pool path raise :class:`CellExecutionError`, which names
-the failing cell (index + repr) and carries every completed result on
-``.completed``.
-
-For campaigns that must *survive* faults — hung cells, OOM-killed
-workers, restarts — pass ``resilience=``
-(:class:`repro.resilient.ResilienceConfig`): execution then moves to the
-supervised pool in :mod:`repro.resilient` (per-cell timeouts, retry with
-deterministic backoff, quarantine, crash-safe journal, ``--resume``).
+Without ``resilience=`` a sweep runs with no timeout, no retry and no
+journal, and the first failing cell raises :class:`CellExecutionError`,
+which names the cell (index + repr) and carries every completed result
+on ``.completed``.  Campaigns that must *survive* faults — hung cells,
+OOM-killed workers, restarts — pass a
+:class:`repro.resilient.ResilienceConfig` for per-cell timeouts, retry
+with deterministic backoff, quarantine, a crash-safe journal and
+``--resume``.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import traceback
-import warnings
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from .sim.rng import stable_hash
@@ -51,22 +46,17 @@ __all__ = [
     "default_jobs",
     "cell_seed",
     "CellExecutionError",
-    "SerialFallbackWarning",
 ]
 
 
-class SerialFallbackWarning(RuntimeWarning):
-    """A sweep that was asked to run in parallel degraded to one core."""
-
-
 class CellExecutionError(RuntimeError):
-    """A sweep cell raised; completed results are preserved, not lost.
+    """A sweep cell failed; completed results are preserved, not lost.
 
     Attributes: ``index`` (position of the failing cell), ``cell`` (its
     truncated repr), ``kind`` (failure class, e.g. ``"error"`` /
-    ``"timeout"``), and ``completed`` — a ``{index: result}`` dict of
-    every cell that finished before the sweep aborted (already journaled
-    when a journal is configured).
+    ``"worker-death"`` / ``"timeout"``), and ``completed`` — a
+    ``{index: result}`` dict of every cell that finished before the
+    sweep aborted (already journaled when a journal is configured).
     """
 
     def __init__(
@@ -99,9 +89,14 @@ def default_jobs() -> int:
     env = os.environ.get("REPRO_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            raise ValueError(f"REPRO_JOBS must be an integer, got {env!r}")
+            jobs = 0
+        if jobs < 1:
+            raise ValueError(
+                f"REPRO_JOBS must be a positive integer, got {env!r}"
+            )
+        return jobs
     return os.cpu_count() or 1
 
 
@@ -116,63 +111,6 @@ def cell_seed(*key: Any) -> int:
     return stable_hash("cell", *key)
 
 
-def _picklable(*objs: Any) -> bool:
-    try:
-        for obj in objs:
-            pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
-
-
-def _run_serial(worker: Callable[[Any], Any], cells: List[Any]) -> List[Any]:
-    """In-process map that keeps finished results when a cell raises."""
-    results: List[Any] = []
-    for i, cell in enumerate(cells):
-        try:
-            results.append(worker(cell))
-        except Exception as exc:
-            raise CellExecutionError(
-                i,
-                short_repr(cell),
-                f"{type(exc).__name__}: {exc}",
-                completed=dict(enumerate(results)),
-            ) from exc
-    return results
-
-
-class _Trapped:
-    """Worker wrapper for the pool path: exceptions come back as values,
-    so one crashing cell cannot discard its siblings' finished results.
-    Picklable iff the wrapped worker is (checked before use)."""
-
-    __slots__ = ("worker",)
-
-    def __init__(self, worker: Callable[[Any], Any]):
-        self.worker = worker
-
-    def __call__(self, cell):
-        try:
-            return ("ok", self.worker(cell))
-        except Exception as exc:
-            return (
-                "err",
-                f"{type(exc).__name__}: {exc}",
-                traceback.format_exc(limit=20),
-            )
-
-
-def _warn_serial_fallback(reason: str) -> None:
-    from .resilient.metrics import harness_counter
-
-    harness_counter("serial_fallbacks").inc()
-    warnings.warn(
-        f"run_cells degraded to serial in-process execution: {reason}",
-        SerialFallbackWarning,
-        stacklevel=3,
-    )
-
-
 def run_cells(
     worker: Callable[[Any], Any],
     cells: Iterable[Any],
@@ -180,63 +118,24 @@ def run_cells(
     *,
     resilience: "Optional[Any]" = None,
 ) -> List[Any]:
-    """Map *worker* over *cells*, possibly across processes.
+    """Map *worker* over *cells* in forked worker processes.
 
     Returns ``[worker(cell) for cell in cells]`` — same values, same
-    order, regardless of *jobs*.  Serial execution is chosen when
-    ``jobs`` resolves to 1, when there is at most one cell, or (with a
-    :class:`SerialFallbackWarning`) when the worker/cells cannot be
-    pickled (lambdas, closures).  A worker exception is re-raised as
-    :class:`CellExecutionError` naming the failing cell and carrying the
-    finished results.
+    order, regardless of *jobs* (``None`` = :func:`default_jobs`).
+    Every call runs on :func:`repro.resilient.run_supervised`.  Without
+    *resilience*, the first failing cell — an exception, or a worker
+    that died without reporting — raises :class:`CellExecutionError`
+    naming the cell and carrying the finished results.
 
-    *resilience* (a :class:`repro.resilient.ResilienceConfig`) routes
-    the sweep through the supervised pool instead: per-cell wall-clock
-    timeouts, worker-death detection, capped deterministic-jitter retry,
+    *resilience* (a :class:`repro.resilient.ResilienceConfig`) adds
+    per-cell wall-clock timeouts, capped deterministic-jitter retry,
     quarantine into :class:`repro.resilient.CellFailure` holes, a
     crash-safe result journal, and resume.
     """
-    cells = list(cells)
     if jobs is None:
         jobs = default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    jobs = max(1, min(jobs, len(cells)))
+    from .resilient import run_supervised  # resilient imports this module
 
-    if resilience is not None:
-        from .resilient import run_supervised
-
-        return run_supervised(worker, cells, jobs=jobs, config=resilience)
-
-    if jobs <= 1:
-        return _run_serial(worker, cells)
-    if not _picklable(worker, cells):
-        _warn_serial_fallback(
-            "worker or cells are not picklable; pass module-level "
-            "functions/partials to use the process pool"
-        )
-        return _run_serial(worker, cells)
-
-    import multiprocessing as mp
-
-    # fork keeps imports warm and is deterministic here (workers never
-    # share mutable simulation state); fall back where it's unavailable.
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        ctx = mp.get_context()
-    with ctx.Pool(processes=jobs) as pool:
-        wrapped = pool.map(_Trapped(worker), cells)
-    results: Dict[int, Any] = {}
-    first_err = None
-    for i, item in enumerate(wrapped):
-        if item[0] == "ok":
-            results[i] = item[1]
-        elif first_err is None:
-            first_err = (i, item[1], item[2])
-    if first_err is not None:
-        i, message, tb = first_err
-        raise CellExecutionError(
-            i, short_repr(cells[i]), f"{message}\n{tb}", completed=results
-        )
-    return [results[i] for i in range(len(cells))]
+    return run_supervised(worker, cells, jobs=jobs, config=resilience)

@@ -5,10 +5,11 @@ of independent sweep cells (bisection grids, victim/aggressor panels,
 chaos degradation curves).  PR 2 taught the simulated fabric to survive
 faults; this package teaches the *harness* the same lesson:
 
-* :mod:`.pool` — the supervised pool (:func:`run_supervised`): per-cell
-  wall-clock timeouts, worker-death detection, capped deterministic
-  backoff, bounded retry budgets, quarantine into :class:`CellFailure`
-  holes, graceful degradation to serial execution;
+* :mod:`.pool` — the supervised pool (:func:`run_supervised`), the one
+  executor behind :func:`repro.parallel.run_cells`: per-cell wall-clock
+  timeouts, worker-death detection, capped deterministic backoff,
+  bounded retry budgets, quarantine into :class:`CellFailure` holes,
+  graceful degradation to serial execution;
 * :mod:`.journal` — the crash-safe per-cell result journal
   (:class:`ResultJournal`) behind ``--journal`` / ``--resume``;
 * :mod:`.retry` — the deterministic backoff schedule
@@ -23,9 +24,12 @@ The in-sim half lives in the engine itself: a
 attached) so a wedged cell is killed, classified, and retried or
 quarantined instead of hanging the pool forever.
 
-Everything is opt-in through ``run_cells(..., resilience=...)`` and the
-``--cell-timeout`` / ``--retries`` / ``--journal`` / ``--resume`` CLI
-flags; a sweep without a config runs exactly the code it always did.
+Every sweep runs on the supervised pool.  Without a config it gets no
+timeout, no retry and no journal, and its first failing cell (a killed
+worker included) raises :class:`~repro.parallel.CellExecutionError`;
+``run_cells(..., resilience=...)`` and the ``--cell-timeout`` /
+``--retries`` / ``--journal`` / ``--resume`` CLI flags turn on the
+rest.
 """
 
 from .journal import ResultJournal, cell_fingerprint, worker_fingerprint

@@ -21,8 +21,8 @@ Counters:
 * ``harness.cells_resumed`` — cells skipped because a journal already
   held their result;
 * ``harness.serial_fallbacks`` — sweeps that degraded to in-process
-  serial execution (unpicklable worker/cells, or an irrecoverably
-  broken pool).
+  serial execution because the pool was irrecoverably broken (process
+  spawn failing, or no ``fork`` start method).
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Supervised campaign execution: workers are watched, not trusted.
 
-``Pool.map`` assumes every worker returns; at campaign scale (hundreds
-to thousands of sweep cells) some worker will eventually hang, OOM, or
-be killed, and a bare pool then either blocks forever or throws away
-every finished cell.  :func:`run_supervised` replaces it with an
-explicit supervisor:
+At campaign scale (hundreds to thousands of sweep cells) some worker
+will eventually hang, OOM, or be killed.  :func:`run_supervised` is the
+one executor behind :func:`repro.parallel.run_cells`, and it treats
+each of those as a classified cell failure instead of a lost campaign:
 
 * each cell *attempt* runs in its own forked process reporting over a
-  pipe, so a SIGKILL/OOM takes out exactly one attempt;
+  pipe, so a SIGKILL/OOM takes out exactly one attempt and is reported
+  as a ``"worker-death"``;
 * a per-cell wall-clock timeout kills wedged attempts (``proc.kill``),
   and an in-sim watchdog (:class:`~repro.sim.SimStall`) usually fires
   first, turning an opaque kill into a classified stall with quiescence
@@ -26,6 +26,10 @@ explicit supervisor:
   platform without ``fork``), the supervisor degrades to serial
   in-process execution — audibly, via :class:`PoolDegradedWarning` and
   the ``harness.serial_fallbacks`` counter.
+
+A call without a config runs the plain sweep: no timeout, no retry,
+no journal, and the first failure raises
+:class:`~repro.parallel.CellExecutionError` with the finished results.
 
 Determinism contract: cells are independent and results are assembled
 by index, so serial == supervised == resumed, cell for cell, regardless
@@ -139,6 +143,11 @@ class ResilienceConfig:
         return wd
 
 
+#: the config of a sweep run without one: no timeout, no retry, no
+#: journal; the first failing cell raises with the finished results.
+_PLAIN = ResilienceConfig(retry=RetryPolicy(retries=0), quarantine=False)
+
+
 def _child_main(conn, worker, cell, watchdog) -> None:
     """One cell attempt, in its own process.  Reports exactly one message:
     ``("ok", result)`` / ``("stall", str, dict)`` / ``("error", str)``."""
@@ -218,7 +227,6 @@ class _Supervisor:
         if attempts <= self.config.retry.retries:
             harness_counter("cells_retried").inc()
             return self.config.retry.delay_s(self.fps[idx], attempts)
-        harness_counter("cells_quarantined").inc()
         if self.journal is not None:
             self.journal.record_failure(
                 self.worker_fp, idx, self.fps[idx],
@@ -233,6 +241,7 @@ class _Supervisor:
                 completed=self._completed_ok(),
                 kind=kind,
             )
+        harness_counter("cells_quarantined").inc()
         self.results[idx] = CellFailure(
             index=idx,
             cell=short_repr(self.cells[idx]),
@@ -412,12 +421,13 @@ def run_supervised(
 ) -> List[Any]:
     """Supervised, journaled, resumable map of *worker* over *cells*.
 
-    The entry point :func:`repro.parallel.run_cells` routes to when a
-    ``resilience=`` config is given.  Returns the usual order-stable
+    The executor behind every :func:`repro.parallel.run_cells` call;
+    *config* ``None`` runs the plain sweep (no timeout, no retry, no
+    journal, first failure raises).  Returns the usual order-stable
     result list; quarantined cells appear as :class:`CellFailure`.
     """
     cells = list(cells)
-    config = config if config is not None else ResilienceConfig()
+    config = config if config is not None else _PLAIN
     journal = ResultJournal(config.journal) if config.journal else None
     worker_fp = worker_fingerprint(worker)
     fps = [cell_fingerprint(c) for c in cells]

@@ -7,8 +7,9 @@ the figure benchmarks and the ``heatmap``/``allocation`` CLI
 subcommands.
 
 Every victim/congestor factory is a ``functools.partial`` over a
-module-level function (never a lambda) so a grid cell can be pickled to
-a :mod:`repro.parallel` worker process.  ``run_heatmap(..., jobs=N)``
+module-level function (never a lambda) so a grid cell pickles to a
+stable content fingerprint, which is what lets a journaled sweep
+resume.  ``run_heatmap(..., jobs=N)``
 fans the independent cells out and reassembles the same row-major grid
 a serial run produces, cell for cell.
 """
@@ -96,11 +97,11 @@ def aggressor_rows() -> List[Tuple[str, Callable, float]]:
 
 
 def _heatmap_cell(cell) -> float:
-    """One grid cell (module-level: pool workers pickle it by reference).
+    """One grid cell (module-level: the journal keys results by its name).
 
     Factories travel in the cell and are instantiated *inside* the
-    worker — workload instances are generators and cannot cross a
-    process boundary."""
+    worker — workload instances are generators, which cannot be pickled
+    into the journal's cell fingerprint."""
     config, victim_nodes, victim_factory, aggressor_nodes, congestor_factory, ppn, max_ns = cell
     result = congestion_impact(
         config,
@@ -133,8 +134,8 @@ def run_heatmap(
     built row-major and the flat result list is reshaped back, so the
     grid is identical to a serial run regardless of *jobs*.
 
-    *resilience* (a :class:`repro.resilient.ResilienceConfig`) runs the
-    grid under the supervised pool: hung/killed cells are retried with
+    *resilience* (a :class:`repro.resilient.ResilienceConfig`) turns on
+    supervision for the grid: hung/killed cells are retried with
     deterministic backoff, cells whose budget runs out appear in the
     grid as :class:`repro.resilient.CellFailure` holes, and a journaled
     sweep can resume after a crash computing only the missing cells.

@@ -1,13 +1,14 @@
 """The parallel sweep runner must be invisible in the results.
 
-``repro.parallel.run_cells`` fans independent simulation cells over a
-process pool; its whole contract is that *jobs* never changes a value:
-cells carry everything they need, per-cell seeds come from the cell's
-identity, and ``Pool.map`` preserves order.  These tests pin serial ==
-parallel cell-for-cell on the two real consumers (the Fig. 9 heatmap
-grid and the chaos degradation curve) plus the runner's edge cases.
+``repro.parallel.run_cells`` fans independent simulation cells over
+forked worker processes; its whole contract is that *jobs* never
+changes a value: cells carry everything they need, per-cell seeds come
+from the cell's identity, and results are assembled by cell index.
+These tests pin in-process == forked cell-for-cell on the two real
+consumers (the Fig. 9 heatmap grid and the chaos degradation curve)
+plus the runner's edge cases and the CLI's harness arguments.
 
-The container may have a single core — the pool still runs with
+The machine may have a single core — the pool still runs with
 ``jobs=2`` worker processes, which is exactly what the determinism
 claim must survive.
 """
@@ -16,10 +17,16 @@ import os
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.faults import degradation_curve
+from repro.network.fabric import Fabric
 from repro.parallel import cell_seed, default_jobs, run_cells
+from repro.resilient import ResilienceConfig
 from repro.sweeps import aggressor_rows, micro_victims, run_heatmap
 from repro.systems import malbec_mini
+
+# the serial reference: the same cells, run in this process, unforked
+IN_PROCESS = ResilienceConfig(in_process=True)
 
 
 def _square(x):
@@ -37,18 +44,18 @@ def test_run_cells_rejects_bad_jobs():
         run_cells(_square, [1, 2], jobs=0)
 
 
-def test_run_cells_falls_back_to_serial_for_closures():
-    # Lambdas can't pickle; the runner degrades to in-process — but
-    # audibly, so a "parallel" sweep that ran on one core is diagnosable.
-    from repro.parallel import SerialFallbackWarning
-    from repro.resilient import harness_metrics
+def test_run_cells_runs_closures_in_worker_processes():
+    # A forked attempt inherits the worker, so a closure needs no
+    # pickling: it runs in parallel like a module-level function.
+    offset = 10
 
-    before = harness_metrics().snapshot()["harness.serial_fallbacks"]
-    with pytest.warns(SerialFallbackWarning, match="not picklable"):
-        got = run_cells(lambda x: x + 1, [1, 2, 3], jobs=2)
-    assert got == [2, 3, 4]
-    after = harness_metrics().snapshot()["harness.serial_fallbacks"]
-    assert after == before + 1
+    def shifted(x):
+        return x + offset
+
+    cells = [1, 2, 3]
+    pids = run_cells(lambda _: os.getpid(), cells, jobs=2)
+    assert os.getpid() not in pids
+    assert run_cells(shifted, cells, jobs=2) == [shifted(c) for c in cells]
 
 
 def test_cell_seed_is_stable_and_distinct():
@@ -75,15 +82,53 @@ def test_heatmap_serial_equals_parallel():
     rows = aggressor_rows()[:2]
     cfg = malbec_mini()
     nodes = list(range(16))
-    serial = run_heatmap(cfg, victims, nodes, rows=rows, max_ns=40e6, jobs=1)
+    serial = run_heatmap(
+        cfg, victims, nodes, rows=rows, max_ns=40e6, resilience=IN_PROCESS
+    )
     fanned = run_heatmap(cfg, victims, nodes, rows=rows, max_ns=40e6, jobs=2)
     assert serial == fanned  # labels and every grid value, bit for bit
 
 
 def test_degradation_curve_serial_equals_parallel():
     cfg = malbec_mini()
-    serial = degradation_curve(cfg, ks=[0, 1], max_ns=20e6, jobs=1)
+    serial = degradation_curve(
+        cfg, ks=[0, 1], max_ns=20e6, resilience=IN_PROCESS
+    )
     fanned = degradation_curve(cfg, ks=[0, 1], max_ns=20e6, jobs=2)
     assert serial == fanned
     assert serial[0]["relative"] == 1.0
     assert all(r["messages_completed"] == r["messages_sent"] for r in serial)
+
+
+@pytest.mark.parametrize(
+    "cmdline, repro_jobs",
+    [
+        ("heatmap --jobs -1", None),
+        ("heatmap --retries -1", None),
+        ("heatmap --cell-timeout 0", None),
+        ("allocation --jobs -2", None),
+        ("allocation --cell-timeout -1", None),
+        ("chaos --curve --retries -3", None),
+        ("chaos --jobs -1", None),
+        ("chaos --cell-timeout 0", None),
+        ("observe --cell-timeout -1", None),
+        ("chaos --curve", "0"),
+        ("heatmap --jobs 0", "-4"),
+    ],
+)
+def test_bad_harness_arguments_fail_before_any_fabric_is_built(
+    cmdline, repro_jobs, monkeypatch, capsys
+):
+    def no_fabric(self, *args, **kwargs):
+        raise AssertionError("built a fabric before rejecting the arguments")
+
+    monkeypatch.setattr(Fabric, "__init__", no_fabric)
+    if repro_jobs is None:
+        with pytest.raises(SystemExit) as exc:
+            cli_main(cmdline.split())
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+    else:
+        monkeypatch.setenv("REPRO_JOBS", repro_jobs)
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            cli_main(cmdline.split())

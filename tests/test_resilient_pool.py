@@ -14,10 +14,15 @@ separately in test_resilient_properties.py.
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
+from repro.cli import main as cli_main
 from repro.parallel import CellExecutionError, run_cells
 from repro.resilient import (
     CellFailure,
@@ -138,6 +143,7 @@ def test_runaway_sim_classified_as_stall_with_diagnostics():
 
 
 def test_quarantine_false_raises_with_completed_results():
+    before = _counters()
     with pytest.raises(CellExecutionError) as exc:
         run_supervised(
             _always_die,
@@ -149,6 +155,10 @@ def test_quarantine_false_raises_with_completed_results():
         )
     assert exc.value.kind == "worker-death"
     assert exc.value.index == 0
+    after = _counters()
+    # the raised cell is an error, not a quarantined hole
+    assert after["harness.worker_deaths"] - before["harness.worker_deaths"] == 1
+    assert after["harness.cells_quarantined"] == before["harness.cells_quarantined"]
 
 
 def test_worker_exception_quarantined_with_traceback():
@@ -247,3 +257,58 @@ def test_run_cells_parallel_error_preserves_completed_results():
     err = exc.value
     assert err.index == 2
     assert err.completed.get(0) == 0 and err.completed.get(1) == 4
+
+
+_PLAIN_SWEEP_KILL = textwrap.dedent("""
+    import os, signal
+
+    from repro.parallel import CellExecutionError, run_cells
+    from repro.resilient import harness_metrics
+
+    def worker(cell):
+        if cell == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return cell * 10
+
+    try:
+        run_cells(worker, range(8), jobs=2)
+    except CellExecutionError as err:
+        snap = harness_metrics().snapshot()
+        print(err.kind, err.index, err.cell,
+              int(snap["harness.worker_deaths"]),
+              int(snap["harness.cells_quarantined"]))
+""")
+
+
+def test_plain_run_cells_reports_a_killed_worker_instead_of_hanging():
+    """A sweep with no supervision flags still runs on the supervised
+    pool, so an OOM-style SIGKILL fails its cell fast.  The sweep runs
+    in a child interpreter: a hang fails this test at the timeout
+    instead of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _PLAIN_SWEEP_KILL],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("run_cells hung on a SIGKILLed worker")
+    assert proc.returncode == 0, proc.stderr
+    # kind, index, cell repr, worker deaths, quarantined cells
+    assert proc.stdout.split() == ["worker-death", "3", "3", "1", "0"]
+
+
+def test_allocation_prints_table_when_a_policy_is_fully_quarantined(capsys):
+    # a 1 ms budget quarantines every cell of every policy: each policy's
+    # statistics render as "-" instead of crashing on an empty array
+    rc = cli_main([
+        "allocation", "--system", "malbec", "--cell-timeout", "0.001",
+        "--retries", "0", "--jobs", "2",
+    ])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    for policy in ("linear", "interleaved", "random"):
+        assert f"{policy} |        - |     - |     -" in out
+    assert "harness.cells_quarantined" in out
+    assert "QUARANTINED" in err
