@@ -182,17 +182,12 @@ class AdaptiveRouter:
 
     @staticmethod
     def _least_loaded(ports) -> "object":
-        # Port scores are read through the congestion_score cache's fast
-        # branch (valid entry) without the method call; a stale entry
-        # falls back to the full recompute, so the value is always
-        # exactly what congestion_score() returns.
+        # first-wins minimum of congestion_score()
         best = ports[0]
-        best_score = (
-            best._score_val if best._score_ok else best.congestion_score()
-        )
+        best_score = best.congestion_score()
         for i in range(1, len(ports)):
             p = ports[i]
-            s = p._score_val if p._score_ok else p.congestion_score()
+            s = p.congestion_score()
             if s < best_score:
                 best, best_score = p, s
         return best
@@ -217,9 +212,7 @@ class AdaptiveRouter:
         best_nonmin = False
         for cand in candidates:
             port, nonmin, _inter = cand
-            score = (
-                port._score_val if port._score_ok else port.congestion_score()
-            )
+            score = port.congestion_score()
             if nonmin:
                 score = (
                     score * self.nonmin_penalty * bias_mult

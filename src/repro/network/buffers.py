@@ -35,11 +35,14 @@ class VcBufferPool:
     per slice.  Nothing ever blocks on a slice directly: a stalled port
     waits on the pool through :meth:`notify_on_release`.
 
-    Waiter management is deduplicated by callback: a blocked port
-    registers once, no matter how many times it re-arms before the next
-    release, so listener lists stay bounded by the number of ports
-    sharing the pool (an earlier one-shot-list design leaked hundreds of
-    thousands of stale entries under saturation).
+    Waiters are one-shot entries ``callback -> head`` in wake order, one
+    per callback, so the dict stays bounded by the ports sharing the
+    pool.  *head* is the packet the waiter is blocked on, or None to
+    wake on every release.  A release walks the entries in order: one
+    whose head still fits nowhere stays registered, in place, uncalled;
+    every other one is called (and re-registers if still blocked).  So
+    a waiter may pass a head only while a wakeup that finds the head
+    blocked would be a no-op for it.
     """
 
     __slots__ = (
@@ -49,7 +52,6 @@ class VcBufferPool:
         "reserve_avail",
         "_waiters",
         "_in_use",
-        "watchers",
     )
 
     def __init__(self, shared_bytes: float, reserve_bytes: float, n_vcs: int):
@@ -59,19 +61,13 @@ class VcBufferPool:
         self.shared_avail = shared_bytes
         self.reserve_total = reserve_bytes
         self.reserve_avail: List[float] = [reserve_bytes] * n_vcs
-        #: one-shot release callbacks, keyed by the callback itself (a
-        #: dict as an insertion-ordered set)
+        #: callback -> head packet it waits to fit (None: any release)
         self._waiters: dict = {}
         # Maintained occupancy counter: `in_use` sits on the adaptive-
         # routing hot path (read once per candidate port per routed
         # packet), so it must not sum n_vcs+1 slices per read.  Sizes
         # are integer-valued floats, so += / -= stays exact.
         self._in_use: float = 0.0
-        # OutputPorts whose cached congestion_score reads this pool's
-        # occupancy; every _in_use mutation marks their caches stale.
-        # One entry for a dedicated wire buffer, several when ports share
-        # a switch-wide ingress pool (Aries-style shared_switch_buffers).
-        self.watchers: list = []
 
     def can_fit(self, vc: int, size: float) -> bool:
         return self.shared_avail >= size or self.reserve_avail[vc] >= size
@@ -91,14 +87,10 @@ class VcBufferPool:
             else:
                 return False
         self._in_use += size
-        for port in self.watchers:
-            port._score_ok = False
         return True
 
     def release(self, size: float, vc: int, was_shared: bool) -> None:
         self._in_use -= size
-        for port in self.watchers:
-            port._score_ok = False
         if was_shared:
             avail = self.shared_avail = self.shared_avail + size
             total = self.shared_total
@@ -110,18 +102,26 @@ class VcBufferPool:
             raise RuntimeError(f"credit over-release: {avail} > total {total}")
         if self._waiters:
             waiters, self._waiters = self._waiters, {}
-            for fn in waiters:
-                fn()
+            for fn, head in waiters.items():
+                # inlined can_fit(), against what earlier waiters left
+                if head is not None and (
+                    self.shared_avail < head.size
+                    and self.reserve_avail[head.vc] < head.size
+                ):
+                    self._waiters[fn] = head
+                else:
+                    fn()
 
-    def notify_on_release(self, vc: int, fn) -> None:
-        """One-shot wakeup on the next release.
+    def notify_on_release(self, head, fn) -> None:
+        """One-shot wakeup on the next release that could fit *head*
+        (every release when *head* is None).
 
         Deduplicated by the callback itself: ``port._retry`` is a fresh
         bound method on every access, but bound methods hash and compare
         by ``__self__``/``__func__``, so a port re-arming while still
         registered keeps its one entry (and its place in wake order).
         """
-        self._waiters[fn] = None
+        self._waiters[fn] = head
 
     @property
     def in_use(self) -> float:

@@ -135,6 +135,22 @@ class FabricConfig:
     switch_buffer_bytes: float = 256 * KiB
     seed: int = 0
 
+    def __post_init__(self):
+        # Reject at construction (with_() runs this too), not mid-run: a
+        # negative latency or rate steps the simulated clock backwards, a
+        # zero NIC rate divides by zero at the first injection, and an
+        # empty class list breaks the build.
+        for name in ("switch_latency", "ack_overhead"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} cannot be negative (got {value})")
+        if not self.nic_bandwidth > 0:
+            raise ValueError(
+                f"nic_bandwidth must be positive (got {self.nic_bandwidth})"
+            )
+        if not self.classes:
+            raise ValueError("classes must list at least one traffic class")
+
     def build(self, sim: Optional[Simulator] = None) -> "Fabric":
         return Fabric(self, sim)
 

@@ -86,8 +86,6 @@ class OutputPort:
         "up",
         "pkts_dropped",
         "recycle_drops",
-        "_score_val",
-        "_score_ok",
     )
 
     def __init__(
@@ -157,17 +155,6 @@ class OutputPort:
         #: recycle unobserved drops?  Off under end-to-end reliability,
         #: whose tracker holds packet references (set by the injector).
         self.recycle_drops = True
-        # congestion_score cache: adaptive routing scores the same port
-        # several times per arbitration tick (one per candidate set it
-        # appears in).  The score is a pure function of backlog and pool
-        # occupancy, so it is cached until either moves: backlog
-        # mutations clear _score_ok here, pool mutations clear it through
-        # the pool's watcher list.  The cached value is the exact float
-        # the uncached path computed.
-        self._score_val = 0.0
-        self._score_ok = False
-        for pool in self.credits:
-            pool.watchers.append(self)
         if error_rate > 0.0:
             import random as _random
 
@@ -188,15 +175,21 @@ class OutputPort:
     #
     # ``_plain`` routes ``_try_send`` onto the allocation-free branch: one
     # uncapped class, wire up, no LLR, no probe — the state in which the
-    # general path's scheduler/probe/LLR branches are all dead.
+    # general path's scheduler/probe/LLR branches are all dead, and the
+    # only one in which a wasted credit wakeup has no side effect.
 
     def _refresh_plain(self) -> None:
-        self._plain = (
+        plain = (
             self._single_tc
             and self.up
             and self._err_rng is None
             and self._probe is None
         )
+        if not plain and self._retry_armed and self._retry in self._pool0._waiters:
+            # blocked and leaving the plain regime, outside which a wasted
+            # wakeup has side effects: wake on every release, in place
+            self._pool0._waiters[self._retry] = None
+        self._plain = plain
 
     @property
     def probe(self):
@@ -224,27 +217,17 @@ class OutputPort:
 
     def congestion_score(self) -> float:
         """Estimated cost of routing another packet through this port:
-        local backlog plus downstream credit occupancy.
-
-        The result is cached per arbitration tick: valid until a backlog
-        or pool-occupancy mutation invalidates it.
-        """
-        if self._score_ok:
-            return self._score_val
+        local backlog plus downstream credit occupancy (both counters)."""
         used = 0.0
         for pool in self.credits:
             used += pool._in_use
-        val = self.backlog + used
-        self._score_val = val
-        self._score_ok = True
-        return val
+        return self.backlog + used
 
     # -- data path ----------------------------------------------------------
 
     def enqueue(self, pkt) -> None:
         self.queues[pkt.tc].append(pkt)
         self.backlog += pkt.size
-        self._score_ok = False
         if self._probe is not None:
             self._probe.enqueued(self, pkt)
         if not self.busy:
@@ -359,10 +342,13 @@ class OutputPort:
         if self._retry_armed:
             return
         pending = False
+        # a plain port's wasted wakeup would only re-arm it, so the pool
+        # may skip it: hand over the head (else wake on every release)
+        gate = self._plain
         for tc, q in enumerate(self.queues):
             if q:
                 pending = True
-                self.credits[tc].notify_on_release(q[0].vc, self._retry)
+                self.credits[tc].notify_on_release(q[0] if gate else None, self._retry)
         if not pending:
             return
         self._retry_armed = True
@@ -403,7 +389,6 @@ class OutputPort:
         self.busy = False
         size = pkt.size
         self.backlog -= size
-        self._score_ok = False
         self.bytes_sent += size
         self.pkts_sent += 1
         if self._probe is not None:
@@ -492,7 +477,6 @@ class OutputPort:
 
     def _drop_queued(self, pkt) -> None:
         self.backlog -= pkt.size
-        self._score_ok = False
         self.pkts_dropped += 1
         up = pkt.arrival_port
         if up is not None:

@@ -129,8 +129,10 @@ class CreditConservationChecker(InvariantChecker):
     shared slice plus every per-VC reserve slice, re-derived from the
     slices' free-byte counters, and must stay inside
     ``[0, total]``.  Any drift means bytes were acquired or released
-    without the mirror update — exactly the corruption that would skew
-    every adaptive-routing decision reading ``congestion_score``.
+    without the mirror update.  Both sides steer the simulation: every
+    adaptive-routing decision reads ``_in_use`` through
+    ``congestion_score`` (uncached), and every release checks its gated
+    waiters' heads against the free-byte counters to decide whom to wake.
     """
 
     name = "credit-conservation"

@@ -38,9 +38,10 @@ __all__ = [
 class ReferenceOutputPort(OutputPort):
     """Packet-at-a-time reference port.
 
-    Every transmission runs the general arbitrate→credit→serialize body;
-    the equivalence suite pins :class:`OutputPort`'s plain branch
-    bit-identical to this.
+    Every transmission runs the general arbitrate→credit→serialize body,
+    and every credit wait wakes on every release of its pool (no head
+    gating); the equivalence suite pins :class:`OutputPort`'s plain
+    branch and its gated wakeups bit-identical to this.
     """
 
     __slots__ = ()
@@ -48,10 +49,30 @@ class ReferenceOutputPort(OutputPort):
     def _try_send(self) -> None:
         self._try_send_general()
 
+    def _arm_retry(self) -> None:
+        if self._retry_armed:
+            return
+        pending = False
+        for tc, q in enumerate(self.queues):
+            if q:
+                pending = True
+                self.credits[tc].notify_on_release(None, self._retry)
+        if not pending:
+            return
+        self._retry_armed = True
+        if self.probe is not None:
+            self.probe.stall_begin(self)
+        if self._single_tc:
+            return
+        t = self.scheduler.earliest_uncap_time(self.sim.now, self._head_size)
+        if t is not None and t > self.sim.now:
+            self._retry_timer = self.sim.schedule_cancellable(
+                t - self.sim.now, self._retry
+            )
+
     def _on_sent(self, pkt) -> None:
         self.busy = False
         self.backlog -= pkt.size
-        self._score_ok = False
         self.bytes_sent += pkt.size
         self.pkts_sent += 1
         if self.probe is not None:

@@ -74,7 +74,7 @@ def test_waiters_deduplicated(pool):
 
     pool.acquire(make_pkt(10_000, vc=0))
     for _ in range(100):
-        pool.notify_on_release(0, cb)  # same callback, many arms
+        pool.notify_on_release(None, cb)  # same callback, many arms
     pool.release(10_000, 0, was_shared=True)
     assert fired == [1]  # exactly once, not 100 times
 
@@ -84,7 +84,7 @@ def test_waiters_fire_on_reserve_release_too(pool):
     pool.acquire(make_pkt(10_000, vc=0))
     resv = make_pkt(1000, vc=0)
     pool.acquire(resv)
-    pool.notify_on_release(0, lambda: fired.append("x"))
+    pool.notify_on_release(None, lambda: fired.append("x"))
     pool.release(1000, 0, was_shared=False)
     assert fired == ["x"]
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.traffic_classes import TrafficClass
+from repro.network.buffers import VcBufferPool
 from repro.network.packet import Packet
-from repro.network.switch import OutputPort
+from repro.network.switch import NUM_VCS, OutputPort
 from repro.probe import Probe
 from repro.sim import Simulator
 
@@ -18,6 +19,13 @@ class FakeRx:
     def receive(self, pkt, from_port):
         self.got.append((pkt.pid, from_port.sim.now))
         from_port.credits[pkt.tc].release(pkt.size, pkt.vc, pkt.buf_shared)
+
+
+class HoldRx(FakeRx):
+    """Sink that records arrivals and never releases buffer slots."""
+
+    def receive(self, pkt, from_port):
+        self.got.append((pkt.pid, from_port.sim.now))
 
 
 def make_port(sim, bandwidth=10.0, prop=5.0, buffer_bytes=100_000, **kw):
@@ -150,7 +158,7 @@ def test_stale_retry_wakeup_is_harmless():
     port, rx = make_port(sim, bandwidth=10.0, prop=0.0)
     # Leftover listener from a blockage that already resolved: registered
     # while the port is NOT armed (exactly what the pool keeps around).
-    port.credits[0].notify_on_release(0, port._retry)
+    port.credits[0].notify_on_release(None, port._retry)
     p1, p2 = pkt(1000), pkt(1000)
     port.enqueue(p1)  # starts serializing immediately
     port.enqueue(p2)
@@ -176,11 +184,6 @@ def test_blocked_port_is_woken_once_after_fail_and_recover():
             self.begins += 1
 
     sim = Simulator()
-
-    class HoldRx(FakeRx):
-        def receive(self, pkt, from_port):
-            self.got.append((pkt.pid, from_port.sim.now))  # never releases
-
     # An injection port parks its queue across fail(); the shared pool
     # fits one 5000B packet and the vc0 reserve one more, so the third
     # blocks.
@@ -271,13 +274,7 @@ def test_set_bandwidth_rerates_the_wire():
 
 def test_congestion_score_includes_downstream_occupancy():
     sim = Simulator()
-
-    class HoldRx(FakeRx):
-        def receive(self, pkt, from_port):
-            self.got.append((pkt.pid, from_port.sim.now))
-            # never release: bytes stay "credited" downstream
-
-    rx = HoldRx()
+    rx = HoldRx()  # never releases: bytes stay "credited" downstream
     port = OutputPort(
         sim, None, "local", rx, 10.0, 0.0, [TrafficClass()], buffer_bytes=10_000
     )
@@ -286,3 +283,76 @@ def test_congestion_score_includes_downstream_occupancy():
     assert port.backlog == 0
     assert port.credited_bytes == 1000
     assert port.congestion_score() == 1000
+
+
+def shared_pool_ports(sim, n, kind="local"):
+    """*n* ports into one switch-shared pool that is already full: the
+    shared region and VC 0's reserve are taken, so every 1000B head on
+    VC 0 blocks until a release."""
+    pool = VcBufferPool(5000, 2000, NUM_VCS)
+    assert pool.acquire(pkt(5000)) and pool.acquire(pkt(2000))
+    rx = HoldRx()
+    ports = [
+        OutputPort(
+            sim, None, kind, rx, 10.0, 0.0, [TrafficClass()],
+            buffer_bytes=5000, pools=[pool],
+        )
+        for _ in range(n)
+    ]
+    return pool, ports, rx
+
+
+def test_release_wakes_only_the_waiter_it_can_unblock(monkeypatch):
+    """Armed plain ports hand their head to the pool, so a release checks
+    each head inline and calls ``_retry`` only for one that now fits."""
+    woken = []
+    retry = OutputPort._retry
+
+    def logged_retry(port):
+        woken.append(port)
+        retry(port)
+
+    monkeypatch.setattr(OutputPort, "_retry", logged_retry)
+    sim = Simulator()
+    pool, ports, rx = shared_pool_ports(sim, 3)
+    heads = [pkt(1000) for _ in ports]
+    for port, head in zip(ports, heads):
+        port.enqueue(head)
+    assert all(p._retry_armed and p._plain for p in ports)
+    # too small for any head: no wakeup at all, wake order kept
+    pool.release(500, 0, was_shared=True)
+    assert woken == []
+    assert list(pool._waiters.items()) == [
+        (p._retry, head) for p, head in zip(ports, heads)
+    ]
+    # fits the first head only: that port alone is woken, and its send
+    # takes the space back before the others are checked
+    pool.release(500, 0, was_shared=True)
+    assert woken == [ports[0]]
+    assert list(pool._waiters) == [p._retry for p in ports[1:]]
+    sim.run()
+    assert [pid for pid, _ in rx.got] == [heads[0].pid]
+    assert not ports[0]._retry_armed
+    assert ports[1]._retry_armed and ports[2]._retry_armed
+
+
+def test_failed_port_loses_its_gated_place_in_wake_order():
+    """A port that leaves the plain regime while blocked must wake on the
+    next release like before, so a fail/recover cycle re-queues it behind
+    the ports that stayed blocked.  Keeping its gated entry instead would
+    let it jump the queue on recovery."""
+    sim = Simulator()
+    pool, (a, b), rx = shared_pool_ports(sim, 2, kind="inject")
+    pa, pb = pkt(1000), pkt(1000)
+    a.enqueue(pa)
+    b.enqueue(pb)
+    assert list(pool._waiters) == [a._retry, b._retry]
+    a.fail()  # parks its queue; its wait turns back into always-wake
+    assert pool._waiters[a._retry] is None
+    pool.release(500, 0, was_shared=True)  # fits neither head
+    a.recover()  # blocks again, now behind b
+    assert list(pool._waiters) == [b._retry, a._retry]
+    pool.release(500, 0, was_shared=True)  # fits one head
+    sim.run()
+    assert [pid for pid, _ in rx.got] == [pb.pid]
+    assert a._retry_armed and not b._retry_armed

@@ -44,6 +44,26 @@ def test_linkspec_validation():
         LinkSpec(1.0, 1.0, 0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("switch_latency", -1.0),
+        ("ack_overhead", -1.0),
+        ("nic_bandwidth", -1.0),
+        ("nic_bandwidth", 0.0),
+        ("classes", []),
+    ],
+)
+def test_fabricconfig_rejects_bad_scalars(field, value):
+    """Each of these used to build: negative latencies and rates stepped
+    the simulated clock backwards, a zero NIC rate divided by zero
+    mid-run, and no classes raised IndexError inside the build."""
+    with pytest.raises(ValueError, match=field):
+        FabricConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        FabricConfig().with_(**{field: value})
+
+
 def test_fabricconfig_with_creates_modified_copy():
     cfg = FabricConfig()
     cfg2 = cfg.with_(switch_latency=123.0)
