@@ -82,8 +82,16 @@ class EndToEndReliability:
         self._timer = None
 
     def rto(self, attempt: int) -> float:
-        """Retransmission timeout for the given attempt number."""
-        return min(self.base_rto_ns * self.backoff**attempt, self.max_rto_ns)
+        """Retransmission timeout for the given attempt number.
+
+        Capped at ``max_rto_ns``, also once ``backoff ** attempt`` no
+        longer fits a float (attempt 1,024 at the default backoff of 2).
+        """
+        try:
+            grown = self.backoff**attempt
+        except OverflowError:
+            return self.max_rto_ns
+        return min(self.base_rto_ns * grown, self.max_rto_ns)
 
     # -- sender side ---------------------------------------------------------
 

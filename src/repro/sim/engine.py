@@ -8,22 +8,32 @@ regardless of Python hash randomization or container internals.
 Determinism is a hard requirement here — the property-based tests compare
 runs event-for-event.
 
-The queue is a two-level calendar/ladder queue.  A sorted *near* list
-holds every entry below a moving time ``horizon``; everything later lands
-unsorted in a *far* overflow list.  Enqueues into the near window are a
-``bisect.insort``: a binary search plus a memmove of every entry that
-sorts after the new one.  New events land mid-window, not at the tail —
-measured, an insort shifts ~340 entries on average on the 80-node
-``malbec_mini`` bisection stream and ~780 on the 1024-node SHANDY one —
-so the memmove, not the search, is what grows with the window.  Dequeue
-is an O(1) ``list.pop()``.  When the near list drains, a *refill* carves the
-earliest time slice out of the far list (adaptive width, targeting a few
-hundred entries per slice) and Timsort puts it in order.  Entries are
-stored key-negated as ``(-time, -seq, fn, args)`` so the minimum
-``(time, seq)`` sits at the *end* of the ascending near list; float
-negation is bit-exact, so dispatch order is identical to a binary heap
-over ``(time, seq)`` — the heap oracle in ``tests/oracles/heap_sim.py``
-pins that event for event.
+The queue is a ladder queue with one rung (Tang, Goh & Thng, ACM TOMACS
+15(3), 2005).  A sorted *near* list holds every entry below a moving time
+``horizon``.  Above it, a *rung* of equal-width time buckets holds the
+entries up to ``rung_end``, and everything later lands unsorted in a
+*far* overflow list.  An enqueue below the horizon is a ``bisect.insort``
+into the near list; one into the rung appends to bucket
+``int((t - t0) * inv)``; a later one appends to the far list.  Dequeue is
+an O(1) ``list.pop()``.  When the near list drains, a *refill* sorts the
+next non-empty bucket into it.  When the rung is used up too, the refill
+spreads the far list over ``len(far) // _REFILL_TARGET`` buckets in one
+pass (a far list too small or too narrow to spread is taken whole), so
+every entry is scanned a fixed number of times however often the queue
+refills.  Measured on the bisection streams, the push cost is flat in
+the fabric size (0.7-1.0 us per traced call on 80 and on 1,024 nodes,
+CPython 3.11 on a 2-vCPU Xeon); what grew was the old refill, which
+carved one slice off the far list per refill and rescanned the whole
+list four times to do it (100 refills over a mean 5,171 far entries
+per 1,024-node SHANDY cell).  Bucket edges are
+exact: the horizon is always the smallest float whose bucket index
+reaches the next untaken bucket, so ``t < horizon`` files an entry below
+that bucket precisely when its index says so.  Entries are stored
+key-negated as ``(-time, -seq, fn, args)`` so the minimum ``(time, seq)``
+sits at the *end* of the ascending near list; float negation is
+bit-exact, so dispatch order is identical to a binary heap over
+``(time, seq)`` — the heap oracle in ``tests/oracles/heap_sim.py`` pins
+that event for event, every tie included.
 
 Cancellable timers use *lazy deletion*: :meth:`Simulator.schedule_cancellable`
 returns a :class:`TimerHandle` whose O(1) :meth:`~TimerHandle.cancel` blanks
@@ -45,9 +55,9 @@ Producer contract (v2, stable): hot producers enqueue through
 
 with an absolute time ``t >= sim.now`` and a pre-built args *tuple*.
 ``push`` assigns the tie-break sequence number and files the entry into
-the near or far list — it is bit- and order-identical to
-:meth:`Simulator.schedule` minus the negative-delay guard and the
-``*args`` packing frame.  No code outside this module may touch ``_seq``
+the near list, a rung bucket or the far list — it is bit- and
+order-identical to :meth:`Simulator.schedule` minus the delay guard and
+the ``*args`` packing frame.  No code outside this module may touch ``_seq``
 or the queue containers (grep for ``sim._seq`` / ``sim._near`` must come
 up empty outside ``repro.sim``).
 
@@ -63,6 +73,7 @@ from __future__ import annotations
 import contextlib
 import time
 from bisect import insort
+from math import inf, nextafter
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
@@ -80,10 +91,14 @@ __all__ = [
 #: deadline.  ``schedule_at`` clamps these to "now" instead of raising.
 _NEGATIVE_DRIFT_NS = 1e-6
 
-#: Calendar refill aims for about this many entries per near-window slice.
-#: Big enough that refill bookkeeping amortizes to noise, small enough
-#: to bound the memmove behind each near-list insort.
-_REFILL_TARGET = 512
+#: Entries per rung bucket when the far list is spread: a spread of n
+#: entries makes ``n // _REFILL_TARGET`` buckets, and a far list shorter
+#: than two buckets' worth is taken whole.  Big enough that per-refill
+#: bookkeeping amortizes to noise, small enough to bound the memmove
+#: behind each near-list insort.  Replaying recorded push/pop traces of
+#: the four benchmark workloads, 16-96 ran within noise of each other
+#: and 128-256 ran slower.
+_REFILL_TARGET = 64
 
 #: Guarded run loop: events dispatched between wall-clock deadline checks.
 #: A tripped deadline is detected at most this many events late; the
@@ -327,8 +342,8 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         super().__init__(sim)
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
         sim.schedule(delay, self._fire, value)
 
     def _fire(self, value: Any) -> None:
@@ -359,6 +374,12 @@ class Simulator:
         "_near",
         "_far",
         "_horizon",
+        "_rung",
+        "_rung_next",
+        "_rung_n",
+        "_rung_end",
+        "_rung_t0",
+        "_rung_inv",
         "_seq",
         "_events_processed",
         "_stopped",
@@ -378,12 +399,24 @@ class Simulator:
         #: O(1).  Mutated strictly in place — run loops hold direct
         #: references.
         self._near: list = []
-        #: unsorted overflow for entries at or past the horizon; sliced
-        #: into _near by _refill()
+        #: unsorted overflow for entries at or past _rung_end; spread
+        #: into a new rung (or taken whole) by _refill()
         self._far: list = []
-        #: entries strictly below this time belong in _near.
-        #: Monotonically non-decreasing across refills.
+        #: entries strictly below this time belong in _near: the lower
+        #: edge of the next untaken rung bucket (== _rung_end once the
+        #: rung is used up).  Monotonically non-decreasing.
         self._horizon: float = 0.0
+        #: rung of unsorted time buckets; bucket i holds the entries whose
+        #: index int((t - _rung_t0) * _rung_inv) is i.  Buckets below
+        #: _rung_next have been taken (None or empty); the rest are lists.
+        self._rung: list = []
+        self._rung_next: int = 0
+        #: entries held in the rung (for queue_length)
+        self._rung_n: int = 0
+        #: entries at or past this time belong in _far
+        self._rung_end: float = 0.0
+        self._rung_t0: float = 0.0
+        self._rung_inv: float = 0.0
         self._seq: int = 0
         self._events_processed: int = 0
         self._stopped = False
@@ -445,13 +478,20 @@ class Simulator:
         seq = self._seq = self._seq + 1
         if t < self._horizon:
             insort(self._near, (-t, -seq, fn, args))
+        elif t < self._rung_end:
+            self._rung[int((t - self._rung_t0) * self._rung_inv)].append(
+                (-t, -seq, fn, args)
+            )
+            self._rung_n += 1
         else:
             self._far.append((-t, -seq, fn, args))
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after *delay* ns of simulated time."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:  # NaN fails this too, unlike `delay < 0`
+            raise ValueError(
+                f"cannot schedule at delay={delay} (must be >= 0)"
+            )
         self.push(self.now + delay, fn, args)
 
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
@@ -459,13 +499,13 @@ class Simulator:
 
         Sub-nanosecond *negative* deltas are float drift from repeated
         ``now + delta`` arithmetic (e.g. retransmission deadlines) and are
-        clamped to "now"; genuinely past times still raise.
+        clamped to "now"; genuinely past times (and NaN) still raise.
         """
         delay = when - self.now
-        if delay < 0.0:
-            if delay < -_NEGATIVE_DRIFT_NS:
+        if not delay >= 0.0:
+            if not delay >= -_NEGATIVE_DRIFT_NS:
                 raise ValueError(
-                    f"cannot schedule in the past (delay={delay})"
+                    f"cannot schedule at delay={delay} (must be >= 0)"
                 )
             delay = 0.0
         self.push(self.now + delay, fn, args)
@@ -474,8 +514,10 @@ class Simulator:
         self, delay: float, fn: Callable, *args: Any
     ) -> TimerHandle:
         """Like :meth:`schedule`, returning a cancellable :class:`TimerHandle`."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:
+            raise ValueError(
+                f"cannot schedule at delay={delay} (must be >= 0)"
+            )
         handle = TimerHandle(self, fn, args)
         # entry layout: fn=None marks a cancellable entry, args IS the handle
         self.push(self.now + delay, None, handle)
@@ -486,10 +528,10 @@ class Simulator:
     ) -> TimerHandle:
         """Cancellable :meth:`schedule_at` (same drift clamping)."""
         delay = when - self.now
-        if delay < 0.0:
-            if delay < -_NEGATIVE_DRIFT_NS:
+        if not delay >= 0.0:
+            if not delay >= -_NEGATIVE_DRIFT_NS:
                 raise ValueError(
-                    f"cannot schedule in the past (delay={delay})"
+                    f"cannot schedule at delay={delay} (must be >= 0)"
                 )
             delay = 0.0
         handle = TimerHandle(self, fn, args)
@@ -505,79 +547,93 @@ class Simulator:
         after a mid-run compaction (a cancel inside a dispatched handler
         can get here while run() is on the stack).
         """
-        # Filtering preserves ascending order in _near; _far is unsorted
-        # anyway.  The horizon does not move.
-        self._near[:] = [
-            e for e in self._near if e[2] is not None or e[3].fn is not None
-        ]
-        self._far[:] = [
-            e for e in self._far if e[2] is not None or e[3].fn is not None
-        ]
+        # Filtering preserves ascending order in _near; rung buckets and
+        # _far are unsorted anyway.  No edge or horizon moves.
+        for q in (self._near, self._far, *self._rung[self._rung_next:]):
+            q[:] = [e for e in q if e[2] is not None or e[3].fn is not None]
+        self._rung_n = sum(map(len, self._rung[self._rung_next:]))
         self._dead = 0
 
-    def _refill(self) -> bool:
-        """Carve the earliest time slice of ``_far`` into ``_near``.
+    def _edge(self, i: int) -> float:
+        """Lower edge of rung bucket *i*: the smallest float whose bucket
+        index ``int((t - t0) * inv)`` reaches *i*.
 
-        Called only with ``_near`` empty; returns False when ``_far`` is
-        empty too (queue drained).  On True, ``_near`` is non-empty,
-        ascending-sorted, and every entry left in ``_far`` is strictly
-        after (in ``(time, seq)`` order) every entry moved to ``_near`` —
-        the cross-list invariant the run loops rely on.
-
-        The slice width adapts to the event-time density: it aims for
-        about ``_REFILL_TARGET`` entries per slice so near-list insorts
-        stay cheap even when a workload's horizon spans retransmission
-        timeouts (milliseconds) and wire events (nanoseconds) at once.
+        ``t0 + i / inv`` is within a few ulps of it; the index is monotone
+        in ``t``, so stepping one ulp at a time from there finds it.
         """
-        far = self._far
-        if not far:
-            return False
+        t0 = self._rung_t0
+        inv = self._rung_inv
+        t = t0 + i / inv
+        while int((t - t0) * inv) >= i:
+            t = nextafter(t, -inf)
+        while int((t - t0) * inv) < i:
+            t = nextafter(t, inf)
+        return t
+
+    def _refill(self) -> bool:
+        """Move the earliest pending entries into ``_near``, sorted.
+
+        Called only with ``_near`` empty; returns False when nothing is
+        pending.  On True, ``_near`` is non-empty, ascending-sorted, and
+        every entry left in the rung or ``_far`` is strictly after (in
+        ``(time, seq)`` order) every entry moved to ``_near`` — the
+        cross-list invariant the run loops rely on.
+
+        The next non-empty rung bucket is taken first.  Once the rung is
+        used up, ``_far`` is spread over a new rung of
+        ``len(_far) // _REFILL_TARGET`` equal-width buckets (its ``max``
+        and ``min``, then one distribution pass) whose first bucket is
+        taken.  A far list shorter than two buckets, or too narrow for
+        a positive finite bucket scale, is taken whole.
+        """
         near = self._near
+        if self._rung_n:
+            rung = self._rung
+            for i in range(self._rung_next, len(rung)):
+                bucket = rung[i]
+                if bucket:
+                    rung[i] = None
+                    self._rung_next = i + 1
+                    self._rung_n -= len(bucket)
+                    bucket.sort()
+                    near.extend(bucket)
+                    self._horizon = self._edge(i + 1)
+                    return True
+        far = self._far
         n = len(far)
-        # Entries are key-negated: max(far) is the earliest (time, seq),
-        # min(far) the latest.
-        if n <= _REFILL_TARGET:
-            near.extend(far)
-            far.clear()
-            near.sort()
-            self._horizon = -near[0][0]  # max time taken
-            return True
-        tmin = -max(far)[0]
-        tmax = -min(far)[0]
-        span = tmax - tmin
-        if span <= 0.0:
-            # every entry at one timestamp — take them all
-            near.extend(far)
-            far.clear()
-            near.sort()
-            self._horizon = tmin
-            return True
-        horizon = tmin + span * _REFILL_TARGET / n
-        if horizon <= tmin:  # width underflowed to zero ulps
-            near.extend(far)
-            far.clear()
-            near.sort()
-            self._horizon = tmax
-            return True
-        nh = -horizon
-        batch = [e for e in far if e[0] > nh]
-        if not batch or len(batch) == n:
-            # float-boundary degeneracy — fall back to taking everything
-            near.extend(far)
-            far.clear()
-            near.sort()
-            self._horizon = tmax
-            return True
-        far[:] = [e for e in far if e[0] <= nh]
-        batch.sort()
-        near.extend(batch)
-        self._horizon = horizon
+        if n >= 2 * _REFILL_TARGET:
+            # Entries are key-negated: max(far) is the earliest (time,
+            # seq), min(far) the latest.
+            nt0 = max(far)[0]
+            span = nt0 - min(far)[0]
+            nb = n // _REFILL_TARGET
+            inv = nb / span if span > 0.0 else 0.0
+            if 0.0 < inv < inf:
+                # nb + 1 buckets: the latest entry's index rounds to nb
+                # or nb - 1.  nt0 - e[0] is t - t0, rounded identically.
+                rung = self._rung = [[] for _ in range(nb + 1)]
+                for e in far:
+                    rung[int((nt0 - e[0]) * inv)].append(e)
+                far.clear()
+                self._rung_t0 = -nt0
+                self._rung_inv = inv
+                self._rung_next = 0
+                self._rung_n = n
+                self._rung_end = self._edge(nb + 1)
+                return self._refill()
+        if not n:
+            return False
+        near.extend(far)
+        far.clear()
+        near.sort()
+        # No push reaches the (empty) rung once its end is the horizon.
+        self._horizon = self._rung_end = -near[0][0]  # max time taken
         return True
 
     def _next_time(self) -> Optional[float]:
         """Timestamp of the next live-or-dead entry (None if drained).
 
-        May trigger a calendar refill; never dispatches.
+        May trigger a refill; never dispatches.
         """
         near = self._near
         if not near and not self._refill():
@@ -806,8 +862,9 @@ class Simulator:
 
     @property
     def queue_length(self) -> int:
-        """Pending queue entries, *including* cancelled-but-unpopped ones."""
-        return len(self._near) + len(self._far)
+        """Pending queue entries, *including* cancelled-but-unpopped ones
+        (the rung's are counted, not walked)."""
+        return len(self._near) + self._rung_n + len(self._far)
 
     @property
     def live_queue_length(self) -> int:

@@ -1,13 +1,16 @@
-"""Property: calendar queue == heap queue, event for event.
+"""Property: production event queue == heap queue, event for event.
 
-The production calendar/ladder queue (:class:`~repro.sim.Simulator`)
-stores key-negated entries in a sorted near window plus an unsorted far
-overflow and refills adaptively; the binary heap
-(``tests/oracles/heap_sim.py``) is the reference.  None of that may be
-*observable*: across random operation interleavings (schedule /
-schedule_at / cancellable timers / cancel / re-arm, same-tick ties,
-negative-drift clamps, horizon/bucket-resize boundaries) and across
-whole-fabric runs (healthy and faulted), the dispatched event stream
+The production ladder queue (:class:`~repro.sim.Simulator`) stores
+key-negated entries in a sorted near window, one rung of unsorted time
+buckets and an unsorted far overflow that is spread into a fresh rung
+once the old one is used up; the binary heap (``tests/oracles/heap_sim.py``)
+is the reference.  None of that may be *observable*: across random
+operation interleavings (schedule / schedule_at / cancellable timers /
+cancel / re-arm, same-tick ties, negative-drift clamps, pre-loaded queues
+that spread into a rung), across the refill boundaries (bucket edges to
+the ulp, pushes into untaken buckets and past the rung, compaction with
+dead timers in the rung) and across whole-fabric runs (healthy, faulted,
+and a bisection that spreads many times), the dispatched event stream
 must be identical — same times, same order, same event accounting.  The
 fabric comparison reuses the determinism differ's
 :class:`~repro.validate.differ.EventTrace` so any divergence reports the
@@ -15,15 +18,17 @@ exact first event where the two queue implementations disagreed.
 """
 
 import random
+from math import inf, nextafter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultSchedule
 from repro.network.dragonfly import DragonflyParams
+from repro.network.units import KiB
 from repro.sim import Simulator
 from repro.sim.engine import _REFILL_TARGET
-from repro.systems import slingshot_config
+from repro.systems import malbec_mini, slingshot_config
 from repro.validate.differ import EventTrace
 from tests.oracles.heap_sim import HeapSimulator
 
@@ -47,22 +52,32 @@ _DELAYS = (
 )
 
 
-def _drive(sim, ops, budget):
-    """Run *ops* against *sim*; return the dispatch log [(now, tag)].
+def _rung_live(sim):
+    """True while *sim* holds an untaken rung bucket (never for the heap)."""
+    return sim._horizon < sim._rung_end
 
-    Pre-schedules one entry per op, then lets handlers schedule, cancel,
-    and re-arm timers mid-run from a seeded RNG.  Both queue kinds see
-    the same op list and the same RNG seed, so as long as dispatch stays
-    identical the two runs make identical draws — the assertion below
-    verifies exactly that.
+
+def _drive(sim, ops, budget, preload=0):
+    """Run *ops* against *sim*; return the dispatch log [(now, tag)] and
+    whether a handler ever ran while a rung was live.
+
+    Pre-schedules *preload* entries at seeded times (enough of them make
+    the first refill spread the far list into a rung), then one entry
+    per op, then lets handlers schedule, cancel, and re-arm timers
+    mid-run from a seeded RNG.  Both queue kinds see the same op list and
+    the same RNG seed, so as long as dispatch stays identical the two
+    runs make identical draws — the assertion below verifies exactly
+    that.
     """
     rng = random.Random(20_260_808)
     log = []
     handles = []
     fuel = [budget]
+    rung_seen = [False]
 
     def fire(tag):
         log.append((sim.now, tag))
+        rung_seen[0] = rung_seen[0] or _rung_live(sim)
         if fuel[0] <= 0:
             return
         fuel[0] -= 1
@@ -87,6 +102,13 @@ def _drive(sim, ops, budget):
             # negative-drift clamp: a deadline an attosecond in the past
             sim.schedule_at(sim.now - 1e-9, fire, tag + 2_000)
 
+    pre = random.Random(preload)
+    for i in range(preload):
+        if pre.random() < 0.8:
+            t = pre.random() * 2_000.0
+        else:
+            t = pre.choice(_DELAYS)
+        sim.schedule(t, fire, -1 - i)
     for i, (kind, delay_idx) in enumerate(ops):
         delay = _DELAYS[delay_idx]
         if kind == 0:
@@ -96,7 +118,7 @@ def _drive(sim, ops, budget):
         else:
             handles.append(sim.schedule_cancellable(delay, fire, i))
     sim.run()
-    return log
+    return log, rung_seen[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -107,11 +129,16 @@ def _drive(sim, ops, budget):
         max_size=40,
     ),
     budget=st.integers(0, 400),
+    preload=st.integers(0, 8 * _REFILL_TARGET),
 )
-def test_random_interleavings_dispatch_identically(ops, budget):
-    log_cal = _drive(Simulator(), ops, budget)
-    log_heap = _drive(HeapSimulator(), ops, budget)
+def test_random_interleavings_dispatch_identically(ops, budget, preload):
+    log_cal, rung_seen = _drive(Simulator(), ops, budget, preload)
+    log_heap, _ = _drive(HeapSimulator(), ops, budget, preload)
     assert log_cal == log_heap
+    if preload >= 2 * _REFILL_TARGET:
+        # the first refill spread the pre-load into a rung, and the
+        # handlers' pushes met it
+        assert rung_seen
 
 
 @settings(max_examples=10, deadline=None)
@@ -140,26 +167,136 @@ def test_run_until_stepping_dispatches_identically(seed):
     assert stepped(Simulator()) == stepped(HeapSimulator())
 
 
+def _preloaded_log(sim, times):
+    log = []
+    for i, t in enumerate(times):
+        sim.schedule(t, log.append, (t, i))
+    sim.run()
+    assert sim.events_processed == len(times)
+    return log
+
+
+def _bucket_edge(t0, inv, i):
+    """Smallest float whose rung bucket index ``int((t - t0) * inv)``
+    reaches *i*, by walking up one ulp at a time from below."""
+    t = t0 + i / inv
+    for _ in range(8):
+        t = nextafter(t, -inf)
+    assert int((t - t0) * inv) < i
+    while int((t - t0) * inv) < i:
+        t = nextafter(t, inf)
+    return t
+
+
+def _off_edge_spread(n_buckets):
+    """Evenly spaced pre-load times whose spread has a bucket edge that
+    the uncorrected ``t0 + i / inv`` misses by at least one ulp.
+
+    Returns ``(times, i, edge, rung_end)`` for a spread of
+    ``len(times) // _REFILL_TARGET == n_buckets`` buckets.
+    """
+    n = n_buckets * _REFILL_TARGET
+    for k in range(1, 100):
+        t0 = 1_000.0 + k * 0.1
+        times = [t0 + j * (333.3 / n) for j in range(n)]
+        inv = n_buckets / (max(times) - t0)
+        for i in range(2, n_buckets):
+            edge = _bucket_edge(t0, inv, i)
+            if t0 + i / inv != edge:
+                return times, i, edge, _bucket_edge(t0, inv, n_buckets + 1)
+    raise AssertionError("no spread with an off-by-an-ulp bucket edge")
+
+
 def test_refill_boundary_regimes():
-    """Force each refill path: take-all, one-timestamp span, and the
-    adaptive partition with more than _REFILL_TARGET far entries."""
+    """Force each refill path: take-all for a short or one-timestamp far
+    list, spreads into rung buckets, pushes made mid-run into untaken
+    buckets and at or past the rung's end, and entries on an exact
+    bucket edge and one ulp either side of it."""
     for n, times in (
-        # > _REFILL_TARGET entries over a wide span -> partitioned refill
+        # a spread into 3 buckets, ties on every timestamp
         (3 * _REFILL_TARGET, lambda i: float(i % 97) * 1_000.0),
-        # everything at one timestamp -> span == 0 take-all
+        # a spread into 40 buckets, ties and sub-ns fractions
+        (40 * _REFILL_TARGET, lambda i: float((i * 7_919) % 1_009) * 0.37),
+        # everything at one timestamp -> too narrow to spread, take-all
         (2 * _REFILL_TARGET, lambda i: 42.0),
         # tiny far list -> plain take-all
         (17, lambda i: float(i)),
     ):
-        logs = []
-        for sim in (Simulator(), HeapSimulator()):
-            log = []
-            for i in range(n):
-                sim.schedule(times(i), log.append, (times(i), i))
-            sim.run()
-            assert sim.events_processed == n
-            logs.append(log)
-        assert logs[0] == logs[1]
+        ts = [times(i) for i in range(n)]
+        assert _preloaded_log(Simulator(), ts) == _preloaded_log(
+            HeapSimulator(), ts
+        )
+
+    # 8 buckets; bucket i's lower edge is one where the uncorrected
+    # t0 + i / inv is off by an ulp.  A trigger in bucket i - 1 runs while
+    # the horizon sits on that edge and pushes entries onto it, one ulp
+    # either side of it, into an untaken bucket, and at and past the
+    # rung's end.  Bucket i already holds earlier-seq ties at those times.
+    base, i, edge, rung_end = _off_edge_spread(8)
+    below, above = nextafter(edge, -inf), nextafter(edge, inf)
+    mid_run = (
+        below,
+        edge,
+        above,
+        edge + 1.5 * (edge - base[0]) / i,  # mid-bucket i + 1
+        nextafter(rung_end, -inf),
+        rung_end,
+        nextafter(rung_end, inf),
+        rung_end + 1_000.0,
+    )
+    trigger = nextafter(below, -inf)
+
+    def run(sim):
+        log = []
+
+        def fire(tag):
+            log.append((sim.now, tag))
+            if tag == "trigger":
+                if type(sim) is Simulator:
+                    assert sim._horizon == edge and sim._rung_end == rung_end
+                for k, t in enumerate(mid_run):
+                    sim.push(t, fire, (("mid", k),))
+
+        for k, t in enumerate(base + [below, edge, above, edge]):
+            sim.schedule(t, fire, k)
+        sim.schedule(trigger, fire, "trigger")
+        sim.run()
+        return log
+
+    log_cal = run(Simulator())
+    assert log_cal == run(HeapSimulator())
+    assert len(log_cal) == len(base) + 5 + len(mid_run)
+
+
+def test_compaction_with_dead_timers_in_rung_buckets():
+    """A cancel storm compacts the queue while most of the dead timers
+    sit in untaken rung buckets.  The entry counts must match the heap's
+    after every cancel and at every later dispatch."""
+
+    def run(sim):
+        log = []
+        timers = []
+
+        def fire(tag):
+            log.append((sim.now, tag, sim.queue_length, sim.live_queue_length))
+
+        def storm():
+            if type(sim) is Simulator:
+                assert _rung_live(sim) and sim._rung_n > 4 * _REFILL_TARGET
+            for k, h in enumerate(timers):
+                if k % 5:
+                    h.cancel()
+                log.append((sim.queue_length, sim.live_queue_length))
+            assert sim._dead < len(timers) // 2  # compacted at least once
+
+        sim.schedule(1_000.0, storm)
+        for i in range(6 * _REFILL_TARGET):
+            t = 1_000.5 + (i * 7_919) % 1_000
+            timers.append(sim.schedule_cancellable(t, fire, i))
+        sim.run()
+        return log
+
+    assert run(Simulator()) == run(HeapSimulator())
 
 
 def test_mid_run_compaction_keeps_new_events_live():
@@ -191,6 +328,34 @@ def test_mid_run_compaction_keeps_new_events_live():
 # -- whole-fabric equivalence (EventTrace) --------------------------------
 
 
+def test_queue_matches_heap_on_a_bisection_that_spreads_many_times():
+    """The 80-node bisection at 256 KiB per node spreads its far list
+    into a fresh rung over a dozen times, with the fabric pushing into
+    untaken buckets all along; every dispatched event must match."""
+
+    def run(sim):
+        fabric = malbec_mini().build(sim=sim)
+        trace = EventTrace()
+        rungs = set()
+
+        def hook(t, fn, args):
+            trace(t, fn, args)
+            if _rung_live(sim):
+                rungs.add(sim._rung_end)
+
+        sim.event_hook = hook
+        n = fabric.topology.n_nodes
+        for i in range(n):
+            fabric.send(i, (i + n // 2) % n, 256 * KiB)
+        sim.run()
+        return (fabric, trace), len(rungs)
+
+    cal, spreads = run(Simulator())
+    heap, _ = run(HeapSimulator())
+    assert spreads >= 10
+    _assert_same_dispatch(cal, heap)
+
+
 def _run_traced(cfg, seed, schedule_of=None, sim=None):
     fabric = cfg.build(sim=sim)
     if schedule_of is not None:
@@ -212,20 +377,23 @@ def _run_traced(cfg, seed, schedule_of=None, sim=None):
     return fabric, trace
 
 
-def _assert_fabric_equivalent(cfg, seed, schedule_of=None):
-    fab_cal, trace_cal = _run_traced(cfg, seed, schedule_of)
-    fab_heap, trace_heap = _run_traced(cfg, seed, schedule_of, HeapSimulator())
-    n = min(len(trace_cal), len(trace_heap))
-    for i in range(n):
-        assert trace_cal.events[i] == trace_heap.events[i], (
-            f"first divergence at event {i}: "
-            f"calendar={trace_cal.events[i]!r} heap={trace_heap.events[i]!r}"
-        )
+def _assert_same_dispatch(cal, heap):
+    """Compare two ``(fabric, EventTrace)`` runs event for event."""
+    (fab_cal, trace_cal), (fab_heap, trace_heap) = cal, heap
+    for i, (a, b) in enumerate(zip(trace_cal.events, trace_heap.events)):
+        assert a == b, f"first divergence at event {i}: {a!r} != {b!r}"
     assert len(trace_cal) == len(trace_heap)
     assert fab_cal.sim.events_processed == fab_heap.sim.events_processed
     assert fab_cal.sim.now == fab_heap.sim.now
     assert fab_cal.packets_delivered() == fab_heap.packets_delivered()
     assert fab_cal.packets_dropped() == fab_heap.packets_dropped()
+
+
+def _assert_fabric_equivalent(cfg, seed, schedule_of=None):
+    _assert_same_dispatch(
+        _run_traced(cfg, seed, schedule_of),
+        _run_traced(cfg, seed, schedule_of, HeapSimulator()),
+    )
 
 
 @settings(max_examples=6, deadline=None)

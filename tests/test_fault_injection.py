@@ -9,10 +9,12 @@ degraded throughput.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.faults import (
+    EndToEndReliability,
     FaultEvent,
     FaultInjector,
     FaultSchedule,
@@ -230,6 +232,15 @@ def test_fault_event_validation():
         link_error(0.0, ("host", 0), 1.0)
     with pytest.raises(ValueError):
         FaultEvent(0.0, "switch_fail", ("host", 0))  # wants a switch id
+
+
+def test_rto_caps_once_backoff_overflows():
+    """A wedged run retransmits until the attempt count is huge; at the
+    default backoff of 2, ``2.0 ** 1024`` overflows a float."""
+    rel = EndToEndReliability(SimpleNamespace(sim=None))
+    assert rel.rto(0) == rel.base_rto_ns
+    assert rel.rto(3) == rel.max_rto_ns
+    assert rel.rto(5_000) == rel.max_rto_ns
 
 
 def test_schedule_generate_is_deterministic_and_restored():

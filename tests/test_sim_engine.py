@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Simulator, StopSimulation
+from repro.sim.engine import Timeout
 
 
 def test_events_fire_in_time_order():
@@ -55,6 +56,29 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.schedule(-1.0, lambda: None)
+
+
+@pytest.mark.parametrize(
+    "door",
+    [
+        "schedule",
+        "schedule_at",
+        "schedule_cancellable",
+        "schedule_at_cancellable",
+        "Timeout",
+    ],
+)
+def test_nan_time_rejected_by_every_front_door(door):
+    """`delay < 0` is False for NaN, so a NaN time used to slip into the
+    queue, where it dispatched out of order or was silently dropped."""
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(ValueError, match="nan"):
+        if door == "Timeout":
+            Timeout(sim, float("nan"))
+        else:
+            getattr(sim, door)(float("nan"), lambda: None)
+    assert sim.queue_length == 1
 
 
 def test_schedule_at_absolute_time():
