@@ -22,6 +22,7 @@ The fluid-model twin of this scheduler lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -198,7 +199,7 @@ class TcScheduler:
     def set_port_bandwidth(self, bandwidth: float) -> None:
         """Re-rate the scheduler after a link degrade/restore (repro.faults);
         min/max shares are fractions, so caps track the new wire rate."""
-        if bandwidth <= 0:
+        if not bandwidth > 0:  # NaN fails this too
             raise ValueError("bandwidth must be positive")
         self._port_bw = bandwidth
 
@@ -206,7 +207,11 @@ class TcScheduler:
         """When a rate-capped queue will next be allowed to send.
 
         Used by the port to schedule a retry when every backlogged class
-        is blocked by its token bucket rather than by credits.
+        is blocked by its token bucket rather than by credits.  A class
+        that is short by less than the clock resolves at *now* gets the
+        next representable time, whose refill covers the shortfall
+        (``now + wait`` would round back to *now*, and the port would
+        arm no timer at all).
         """
         self._refill_buckets(now)
         best = None
@@ -217,6 +222,8 @@ class TcScheduler:
             cap = tc.max_share * self._port_bw
             wait = max(0.0, (size - self._bucket[i]) / cap)
             t = now + wait
+            if wait > 0.0 and t <= now:
+                t = math.nextafter(now, math.inf)
             if best is None or t < best:
                 best = t
         return best

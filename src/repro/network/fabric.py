@@ -83,15 +83,16 @@ class LinkSpec:
     replay_latency_ns: float = 200.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
+        # `not x > 0` rather than `x <= 0`: NaN fails it too
+        if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if self.prop_delay < 0:
+        if not self.prop_delay >= 0:
             raise ValueError("propagation delay cannot be negative")
-        if self.buffer_bytes <= 0:
+        if not self.buffer_bytes > 0:
             raise ValueError("buffer must be positive")
         if not (0.0 <= self.frame_error_rate < 1.0):
             raise ValueError("frame_error_rate must be in [0, 1)")
-        if self.replay_latency_ns < 0:
+        if not self.replay_latency_ns >= 0:
             raise ValueError(
                 f"replay_latency_ns cannot be negative (got "
                 f"{self.replay_latency_ns}): the LLR replay round-trip "
@@ -138,16 +139,17 @@ class FabricConfig:
     def __post_init__(self):
         # Reject at construction (with_() runs this too), not mid-run: a
         # negative latency or rate steps the simulated clock backwards, a
-        # zero NIC rate divides by zero at the first injection, and an
-        # empty class list breaks the build.
-        for name in ("switch_latency", "ack_overhead"):
+        # zero NIC rate divides by zero at the first injection, a NaN
+        # passes every `x < 0` test, and an empty class list breaks the
+        # build.  An infinite mark_threshold is valid (Aries never marks).
+        for name in ("switch_latency", "ack_overhead", "mark_threshold"):
             value = getattr(self, name)
             if not value >= 0:
                 raise ValueError(f"{name} cannot be negative (got {value})")
-        if not self.nic_bandwidth > 0:
-            raise ValueError(
-                f"nic_bandwidth must be positive (got {self.nic_bandwidth})"
-            )
+        for name in ("nic_bandwidth", "switch_buffer_bytes"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive (got {value})")
         if not self.classes:
             raise ValueError("classes must list at least one traffic class")
 

@@ -211,7 +211,7 @@ class Message:
         tc: int = 0,
         tag: Any = None,
     ):
-        if nbytes < 0:
+        if not nbytes >= 0:  # NaN fails this too
             raise ValueError("message size must be non-negative")
         self.mid = _fresh_mid()
         self.src = src

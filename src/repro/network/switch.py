@@ -26,15 +26,25 @@ last-hop switch, upstream ports lose credits and stall, their queues
 fill, and any victim packet that shares one of those buffers waits.
 Ports and switches are observed through one ``probe`` slot each
 (:mod:`repro.probe`).
+
+A port has one send body, :meth:`OutputPort._try_send`: the busy/up
+guard, then either the single-class branch (one uncapped class: serve
+the head when it fits downstream) or the scheduler branch (several
+classes, or a capped one), then one shared tail that takes the credit,
+marks, replays LLR errors and starts serialization.  The same body runs
+on enqueue, at the end of every transmission, on a wakeup and on
+recovery; ``tests/oracles/delivery.py`` keeps an independent copy that
+the delivery equivalence suite compares it against.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Dict, List, Optional, Sequence
 
 from ..core.traffic_classes import TcScheduler, TrafficClass
-from ..sim import Simulator
+from ..sim import Simulator, stable_hash
 from .buffers import VcBufferPool
 from .packet import recycle_packet
 
@@ -48,6 +58,20 @@ VC_RESERVE_BYTES = 8400.0
 #: Max switch traversals on any allowed path (local, global, local,
 #: global, local, plus the destination switch) — one VC per hop.
 NUM_VCS = 6
+
+
+def _return_credit(sim: Simulator, pkt) -> None:
+    """Hand the input-buffer slot *pkt* still occupies back to the wire
+    it arrived on (the credit flies back over that wire)."""
+    up = pkt.arrival_port
+    if up is not None:
+        sim.schedule(
+            up.prop_delay,
+            up.credits[pkt.tc].release,
+            pkt.size,
+            pkt.arrival_vc,
+            pkt.arrival_buf_shared,
+        )
 
 
 class OutputPort:
@@ -144,7 +168,6 @@ class OutputPort:
         self._single_tc = ntc == 1 and classes[0].max_share >= 1.0
         # Link-level reliability: transient frame errors are replayed
         # locally (LLR, paper §II-F).  Zero-cost when error_rate == 0.
-        self.error_rate = error_rate
         self.replay_latency = replay_latency
         self.replays = 0
         self._err_rng = None
@@ -155,28 +178,20 @@ class OutputPort:
         #: recycle unobserved drops?  Off under end-to-end reliability,
         #: whose tracker holds packet references (set by the injector).
         self.recycle_drops = True
-        if error_rate > 0.0:
-            import random as _random
-
-            from ..sim.rng import stable_hash
-
-            self._err_rng = _random.Random(stable_hash("llr", seed, name))
-        # Delivery fast path plumbing: aliases for the single-TC queue and
-        # pool (the lists are never replaced after construction), a
-        # precomputed mark gate, and the folded `_plain` dispatch flag.
+        # Aliases for the single-TC queue and pool (the lists are never
+        # replaced after construction) and a precomputed mark gate.
         self._q0 = self.queues[0]
         self._pool0 = self.credits[0]
         # One comparison replaces the two-clause mark check: a non-host
         # port can never mark, so its gate is +inf.
         self._mark_at = mark_threshold if kind == "host" else float("inf")
-        self._refresh_plain()
+        self.set_error_rate(error_rate, seed)  # also sets _plain
 
     # -- probe plumbing -----------------------------------------------------
     #
-    # ``_plain`` routes ``_try_send`` onto the allocation-free branch: one
-    # uncapped class, wire up, no LLR, no probe — the state in which the
-    # general path's scheduler/probe/LLR branches are all dead, and the
-    # only one in which a wasted credit wakeup has no side effect.
+    # ``_plain`` gates head-checked credit wakeups (see ``_arm_retry``):
+    # one uncapped class, wire up, no LLR, no probe — the only state in
+    # which a wasted wakeup has no side effect, so the pool may skip it.
 
     def _refresh_plain(self) -> None:
         plain = (
@@ -242,16 +257,13 @@ class OutputPort:
         return self.credits[tc].can_fit(pkt.vc, pkt.size)
 
     def _try_send(self) -> None:
-        # Plain regime (single uncapped class, wire up, no probe, no
-        # LLR): the arbitrate→credit→serialize cycle with every dead
-        # branch removed, enqueuing through the engine's sim.push()
-        # producer contract.  Must stay op-for-op equivalent to
-        # _try_send_general in this state — the reference port in
-        # tests/oracles/delivery.py always runs the general body, and the
-        # delivery-path equivalence suite pins the two bit-identical.
-        if self._plain:
-            if self.busy:
-                return
+        """Arbitrate, take the credit and start serializing the next packet."""
+        if self.busy or not self.up:
+            return
+        if self._single_tc:
+            # Trivial arbitration: one uncapped class.  select() would
+            # always return 0 for a non-empty eligible queue; the DRR
+            # deficit / EWMA state it maintains is unobservable here.
             q = self._q0
             if not q:
                 return
@@ -265,40 +277,11 @@ class OutputPort:
             ):
                 self._arm_retry()
                 return
-            # inlined _clear_retry(): probe is None and the uncap timer is
-            # never armed for a single uncapped class, so only the flag.
-            self._retry_armed = False
-            pkt = q.popleft()
-            if not q:
-                self.scheduler.reset_deficit(0)
-            if not pool.acquire(pkt):
-                raise RuntimeError("scheduler selected an ineligible queue")
-            if self.backlog > self._mark_at:
-                pkt.marked = True
-                self.marks_set += 1
-            self.busy = True
-            sim = self.sim
-            sim.push(sim.now + size / self.bandwidth, self._on_sent, (pkt,))
-            return
-        self._try_send_general()
-
-    def _try_send_general(self) -> None:
-        if self.busy or not self.up:
-            return
-        if self._single_tc:
-            # Trivial arbitration: one uncapped class.  select() would
-            # always return 0 for a non-empty eligible queue; the DRR
-            # deficit / EWMA state it maintains is unobservable here.
-            q = self.queues[0]
-            if not q:
-                return
-            head = q[0]
-            if not self.credits[0].can_fit(head.vc, head.size):
-                self._arm_retry()
-                return
-            self._clear_retry()
+            # a single uncapped class never arms an uncap timer, so only
+            # an armed port has anything to clear
+            if self._retry_armed:
+                self._clear_retry()
             tc = 0
-            pkt = q.popleft()
         else:
             tc = self.scheduler.select(
                 self.sim.now, self._head_size, self._eligible
@@ -311,31 +294,35 @@ class OutputPort:
             # _retry is guarded on the armed flag, so it is a no-op.)
             self._clear_retry()
             q = self.queues[tc]
-            pkt = q.popleft()
+            pool = self.credits[tc]
+        pkt = q.popleft()
         if not q:
             self.scheduler.reset_deficit(tc)
-        if not self.credits[tc].acquire(pkt):
+        if not pool.acquire(pkt):
             raise RuntimeError("scheduler selected an ineligible queue")
         # Endpoint-congestion marking: a deep queue at a host-facing port
         # is endpoint congestion, and every packet that had to wait in it
         # carries the mark back to its source in the ack (paper §II-D).
-        if self.backlog > self.mark_threshold and self.kind == "host":
+        probe = self._probe
+        if self.backlog > self._mark_at:
             pkt.marked = True
             self.marks_set += 1
-            if self._probe is not None:
-                self._probe.marked(self, pkt)
-        if self._probe is not None:
-            self._probe.arbitrated(self, pkt)
+            if probe is not None:
+                probe.marked(self, pkt)
+        if probe is not None:
+            probe.arbitrated(self, pkt)
         self.busy = True
-        wire_time = pkt.size / self.bandwidth
+        size = pkt.size
+        wire_time = size / self.bandwidth
         if self._err_rng is not None:
             # LLR: geometric number of transmissions; each corrupted one
             # costs a replay round-trip plus reserialization, all local
             # to this link (no end-to-end retransmission).
             while self._err_rng.random() < self.error_rate:
-                wire_time += self.replay_latency + pkt.size / self.bandwidth
+                wire_time += self.replay_latency + size / self.bandwidth
                 self.replays += 1
-        self.sim.schedule(wire_time, self._on_sent, pkt)
+        sim = self.sim
+        sim.push(sim.now + wire_time, self._on_sent, (pkt,))
 
     def _arm_retry(self) -> None:
         """Wake up when credits return or a rate cap unblocks."""
@@ -411,36 +398,7 @@ class OutputPort:
         prop = self.prop_delay
         pkt.prop_sum += prop
         sim.push(now + prop, self.rx.receive, (pkt, self))
-        # Tail send: in the plain regime start the next serialization
-        # inline (the _try_send body with the busy/up/plain checks already
-        # settled — busy was cleared three lines up); otherwise fall back
-        # to the general dispatcher.
-        if self._plain:
-            q = self._q0
-            if not q:
-                return
-            head = q[0]
-            pool = self._pool0
-            size = head.size
-            if (
-                pool.shared_avail < size
-                and pool.reserve_avail[head.vc] < size
-            ):
-                self._arm_retry()
-                return
-            self._retry_armed = False
-            pkt = q.popleft()
-            if not q:
-                self.scheduler.reset_deficit(0)
-            if not pool.acquire(pkt):
-                raise RuntimeError("scheduler selected an ineligible queue")
-            if self.backlog > self._mark_at:
-                pkt.marked = True
-                self.marks_set += 1
-            self.busy = True
-            sim.push(now + size / self.bandwidth, self._on_sent, (pkt,))
-            return
-        self._try_send_general()
+        self._try_send()
 
     # -- fault control (repro.faults) ---------------------------------------
     #
@@ -478,17 +436,7 @@ class OutputPort:
     def _drop_queued(self, pkt) -> None:
         self.backlog -= pkt.size
         self.pkts_dropped += 1
-        up = pkt.arrival_port
-        if up is not None:
-            # The packet still occupied the input-buffer slot of the wire
-            # it arrived on; hand the credit back exactly as _on_sent does.
-            self.sim.schedule(
-                up.prop_delay,
-                up.credits[pkt.tc].release,
-                pkt.size,
-                pkt.arrival_vc,
-                pkt.arrival_buf_shared,
-            )
+        _return_credit(self.sim, pkt)
         if self._probe is not None:
             self._probe.dropped(self, pkt)
         elif self.recycle_drops and not pkt.traced:
@@ -508,7 +456,7 @@ class OutputPort:
 
     def set_bandwidth(self, bandwidth: float) -> None:
         """Degrade/restore the wire rate (affects future serializations)."""
-        if bandwidth <= 0:
+        if not bandwidth > 0:  # NaN fails this too
             raise ValueError("bandwidth must be positive")
         self.bandwidth = bandwidth
         self.scheduler.set_port_bandwidth(bandwidth)
@@ -521,11 +469,7 @@ class OutputPort:
         if rate == 0.0:
             self._err_rng = None
         elif self._err_rng is None:
-            import random as _random
-
-            from ..sim.rng import stable_hash
-
-            self._err_rng = _random.Random(stable_hash("llr", seed, self.name))
+            self._err_rng = random.Random(stable_hash("llr", seed, self.name))
         self._refresh_plain()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -627,15 +571,7 @@ class Switch:
     def _drop(self, pkt) -> None:
         """Discard *pkt*, releasing the input-buffer slot it occupies."""
         self.pkts_dropped += 1
-        up = pkt.arrival_port
-        if up is not None:
-            self.sim.schedule(
-                up.prop_delay,
-                up.credits[pkt.tc].release,
-                pkt.size,
-                pkt.arrival_vc,
-                pkt.arrival_buf_shared,
-            )
+        _return_credit(self.sim, pkt)
         if self.probe is not None:
             self.probe.dropped(self, pkt)
 

@@ -5,9 +5,12 @@ bit-identically to the production :class:`~repro.network.nic.NIC` and
 :class:`~repro.network.switch.OutputPort` — same packets, same event
 times, same event order — which ``tests/test_delivery_path_equivalence.py``
 enforces event for event (healthy, under fault schedules with
-retransmissions, and in the paced/marked regimes).  Keep these boring:
-every probe call is an attribute check, every event goes through
-:meth:`Simulator.schedule`, and acked packets are never recycled.
+retransmissions, in the paced/marked regimes, and with several traffic
+classes, rate caps and LLR replays).  Keep these boring: the port's send
+body is its own copy (it calls no production send method), every probe
+call is an attribute check through the public ``probe`` slot, every
+event goes through :meth:`Simulator.schedule`, and acked packets are
+never recycled.
 
 Fabrics built inside :func:`reference_delivery` use them.
 :func:`recycling_off` is the reference for packet recycling: while it
@@ -38,16 +41,57 @@ __all__ = [
 class ReferenceOutputPort(OutputPort):
     """Packet-at-a-time reference port.
 
-    Every transmission runs the general arbitrate→credit→serialize body,
-    and every credit wait wakes on every release of its pool (no head
-    gating); the equivalence suite pins :class:`OutputPort`'s plain
-    branch and its gated wakeups bit-identical to this.
+    Its own straight-line arbitrate→credit→serialize body (no inlined
+    fit check, no aliases, the mark gate spelled out), and every credit
+    wait wakes on every release of its pool (no head gating); the
+    equivalence suite pins :class:`OutputPort`'s one send body and its
+    gated wakeups bit-identical to this in every regime: one or several
+    classes, caps, LLR replays, probes and faults.
     """
 
     __slots__ = ()
 
     def _try_send(self) -> None:
-        self._try_send_general()
+        if self.busy or not self.up:
+            return
+        if self._single_tc:
+            q = self.queues[0]
+            if not q:
+                return
+            head = q[0]
+            if not self.credits[0].can_fit(head.vc, head.size):
+                self._arm_retry()
+                return
+            self._clear_retry()
+            tc = 0
+        else:
+            tc = self.scheduler.select(
+                self.sim.now, self._head_size, self._eligible
+            )
+            if tc is None:
+                self._arm_retry()
+                return
+            self._clear_retry()
+            q = self.queues[tc]
+        pkt = q.popleft()
+        if not q:
+            self.scheduler.reset_deficit(tc)
+        if not self.credits[tc].acquire(pkt):
+            raise RuntimeError("scheduler selected an ineligible queue")
+        if self.backlog > self.mark_threshold and self.kind == "host":
+            pkt.marked = True
+            self.marks_set += 1
+            if self.probe is not None:
+                self.probe.marked(self, pkt)
+        if self.probe is not None:
+            self.probe.arbitrated(self, pkt)
+        self.busy = True
+        wire_time = pkt.size / self.bandwidth
+        if self._err_rng is not None:
+            while self._err_rng.random() < self.error_rate:
+                wire_time += self.replay_latency + pkt.size / self.bandwidth
+                self.replays += 1
+        self.sim.schedule(wire_time, self._on_sent, pkt)
 
     def _arm_retry(self) -> None:
         if self._retry_armed:

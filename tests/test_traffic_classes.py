@@ -1,5 +1,6 @@
 """Unit tests for traffic classes and the egress scheduler."""
 
+import math
 from collections import deque
 
 import pytest
@@ -10,6 +11,8 @@ from repro.core.traffic_classes import (
     default_traffic_classes,
     validate_classes,
 )
+from repro.network.units import KiB
+from repro.systems import malbec_mini
 
 
 class FakeQueues:
@@ -142,6 +145,34 @@ def test_capped_class_alone_respects_cap_via_uncap_time():
     assert sends >= 1
     t = sched.earliest_uncap_time(now, q.head_size)
     assert t is not None and t > now
+
+
+def test_uncap_time_past_a_shortfall_below_clock_resolution():
+    """A bucket one ulp short of the head needs a wait of ~3e-13 ns,
+    which `now + wait` rounds away at t = 5.6 us: the uncap time must
+    still lie after *now*, and one refill there must cover the gap."""
+    sched = TcScheduler([TrafficClass("capped", max_share=0.3)], 12.5)
+    now = 5610.133333333333
+    head = 4158.0
+    sched._bucket[0] = math.nextafter(head, 0.0)
+    sched._bucket_t = now
+    assert now + (head - sched._bucket[0]) / 3.75 == now
+    t = sched.earliest_uncap_time(now, lambda i: head)
+    assert t > now
+    assert sched.select(t, lambda i: head, lambda i: True) == 0
+
+
+def test_capped_class_never_strands_its_queue():
+    """Every node sends 64 KiB to node i + 40 on one class capped at
+    30%: a port whose token-bucket wait rounded to zero used to arm no
+    timer and wait for a credit release that never came (70/80)."""
+    cfg = malbec_mini().with_(classes=[TrafficClass("capped", max_share=0.3)])
+    fabric = cfg.build()
+    n = fabric.topology.n_nodes
+    msgs = [fabric.send(i, (i + 40) % n, 64 * KiB) for i in range(n)]
+    fabric.sim.run()
+    assert sum(m.complete for m in msgs) == n
+    fabric.assert_quiescent()
 
 
 def test_ineligible_queue_skipped():

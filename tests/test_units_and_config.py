@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.traffic_classes import TcScheduler, TrafficClass
+from repro.network.dragonfly import DragonflyParams
 from repro.network.fabric import FabricConfig, LinkSpec
+from repro.network.packet import Message
 from repro.network.units import (
     KiB,
     MiB,
@@ -62,6 +65,50 @@ def test_fabricconfig_rejects_bad_scalars(field, value):
         FabricConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
         FabricConfig().with_(**{field: value})
+
+
+NAN = float("nan")
+
+
+def _injection_port():
+    params = DragonflyParams(1, 2, 2, links_per_pair=1)
+    return FabricConfig(params=params).build().nics[0].out_port
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LinkSpec(NAN, 1.0, 1024),
+        lambda: LinkSpec(1.0, NAN, 1024),
+        lambda: LinkSpec(1.0, 1.0, NAN),
+        lambda: LinkSpec(1.0, 1.0, 1024, replay_latency_ns=NAN),
+        lambda: FabricConfig(mark_threshold=NAN),
+        lambda: FabricConfig().with_(switch_buffer_bytes=NAN),
+        lambda: _injection_port().set_bandwidth(NAN),
+        lambda: TcScheduler([TrafficClass()], 25.0).set_port_bandwidth(NAN),
+        lambda: Message(0, 5, NAN),
+    ],
+    ids=[
+        "link-bandwidth",
+        "link-prop-delay",
+        "link-buffer",
+        "link-replay-latency",
+        "mark-threshold",
+        "switch-buffer",
+        "port-set-bandwidth",
+        "scheduler-set-bandwidth",
+        "message-nbytes",
+    ],
+)
+def test_nan_sizes_rates_and_delays_are_rejected(make):
+    """NaN slips past every `x < 0` / `x <= 0` check.  Each of these
+    used to be accepted: a NaN link rate died mid-run converting a NaN
+    event time, a NaN switch buffer made the scheduler pick an
+    ineligible queue at the first send, a NaN mark threshold silently
+    disabled marking, and a NaN-byte message "completed" as one
+    header-only packet."""
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_fabricconfig_with_creates_modified_copy():
