@@ -3,7 +3,7 @@
 Every module regenerates one table/figure of the paper: it runs the
 experiment once inside ``benchmark.pedantic`` (so ``pytest benchmarks/
 --benchmark-only`` times it), asserts the paper's *shape* claims, prints
-the paper-style table, and appends it to ``benchmarks/results/``.
+the paper-style table, and writes it to ``benchmarks/results/``.
 
 Scale: the default configs are the ``*_mini`` systems (same group
 structure as the paper's machines, fewer nodes).  Set ``REPRO_SCALE=paper``
@@ -12,22 +12,13 @@ to run the full-size systems (slow: hours in pure Python).
 
 from __future__ import annotations
 
-import importlib.util
-import json
 import os
 import pathlib
-import sys
 
 import pytest
 
 HERE = pathlib.Path(__file__).resolve().parent
 RESULTS_DIR = HERE / "results"
-BENCH_ENGINE_JSON = RESULTS_DIR / "BENCH_engine.json"
-
-# The reference oracles the engine benches compare against live in the
-# test tree (``tests.oracles``), importable from the repository root.
-if str(HERE.parent) not in sys.path:
-    sys.path.insert(0, str(HERE.parent))
 
 
 def paper_scale() -> bool:
@@ -52,7 +43,8 @@ def get_systems():
 
 @pytest.fixture
 def report():
-    """Collects figure output; prints it and saves it to results/."""
+    """Collects figure output and prints it after the test (saving to
+    ``results/`` is :func:`save_result`'s job)."""
     chunks = []
 
     def emit(text: str) -> None:
@@ -67,34 +59,6 @@ def report():
 def save_result(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-def provenance() -> dict:
-    """Commit, interpreter, CPU model and UTC time, now (the same record
-    ``benchmarks/perf/run.py --out`` writes)."""
-    spec = importlib.util.spec_from_file_location("perf_run", HERE / "perf" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.provenance()
-
-
-def save_metrics(name: str, metrics: dict) -> None:
-    """Merge one bench's machine-readable numbers into BENCH_engine.json.
-
-    Read-modify-write keyed by bench name, so each bench owns its block
-    and re-runs of a single test update only that block.  Every block is
-    stamped with its :func:`provenance`, so numbers from different
-    commits or hosts are never mistaken for one another.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    data = {}
-    if BENCH_ENGINE_JSON.exists():
-        try:
-            data = json.loads(BENCH_ENGINE_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[name] = dict(metrics, provenance=provenance())
-    BENCH_ENGINE_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def run_once(benchmark, fn):

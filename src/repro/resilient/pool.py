@@ -127,10 +127,12 @@ class ResilienceConfig:
     def __post_init__(self):
         if self.resume and not self.journal:
             raise ValueError("resume=True requires a journal path")
-        if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
+        if self.cell_timeout_s is not None and not self.cell_timeout_s > 0:
             raise ValueError(
                 f"cell_timeout_s must be positive, got {self.cell_timeout_s}"
             )
+        # the same checks every worker's watchdog will apply, at build time
+        _engine._watchdog_tuple(self.max_events, self.max_sim_time_ns, None)
 
     def watchdog_kwargs(self) -> Dict[str, float]:
         wd: Dict[str, float] = {}

@@ -44,8 +44,10 @@ class RetryPolicy:
     def __post_init__(self):
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.base_delay_s < 0 or self.cap_delay_s < 0:
-            raise ValueError("backoff delays cannot be negative")
+        for name in ("base_delay_s", "cap_delay_s"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails this too
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if not (0.0 <= self.jitter <= 1.0):
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 

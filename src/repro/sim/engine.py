@@ -191,7 +191,7 @@ def _watchdog_tuple(
         ("max_sim_time_ns", max_sim_time_ns),
         ("wall_deadline_s", wall_deadline_s),
     ):
-        if v is not None and v <= 0:
+        if v is not None and not v > 0:  # NaN fails this too
             raise ValueError(f"watchdog {name} must be positive, got {v}")
     if max_events is None and max_sim_time_ns is None and wall_deadline_s is None:
         return None

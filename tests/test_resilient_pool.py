@@ -12,6 +12,7 @@ Backoff delays are kept tiny — determinism of the *schedule* is pinned
 separately in test_resilient_properties.py.
 """
 
+import math
 import os
 import signal
 import subprocess
@@ -237,6 +238,25 @@ def test_in_process_engine_same_semantics(tmp_path):
 def test_resume_requires_journal():
     with pytest.raises(ValueError, match="journal"):
         ResilienceConfig(resume=True)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cell_timeout_s", math.nan),
+        ("max_events", -1),
+        ("max_events", 0),
+        ("max_events", math.nan),
+        ("max_sim_time_ns", math.nan),
+        ("max_sim_time_ns", 0),
+        ("max_sim_time_ns", -5.0),
+    ],
+)
+def test_resilience_config_rejects_bad_limits_at_construction(field, value):
+    # otherwise a NaN timeout never kills an attempt, and a bad watchdog
+    # limit fails every cell inside its worker
+    with pytest.raises(ValueError, match=field):
+        ResilienceConfig(**{field: value})
 
 
 def test_run_cells_error_preserves_completed_results():

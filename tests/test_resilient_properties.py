@@ -14,6 +14,7 @@ without paying process-spawn latency hundreds of times.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,13 @@ policies = st.builds(
     cap_delay_s=st.floats(min_value=0.0, max_value=60.0),
     jitter=st.floats(min_value=0.0, max_value=1.0),
 )
+
+
+@pytest.mark.parametrize("field", ["base_delay_s", "cap_delay_s"])
+def test_nan_backoff_delay_rejected(field):
+    # a NaN cap makes every delay NaN, and the failed cell is never rerun
+    with pytest.raises(ValueError, match=field):
+        RetryPolicy(**{field: math.nan})
 
 
 @given(policies, cell_keys)

@@ -124,6 +124,26 @@ def test_watchdog_rejects_nonpositive_limits():
         sim.watchdog(wall_deadline_s=-1.0)
 
 
+def _arm_default(**limits):
+    with default_watchdog(**limits):
+        pass
+
+
+@pytest.mark.parametrize("field", ["max_events", "max_sim_time_ns", "wall_deadline_s"])
+@pytest.mark.parametrize(
+    "arm",
+    [lambda **kw: Simulator().watchdog(**kw), set_default_watchdog, _arm_default],
+    ids=["Simulator.watchdog", "set_default_watchdog", "default_watchdog"],
+)
+def test_watchdog_rejects_nan_limits_at_every_front_door(arm, field):
+    # NaN compares false both ways, so a NaN guard would never trip
+    try:
+        with pytest.raises(ValueError, match=field):
+            arm(**{field: float("nan")})
+    finally:
+        set_default_watchdog()
+
+
 def test_default_watchdog_applies_to_new_simulators_only():
     before = Simulator()
     with default_watchdog(max_events=5):
