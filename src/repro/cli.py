@@ -183,6 +183,15 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _positive_count(text: str) -> int:
+    """argparse type for ``--windows``: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}"
+        )
+    return int(text)
+
+
 def _seconds(text: str) -> float:
     """argparse type for ``--cell-timeout``: a number of seconds > 0."""
     try:
@@ -192,6 +201,21 @@ def _seconds(text: str) -> float:
     if not value > 0:
         raise argparse.ArgumentTypeError(
             f"expected a number of seconds > 0, got {text!r}"
+        )
+    return value
+
+
+def _duration(text: str) -> float:
+    """argparse type for ``--budget-ms`` / ``--window-us``: a finite
+    simulated duration > 0 (an infinite budget would leave the clock at
+    infinity, a zero window divides by zero)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}"
         )
     return value
 
@@ -735,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--size", type=int, default=8)
     p.add_argument("--iterations", type=int, default=8)
-    p.add_argument("--budget-ms", type=float, default=400.0)
+    p.add_argument("--budget-ms", type=_duration, default=400.0)
     p.set_defaults(fn=cmd_congestion)
 
     p = sub.add_parser(
@@ -748,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--ppn", type=int, default=1)
     p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--budget-ms", type=float, default=400.0)
+    p.add_argument("--budget-ms", type=_duration, default=400.0)
     p.add_argument("--jobs", type=_count, default=0,
                    help="worker processes for the grid cells "
                         "(0 = all cores / REPRO_JOBS)")
@@ -762,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--ppn", type=int, default=1)
     p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--budget-ms", type=float, default=400.0)
+    p.add_argument("--budget-ms", type=_duration, default=400.0)
     p.add_argument("--jobs", type=_count, default=0,
                    help="worker processes for the grid cells "
                         "(0 = all cores / REPRO_JOBS)")
@@ -807,9 +831,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--messages", type=int, default=120,
                    help="aggressor messages for incast/victim patterns")
     p.add_argument("--size", type=int, default=64 * KiB)
-    p.add_argument("--window-us", type=float, default=10.0,
+    p.add_argument("--window-us", type=_duration, default=10.0,
                    help="time-series window width in simulated microseconds")
-    p.add_argument("--windows", type=int, default=64,
+    p.add_argument("--windows", type=_positive_count, default=64,
                    help="window ring capacity (older windows fall off)")
     p.add_argument("--attribution", action="store_true",
                    help="print the per-stage latency attribution report")
@@ -831,18 +855,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault injection: degraded-fabric run with e2e recovery (§II-F)",
     )
     p.add_argument("--system", choices=_SYSTEMS, default="shandy")
-    p.add_argument("--messages", type=int, default=200)
+    p.add_argument("--messages", type=_count, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--faults", type=int, default=3,
+    p.add_argument("--faults", type=_count, default=3,
                    help="random link faults drawn from the seeded schedule")
-    p.add_argument("--switch-faults", type=int, default=0,
+    p.add_argument("--switch-faults", type=_count, default=0,
                    help="whole-switch fail/recover pairs to add")
     p.add_argument("--fail-global", type=int, default=0,
                    help="instead: fail K parallel global links between "
                         "groups 0 and 1 for the whole run")
     p.add_argument("--curve", action="store_true",
                    help="sweep the bandwidth-vs-failed-global-links curve")
-    p.add_argument("--budget-ms", type=float, default=60.0,
+    p.add_argument("--budget-ms", type=_duration, default=60.0,
                    help="simulated-time budget")
     p.add_argument("--require-lossless", action="store_true",
                    help="exit nonzero if any traffic failed to complete")

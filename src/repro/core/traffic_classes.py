@@ -60,7 +60,8 @@ def validate_classes(classes: Sequence[TrafficClass]) -> None:
     total_guaranteed = sum(tc.min_share for tc in classes)
     if total_guaranteed > 1.0 + 1e-9:
         raise ValueError(
-            f"sum of minimum bandwidth guarantees is {total_guaranteed:.3f} > 1"
+            f"traffic classes' minimum bandwidth guarantees sum to "
+            f"{total_guaranteed:.3f} > 1"
         )
 
 

@@ -52,6 +52,7 @@ class VcBufferPool:
         "reserve_avail",
         "_waiters",
         "_in_use",
+        "_release",
     )
 
     def __init__(self, shared_bytes: float, reserve_bytes: float, n_vcs: int):
@@ -68,6 +69,9 @@ class VcBufferPool:
         # packet), so it must not sum n_vcs+1 slices per read.  Sizes
         # are integer-valued floats, so += / -= stays exact.
         self._in_use: float = 0.0
+        #: :meth:`release` bound once: the credit-return event handler
+        #: that ports and NICs schedule, one per packet per hop
+        self._release = self.release
 
     def can_fit(self, vc: int, size: float) -> bool:
         return self.shared_avail >= size or self.reserve_avail[vc] >= size

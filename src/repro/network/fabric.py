@@ -19,7 +19,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.adaptive_routing import AdaptiveRouter
 from ..core.congestion_control import CongestionControl, make_cc
-from ..core.traffic_classes import TrafficClass, default_traffic_classes
+from ..core.traffic_classes import (
+    TrafficClass,
+    default_traffic_classes,
+    validate_classes,
+)
 from ..probe import ProbeHandle
 from ..sim import Event, Simulator
 from ..sim.rng import stable_hash
@@ -140,8 +144,10 @@ class FabricConfig:
         # Reject at construction (with_() runs this too), not mid-run: a
         # negative latency or rate steps the simulated clock backwards, a
         # zero NIC rate divides by zero at the first injection, a NaN
-        # passes every `x < 0` test, and an empty class list breaks the
-        # build.  An infinite mark_threshold is valid (Aries never marks).
+        # passes every `x < 0` test, an empty class list breaks the build,
+        # and guarantees summing past 1 would otherwise fail only inside
+        # the first multi-class port's scheduler.  An infinite
+        # mark_threshold is valid (Aries never marks).
         for name in ("switch_latency", "ack_overhead", "mark_threshold"):
             value = getattr(self, name)
             if not value >= 0:
@@ -152,6 +158,7 @@ class FabricConfig:
                 raise ValueError(f"{name} must be positive (got {value})")
         if not self.classes:
             raise ValueError("classes must list at least one traffic class")
+        validate_classes(self.classes)
 
     def build(self, sim: Optional[Simulator] = None) -> "Fabric":
         return Fabric(self, sim)

@@ -27,7 +27,9 @@ one ``probe`` slot (:mod:`repro.probe`).
 Delivery fast path: :class:`NIC` is the production implementation —
 ``_pump``/``on_ack``/``receive`` are allocation-free and branch-lean
 (cached effective window via ``PairState.eff_window``, ``probe`` and
-``retrans`` read into locals, event scheduling through ``sim.push``, and
+``retrans`` read into locals, event scheduling through ``sim.push`` with
+handlers bound once at construction — the pool's ``_release``, the
+NIC's ``_ack`` — rather than a fresh bound method per event, and
 acked packets returned to the :mod:`repro.network.packet` free-list when
 no probe, reliability layer or span could still hold them).  The
 straight-line specification lives in ``tests/oracles/delivery.py``;
@@ -69,6 +71,7 @@ class NIC:
         "idle_reset_ns",
         "probe",
         "retrans",
+        "_ack",
     )
 
     def __init__(
@@ -106,6 +109,8 @@ class NIC:
         self.probe = None
         #: end-to-end reliability (repro.faults); None = off
         self.retrans = None
+        #: :meth:`on_ack` bound once: every delivery schedules it
+        self._ack = self.on_ack
 
     # -- send side ----------------------------------------------------------
 
@@ -266,7 +271,7 @@ class NIC:
         # (only switches bump them), so they index the right pool here.
         sim.push(
             now + from_port.prop_delay,
-            from_port.credits[pkt.tc].release,
+            from_port.credits[pkt.tc]._release,
             (pkt.size, pkt.vc, pkt.buf_shared),
         )
         self.bytes_delivered += pkt.size
@@ -298,7 +303,7 @@ class NIC:
             + pkt.prop_sum
             + pkt.hops * self.switch_latency
             + self.ack_overhead,
-            src_nic.on_ack,
+            src_nic._ack,
             (pkt,),
         )
 

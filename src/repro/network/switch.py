@@ -11,7 +11,9 @@ serializing transmitter with
 * credit-based link-level flow control toward the downstream input
   buffer, partitioned per traffic class and per virtual channel;
 * a :class:`~repro.core.traffic_classes.TcScheduler` arbitrating between
-  traffic classes (priority, DRR on guarantees, caps).
+  traffic classes (priority, DRR on guarantees, caps) — built only when
+  there is something to arbitrate: a port with one uncapped class has
+  none.
 
 Virtual channels implement the standard dragonfly deadlock-avoidance
 scheme: a packet's VC equals the number of switch hops taken so far, so
@@ -35,6 +37,11 @@ marks, replays LLR errors and starts serialization.  The same body runs
 on enqueue, at the end of every transmission, on a wakeup and on
 recovery; ``tests/oracles/delivery.py`` keeps an independent copy that
 the delivery equivalence suite compares it against.
+
+The delivery-path event handlers (a port's ``_on_sent`` and its
+receiver's ``receive``, a pool's ``release``, a switch's ``_forward``)
+are bound once at construction and stored, so scheduling an event
+allocates no bound method for the cyclic collector to walk.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ def _return_credit(sim: Simulator, pkt) -> None:
     if up is not None:
         sim.schedule(
             up.prop_delay,
-            up.credits[pkt.tc].release,
+            up.credits[pkt.tc]._release,
             pkt.size,
             pkt.arrival_vc,
             pkt.arrival_buf_shared,
@@ -83,6 +90,8 @@ class OutputPort:
         "owner",
         "kind",
         "rx",
+        "_sent",
+        "_deliver",
         "bandwidth",
         "prop_delay",
         "queues",
@@ -151,7 +160,16 @@ class OutputPort:
                 VcBufferPool(buffer_bytes, VC_RESERVE_BYTES, NUM_VCS)
                 for _ in range(ntc)
             ]
-        self.scheduler = TcScheduler(classes, bandwidth)
+        # With one uncapped class, arbitration is trivial (serve the head
+        # whenever credits fit) and the DRR/EWMA bookkeeping is
+        # unobservable, so the port builds no scheduler.
+        self._single_tc = ntc == 1 and classes[0].max_share >= 1.0
+        self.scheduler: Optional[TcScheduler] = (
+            None if self._single_tc else TcScheduler(classes, bandwidth)
+        )
+        # the two handlers every transmission schedules, bound once
+        self._sent = self._on_sent
+        self._deliver = rx.receive
         self.busy = False
         self.backlog = 0.0  # queued + in-service bytes at this port
         self.mark_threshold = mark_threshold
@@ -162,10 +180,6 @@ class OutputPort:
         self._probe = None
         self._retry_armed = False
         self._retry_timer = None
-        # With one uncapped class, arbitration is trivial (serve the head
-        # whenever credits fit) and the DRR/EWMA bookkeeping is
-        # unobservable, so _try_send bypasses the scheduler entirely.
-        self._single_tc = ntc == 1 and classes[0].max_share >= 1.0
         # Link-level reliability: transient frame errors are replayed
         # locally (LLR, paper §II-F).  Zero-cost when error_rate == 0.
         self.replay_latency = replay_latency
@@ -261,9 +275,8 @@ class OutputPort:
         if self.busy or not self.up:
             return
         if self._single_tc:
-            # Trivial arbitration: one uncapped class.  select() would
-            # always return 0 for a non-empty eligible queue; the DRR
-            # deficit / EWMA state it maintains is unobservable here.
+            # Trivial arbitration, so no scheduler: one uncapped class
+            # sends its head whenever the head fits downstream.
             q = self._q0
             if not q:
                 return
@@ -281,7 +294,7 @@ class OutputPort:
             # an armed port has anything to clear
             if self._retry_armed:
                 self._clear_retry()
-            tc = 0
+            pkt = q.popleft()
         else:
             tc = self.scheduler.select(
                 self.sim.now, self._head_size, self._eligible
@@ -295,9 +308,9 @@ class OutputPort:
             self._clear_retry()
             q = self.queues[tc]
             pool = self.credits[tc]
-        pkt = q.popleft()
-        if not q:
-            self.scheduler.reset_deficit(tc)
+            pkt = q.popleft()
+            if not q:
+                self.scheduler.reset_deficit(tc)
         if not pool.acquire(pkt):
             raise RuntimeError("scheduler selected an ineligible queue")
         # Endpoint-congestion marking: a deep queue at a host-facing port
@@ -322,7 +335,7 @@ class OutputPort:
                 wire_time += self.replay_latency + size / self.bandwidth
                 self.replays += 1
         sim = self.sim
-        sim.push(sim.now + wire_time, self._on_sent, (pkt,))
+        sim.push(sim.now + wire_time, self._sent, (pkt,))
 
     def _arm_retry(self) -> None:
         """Wake up when credits return or a rate cap unblocks."""
@@ -392,12 +405,12 @@ class OutputPort:
         if up is not None:
             sim.push(
                 now + up.prop_delay,
-                up.credits[pkt.tc].release,
+                up.credits[pkt.tc]._release,
                 (size, pkt.arrival_vc, pkt.arrival_buf_shared),
             )
         prop = self.prop_delay
         pkt.prop_sum += prop
-        sim.push(now + prop, self.rx.receive, (pkt, self))
+        sim.push(now + prop, self._deliver, (pkt, self))
         self._try_send()
 
     # -- fault control (repro.faults) ---------------------------------------
@@ -426,12 +439,14 @@ class OutputPort:
         self._retry_armed = False
         if self.kind == "inject":
             return  # park, don't drop: the queue is host memory
+        scheduler = self.scheduler
         for tc, q in enumerate(self.queues):
             if not q:
                 continue
             while q:
                 self._drop_queued(q.popleft())
-            self.scheduler.reset_deficit(tc)
+            if scheduler is not None:
+                scheduler.reset_deficit(tc)
 
     def _drop_queued(self, pkt) -> None:
         self.backlog -= pkt.size
@@ -459,7 +474,8 @@ class OutputPort:
         if not bandwidth > 0:  # NaN fails this too
             raise ValueError("bandwidth must be positive")
         self.bandwidth = bandwidth
-        self.scheduler.set_port_bandwidth(bandwidth)
+        if self.scheduler is not None:
+            self.scheduler.set_port_bandwidth(bandwidth)
 
     def set_error_rate(self, rate: float, seed: int = 0) -> None:
         """Set the instantaneous frame error rate (BER storm / restore)."""
@@ -501,6 +517,7 @@ class Switch:
         "pkts_dropped",
         "up",
         "probe",
+        "_fwd",
     )
 
     def __init__(self, sim: Simulator, switch_id: int, group: int, latency: float, router):
@@ -531,6 +548,7 @@ class Switch:
         self.up = True
         #: observer slot (repro.probe); None = zero-overhead path
         self.probe = None
+        self._fwd = self._forward  # bound once: every arrival schedules it
 
     def all_ports(self) -> List[OutputPort]:
         out = list(self.port_to_switch.values())
@@ -552,7 +570,7 @@ class Switch:
         if self.probe is not None:
             self.probe.switch_rx(self, pkt)
         sim = self.sim
-        sim.push(sim.now + self.latency, self._forward, (pkt,))
+        sim.push(sim.now + self.latency, self._fwd, (pkt,))
 
     def _forward(self, pkt) -> None:
         hops = pkt.hops + 1

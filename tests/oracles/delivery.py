@@ -23,6 +23,7 @@ import contextlib
 from unittest import mock
 
 from repro.core.congestion_control import PairState
+from repro.core.traffic_classes import TcScheduler
 from repro.network import fabric as fabric_mod
 from repro.network import nic as nic_mod
 from repro.network import switch as switch_mod
@@ -42,14 +43,22 @@ class ReferenceOutputPort(OutputPort):
     """Packet-at-a-time reference port.
 
     Its own straight-line arbitrate→credit→serialize body (no inlined
-    fit check, no aliases, the mark gate spelled out), and every credit
-    wait wakes on every release of its pool (no head gating); the
+    fit check, no aliases, the mark gate spelled out), every credit
+    wait wakes on every release of its pool (no head gating), and it
+    keeps a scheduler even for one uncapped class, resetting its deficit
+    whenever a queue empties (the production port has none there); the
     equivalence suite pins :class:`OutputPort`'s one send body and its
     gated wakeups bit-identical to this in every regime: one or several
     classes, caps, LLR replays, probes and faults.
     """
 
     __slots__ = ()
+
+    def __init__(self, sim, owner, kind, rx, bandwidth, prop_delay, classes,
+                 *args, **kwargs):
+        super().__init__(sim, owner, kind, rx, bandwidth, prop_delay, classes,
+                         *args, **kwargs)
+        self.scheduler = TcScheduler(classes, bandwidth)
 
     def _try_send(self) -> None:
         if self.busy or not self.up:

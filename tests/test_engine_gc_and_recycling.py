@@ -1,6 +1,6 @@
-"""Run-loop exit paths and packet free-list recycling.
+"""Run-loop exit paths, packet free-list recycling and bound handlers.
 
-Two properties matter and both are about *invisibility*:
+Three properties matter and all are about *invisibility*:
 
 * ``run()`` leaves the cyclic collector alone, and every raising exit
   (a stall, a handler exception) drains the registered free-lists, so a
@@ -10,6 +10,9 @@ Two properties matter and both are about *invisibility*:
   recycle points guard against any observer (telemetry, auditor,
   reliability layer, traced packets) that could hold a reference past
   the packet's death.
+* The delivery-path event handlers are bound once per component, so
+  scheduling an event allocates no bound method for the collector to
+  walk, and the handler each event dispatches is unchanged.
 """
 
 import contextlib
@@ -252,3 +255,26 @@ def test_faulted_run_with_drops_keeps_accounting(tmp_path):
         )
 
     assert run(True) == run(False)
+
+
+def test_delivery_handlers_are_bound_once_per_component():
+    """Every ``_on_sent``, ``_forward``, ``receive``, ``release`` and
+    ``on_ack`` event of a bisection dispatches one of a fixed set of
+    handler objects (one per port, pool, switch and NIC) instead of a
+    fresh bound method per event.  The hook keeps every handler alive,
+    so distinct ids are distinct objects."""
+    fabric = malbec_mini().build()
+    n = fabric.topology.n_nodes
+    kept = []
+    fabric.sim.event_hook = lambda t, fn, args: kept.append(fn)
+    for i in range(n):
+        fabric.send(i, (i + n // 2) % n, 64 * KiB)
+    fabric.sim.run()
+    fabric.assert_quiescent()
+    names = {"_on_sent", "_forward", "receive", "release", "on_ack"}
+    hot = [fn for fn in kept if getattr(fn, "__name__", None) in names]
+    assert {fn.__name__ for fn in hot} == names
+    n_ports = sum(1 for _ in fabric.all_ports())
+    bound = 3 * n_ports + len(fabric.switches) + len(fabric.nics)
+    assert len(hot) > 10 * bound
+    assert len({id(fn) for fn in hot}) <= bound

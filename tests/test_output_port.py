@@ -145,6 +145,22 @@ def test_local_port_never_marks():
     assert port.marks_set == 0
 
 
+def test_scheduler_only_when_there_is_something_to_arbitrate():
+    """A port with one uncapped class serves its head whenever it fits,
+    so it builds no scheduler; several classes, or one capped class,
+    need one.  Re-rating and failing work either way."""
+    for classes, has_scheduler in (
+        ([TrafficClass()], False),
+        ([TrafficClass(), TrafficClass()], True),
+        ([TrafficClass(max_share=0.5)], True),
+    ):
+        port, _ = make_port(Simulator(), classes=classes)
+        assert (port.scheduler is not None) == has_scheduler, classes
+        port.set_bandwidth(5.0)
+        port.fail()
+        port.recover()
+
+
 def test_invalid_kind_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):

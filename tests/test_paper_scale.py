@@ -18,8 +18,9 @@ def test_fabric_build_stays_lean_per_port():
 
     Every GC-tracked object a build adds is walked by each collector
     pass, and at paper scale there are thousands of ports.  A port, its
-    queue, its buffer pool and its scheduler come to ~14 tracked objects
-    (amortizing switches, NICs and the router); one object per buffer
+    queue, its buffer pool and their bound event handlers come to ~12
+    tracked objects (amortizing switches, NICs and the router; a port
+    with one uncapped class has no scheduler); one object per buffer
     slice, each with its own waiter queue and listener list, comes to
     ~37.
     """

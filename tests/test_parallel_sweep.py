@@ -112,6 +112,18 @@ def test_degradation_curve_serial_equals_parallel():
         ("chaos --jobs -1", None),
         ("chaos --cell-timeout 0", None),
         ("observe --cell-timeout -1", None),
+        # counts and budgets: a negative message count or a NaN budget
+        # used to print a lossless chaos run and exit 0, and a negative
+        # fault count or an empty observe window died inside the run
+        ("chaos --messages -5", None),
+        ("chaos --budget-ms nan", None),
+        ("chaos --faults -1", None),
+        ("chaos --switch-faults -1", None),
+        ("observe --window-us 0", None),
+        ("observe --windows 0", None),
+        ("congestion --budget-ms -1", None),
+        ("heatmap --budget-ms inf", None),
+        ("allocation --budget-ms 0", None),
         ("chaos --curve", "0"),
         ("heatmap --jobs 0", "-4"),
     ],

@@ -55,12 +55,15 @@ def test_linkspec_validation():
         ("nic_bandwidth", -1.0),
         ("nic_bandwidth", 0.0),
         ("classes", []),
+        ("classes", [TrafficClass(min_share=0.6)] * 2),
     ],
 )
 def test_fabricconfig_rejects_bad_scalars(field, value):
     """Each of these used to build: negative latencies and rates stepped
     the simulated clock backwards, a zero NIC rate divided by zero
-    mid-run, and no classes raised IndexError inside the build."""
+    mid-run, no classes raised IndexError inside the build, and
+    guarantees summing past 1 failed only in build(), inside the first
+    port's scheduler."""
     with pytest.raises(ValueError, match=field):
         FabricConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
