@@ -38,8 +38,11 @@ retried with deterministic backoff, exhausted cells are quarantined as
 holes, and a journaled campaign resumes after a crash computing only
 the missing cells.  ``observe`` and non-curve ``chaos`` accept
 ``--cell-timeout`` as an in-sim watchdog: a wedged run exits with stall
-diagnostics.  Bad harness arguments (``--jobs`` or ``--retries`` below
-0, ``--cell-timeout`` not above 0) are usage errors (exit 2).
+diagnostics.  Bad numbers (a negative count or size, an iteration count
+or ``--windows`` below 1, a duration or ``--cell-timeout`` not above 0,
+a fraction outside [0, 1], a ``--nodes`` too small to split into
+victims and aggressors) are usage errors (exit 2), raised before any
+fabric is built.
 """
 
 from __future__ import annotations
@@ -136,13 +139,14 @@ def cmd_congestion(args) -> int:
         congestion_impact,
         incast_congestor,
         split_nodes,
+        victim_count,
     )
 
     config = _get_system(args.system)()
     n = config.params.n_nodes
     nodes = list(range(min(n, args.nodes)))
     victim_nodes, aggressor_nodes = split_nodes(
-        nodes, max(2, round(len(nodes) * args.victim_fraction)), args.allocation
+        nodes, victim_count(len(nodes), args.victim_fraction), args.allocation
     )
     congestor = {
         "incast": incast_congestor,
@@ -175,7 +179,7 @@ def cmd_congestion(args) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type for ``--jobs`` / ``--retries``: an integer >= 0."""
+    """argparse type for a count or a size: an integer >= 0."""
     if not text.isdigit():
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 0, got {text!r}"
@@ -184,7 +188,8 @@ def _count(text: str) -> int:
 
 
 def _positive_count(text: str) -> int:
-    """argparse type for ``--windows``: an integer >= 1."""
+    """argparse type for ``--windows``, ``--nodes`` and iteration counts:
+    an integer >= 1."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1, got {text!r}"
@@ -206,9 +211,10 @@ def _seconds(text: str) -> float:
 
 
 def _duration(text: str) -> float:
-    """argparse type for ``--budget-ms`` / ``--window-us``: a finite
-    simulated duration > 0 (an infinite budget would leave the clock at
-    infinity, a zero window divides by zero)."""
+    """argparse type for ``--budget-ms``, ``--window-us`` and
+    ``--scrape-interval-us``: a finite simulated duration > 0 (an
+    infinite budget would leave the clock at infinity, a zero window or
+    interval divides by zero)."""
     try:
         value = float(text)
     except ValueError:
@@ -218,6 +224,39 @@ def _duration(text: str) -> float:
             f"expected a finite number > 0, got {text!r}"
         )
     return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type for ``--sample-rate`` / ``--victim-fraction``: a
+    number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a number in [0, 1], got {text!r}"
+        )
+    return value
+
+
+def _split_error(args) -> "str | None":
+    """Why ``--nodes`` cannot be split into victims and aggressors at
+    some victim fraction the command runs, or None."""
+    from .sweeps import aggressor_rows
+    from .workloads import split_nodes, victim_count
+
+    n = min(_get_system(args.system)().params.n_nodes, args.nodes)
+    if args.command == "congestion":
+        fractions = [args.victim_fraction]
+    else:
+        fractions = [frac for _, _, frac in aggressor_rows()]
+    for frac in fractions:
+        try:
+            split_nodes(range(n), victim_count(n, frac), "linear")
+        except ValueError as err:
+            return f"--nodes {args.nodes} gives {n} nodes: {err}"
+    return None
 
 
 def _jobs_arg(args) -> "int | None":
@@ -435,8 +474,6 @@ def cmd_trace(args) -> int:
     from .sim.rng import stable_hash
     from .telemetry import FabricTelemetry
 
-    if not (0.0 <= args.sample_rate <= 1.0):
-        raise SystemExit(f"--sample-rate must be in [0, 1] (got {args.sample_rate})")
     config = _get_system(args.system)()
     fabric = config.build()
     telem = FabricTelemetry(
@@ -487,8 +524,6 @@ def cmd_trace(args) -> int:
 def cmd_observe(args) -> int:
     from .observe import STAGES  # noqa: F401 (import check before building)
 
-    if not (0.0 <= args.sample_rate <= 1.0):
-        raise SystemExit(f"--sample-rate must be in [0, 1] (got {args.sample_rate})")
     config = _get_system(args.system)()
     fabric = config.build()
     obs = fabric.attach_observer(
@@ -747,18 +782,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("latency", help="quiet-system collective latency")
     p.add_argument("--system", choices=_SYSTEMS, default="malbec")
     p.add_argument("--ranks", type=int, default=16)
-    p.add_argument("--size", type=int, default=8)
-    p.add_argument("--iterations", type=int, default=10)
+    p.add_argument("--size", type=_count, default=8)
+    p.add_argument("--iterations", type=_positive_count, default=10)
     p.set_defaults(fn=cmd_latency)
 
     p = sub.add_parser("congestion", help="victim vs aggressor impact (Fig. 9)")
     p.add_argument("--system", choices=_SYSTEMS, default="crystal")
     p.add_argument("--aggressor", choices=("incast", "alltoall"), default="incast")
     p.add_argument("--allocation", choices=("linear", "interleaved", "random"), default="random")
-    p.add_argument("--victim-fraction", type=float, default=0.5)
-    p.add_argument("--nodes", type=int, default=64)
-    p.add_argument("--size", type=int, default=8)
-    p.add_argument("--iterations", type=int, default=8)
+    p.add_argument("--victim-fraction", type=_fraction, default=0.5)
+    p.add_argument("--nodes", type=_positive_count, default=64)
+    p.add_argument("--size", type=_count, default=8)
+    p.add_argument("--iterations", type=_positive_count, default=8)
     p.add_argument("--budget-ms", type=_duration, default=400.0)
     p.set_defaults(fn=cmd_congestion)
 
@@ -769,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--victims", choices=("micro", "apps", "all"), default="micro")
     p.add_argument("--allocation", choices=("linear", "interleaved", "random"),
                    default="linear")
-    p.add_argument("--nodes", type=int, default=64)
+    p.add_argument("--nodes", type=_positive_count, default=64)
     p.add_argument("--ppn", type=int, default=1)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--budget-ms", type=_duration, default=400.0)
@@ -783,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
         "allocation", help="impact distribution by allocation policy (Fig. 10)"
     )
     p.add_argument("--system", choices=_SYSTEMS, default="crystal")
-    p.add_argument("--nodes", type=int, default=64)
+    p.add_argument("--nodes", type=_positive_count, default=64)
     p.add_argument("--ppn", type=int, default=1)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--budget-ms", type=_duration, default=400.0)
@@ -800,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="fabric utilization diagnostics")
     p.add_argument("--system", choices=_SYSTEMS, default="shandy")
-    p.add_argument("--messages", type=int, default=200)
+    p.add_argument("--messages", type=_count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_report)
 
@@ -810,10 +845,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--system", choices=_SYSTEMS, default="malbec")
     p.add_argument("--pattern", choices=("random", "incast"), default="incast")
-    p.add_argument("--messages", type=int, default=200)
-    p.add_argument("--sample-rate", type=float, default=1.0,
+    p.add_argument("--messages", type=_count, default=200)
+    p.add_argument("--sample-rate", type=_fraction, default=1.0,
                    help="fraction of packets given lifecycle spans")
-    p.add_argument("--scrape-interval-us", type=float, default=10.0,
+    p.add_argument("--scrape-interval-us", type=_duration, default=10.0,
                    help="counter snapshot cadence in simulated microseconds")
     p.add_argument("--out", default="trace_out",
                    help="output directory for trace artifacts")
@@ -828,9 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=_SYSTEMS, default="malbec")
     p.add_argument("--pattern", choices=("bisection", "incast", "victim"),
                    default="bisection")
-    p.add_argument("--messages", type=int, default=120,
+    p.add_argument("--messages", type=_count, default=120,
                    help="aggressor messages for incast/victim patterns")
-    p.add_argument("--size", type=int, default=64 * KiB)
+    p.add_argument("--size", type=_count, default=64 * KiB)
     p.add_argument("--window-us", type=_duration, default=10.0,
                    help="time-series window width in simulated microseconds")
     p.add_argument("--windows", type=_positive_count, default=64,
@@ -839,9 +874,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the per-stage latency attribution report")
     p.add_argument("--weathermap", metavar="OUT.html", default=None,
                    help="write the fabric weather map to this HTML file")
-    p.add_argument("--top-k", type=int, default=5,
+    p.add_argument("--top-k", type=_count, default=5,
                    help="hot links / shared ports to show per report")
-    p.add_argument("--sample-rate", type=float, default=1.0,
+    p.add_argument("--sample-rate", type=_fraction, default=1.0,
                    help="fraction of packets given lifecycle spans")
     p.add_argument("--cell-timeout", type=_seconds, default=None,
                    metavar="SECONDS",
@@ -898,7 +933,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "nodes" in args:  # the victim/aggressor commands
+        problem = _split_error(args)
+        if problem:
+            parser.error(problem)
     if args.profile is None and args.profile_out is None:
         return args.fn(args)
 

@@ -58,12 +58,6 @@ class FaultInjector:
         self.events_applied = 0
         fabric.fault_injector = self
         if reliability:
-            # The retransmission tracker keeps a reference to every
-            # unsettled packet, so a dropped packet is NOT dead — port
-            # drop recycling must be off (the NIC ack path never recycles
-            # while ``retrans`` is set).
-            for _, port in fabric.all_ports():
-                port.recycle_drops = False
             for nic in fabric.nics:
                 nic.retrans = EndToEndReliability(
                     nic,

@@ -29,7 +29,7 @@ from ..sim import Event, Simulator
 from ..sim.rng import stable_hash
 from .dragonfly import DragonflyParams, DragonflyTopology
 from .nic import NIC
-from .packet import ROCE_HEADER_BYTES, Message, drain_packet_pool
+from .packet import ROCE_HEADER_BYTES, Message
 from .switch import OutputPort, Switch
 from .units import KiB, gbps
 
@@ -209,10 +209,6 @@ class Fabric:
         #: link keys attached to each switch (whole-switch failure support)
         self._switch_links: Dict[int, List[tuple]] = {}
         self._wire_everything()
-        # Dead packets (acked, or dropped unobserved) return to the packet
-        # free-list; registering its drain means an aborted run cannot
-        # leak pooled packets across runs of one process.
-        self.sim.register_free_list(drain_packet_pool)
         self.messages_sent = 0
         self.messages_completed = 0
         #: the attached FaultInjector, if any (set by repro.faults)

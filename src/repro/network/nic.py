@@ -25,13 +25,13 @@ faults.  ``retrans`` is None by default.  Observers attach through the
 one ``probe`` slot (:mod:`repro.probe`).
 
 Delivery fast path: :class:`NIC` is the production implementation —
-``_pump``/``on_ack``/``receive`` are allocation-free and branch-lean
-(cached effective window via ``PairState.eff_window``, ``probe`` and
-``retrans`` read into locals, event scheduling through ``sim.push`` with
-handlers bound once at construction — the pool's ``_release``, the
-NIC's ``_ack`` — rather than a fresh bound method per event, and
-acked packets returned to the :mod:`repro.network.packet` free-list when
-no probe, reliability layer or span could still hold them).  The
+``_pump``/``on_ack``/``receive`` are branch-lean and allocate nothing
+but the packets ``_pump`` admits (cached effective window via
+``PairState.eff_window``, ``probe`` and ``retrans`` read into locals,
+event scheduling through ``sim.push`` with handlers bound once at
+construction — the pool's ``_release``, the NIC's ``_ack`` — rather
+than a fresh bound method per event).  A packet dies by reference count
+once it is acked or dropped and nothing else holds it.  The
 straight-line specification lives in ``tests/oracles/delivery.py``;
 ``tests/test_delivery_path_equivalence.py`` pins the two event-for-event.
 """
@@ -42,7 +42,7 @@ from typing import Callable, Dict, Optional
 
 from ..core.congestion_control import CongestionControl, PairState
 from ..sim import Simulator
-from .packet import Message, Packet, recycle_packet
+from .packet import Message, Packet
 from .switch import OutputPort
 
 __all__ = ["NIC"]
@@ -322,15 +322,8 @@ class NIC:
         else:
             self.acks_clean += 1
         self.cc.on_ack(state, pkt.marked, now)
-        probe = self.probe
-        if probe is not None:
-            probe.acked(self, pkt, state)
-        elif retrans is None and not pkt.traced:
-            # The ack settles the packet's last obligation: with no probe
-            # or reliability layer attached (and the packet never traced),
-            # nothing can still hold a reference, so it goes back to the
-            # free-list for reuse.
-            recycle_packet(pkt)
+        if self.probe is not None:
+            self.probe.acked(self, pkt, state)
         self._pump(state)
 
     # -- introspection ----------------------------------------------------------

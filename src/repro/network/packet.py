@@ -6,33 +6,18 @@ each, plus the RoCEv2 header/trailer overhead the paper details (§II-G:
 Ethernet 26 B incl. preamble + IPv4 20 B + UDP 8 B + InfiniBand 14 B +
 ICRC 4 B = 62 B on a 4 KiB-payload packet).
 
-Packet free-list: one :class:`Packet` per wire transmission makes the
-constructor a top allocation site.  :func:`recycle_packet` returns a
-dead packet (delivered *and* acked, or dropped with no observer) to a
-module-level pool; :meth:`Message.packets` draws from the pool before
-allocating.  Recycled packets are fully re-initialized — including a
-fresh ``pid`` from the same global counter — so simulation behaviour and
-diagnostics are bit-identical with the pool on or off; only object
-*identity* is reused.  Producers recycle only when no probe
-(:mod:`repro.probe`), reliability layer or traced span could still see
-the packet (see ``NIC.on_ack`` / ``OutputPort.recycle_drops``).
+One :class:`Packet` is built per wire transmission and dies by reference
+count once nothing holds it, so a probe may keep any packet it was
+handed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .units import KiB
 
-__all__ = [
-    "Packet",
-    "Message",
-    "MTU_PAYLOAD",
-    "ROCE_HEADER_BYTES",
-    "recycle_packet",
-    "drain_packet_pool",
-    "packet_pool_size",
-]
+__all__ = ["Packet", "Message", "MTU_PAYLOAD", "ROCE_HEADER_BYTES"]
 
 #: Slingshot RoCEv2 data packets carry up to 4 KiB of data (paper §II-G).
 MTU_PAYLOAD = 4 * KiB
@@ -47,45 +32,6 @@ def _fresh_mid() -> int:
     global _next_mid
     _next_mid += 1
     return _next_mid
-
-
-#: dead-packet free-list (see module docstring).  Capped so a one-off
-#: burst cannot pin an unbounded object graveyard.
-_pool: List["Packet"] = []
-_POOL_CAP = 4096
-
-
-def recycle_packet(pkt: "Packet") -> None:
-    """Return a dead packet to the free-list.
-
-    Clears the fields that reference fabric state (``message``,
-    ``arrival_port``) so a pooled packet keeps nothing alive, and uses
-    ``message is None`` as the already-recycled marker — double-recycling
-    (e.g. a diagnostic bench acking the same packet twice) is a no-op.
-    """
-    if pkt.message is None:
-        return
-    pkt.message = None
-    pkt.arrival_port = None
-    if len(_pool) < _POOL_CAP:
-        _pool.append(pkt)
-
-
-def drain_packet_pool() -> int:
-    """Empty the free-list; returns how many packets were discarded.
-
-    Registered with each fabric's simulator as a free-list drain hook so
-    an aborted run (stall, handler exception) in a reused worker process
-    cannot leak pooled objects into the next run's accounting.
-    """
-    n = len(_pool)
-    _pool.clear()
-    return n
-
-
-def packet_pool_size() -> int:
-    """Current free-list depth (tests and telemetry)."""
-    return len(_pool)
 
 
 class Packet:
@@ -237,52 +183,16 @@ class Message:
         *assignment order* can differ when messages interleave (pids are
         diagnostic identity, never simulation input).
         """
-        global _next_pid
         src, dst, tc = self.src, self.dst, self.tc
-        npackets = self.npackets
-        last = npackets - 1
+        last = self.npackets - 1
         remaining = self.nbytes
         positive = self.nbytes > 0
-        pool = _pool
-        for i in range(npackets):
+        for i in range(self.npackets):
             chunk = min(MTU_PAYLOAD, remaining) if positive else 0
             remaining -= chunk
-            if pool:
-                # Recycled object: re-initialize every slot, drawing the
-                # pid from the same counter a fresh construction would —
-                # pooling must be invisible to diagnostics.
-                pkt = pool.pop()
-                _next_pid += 1
-                pkt.pid = _next_pid
-                pkt.src = src
-                pkt.dst = dst
-                pkt.payload = chunk
-                pkt.size = chunk + header_bytes
-                pkt.tc = tc
-                pkt.message = self
-                pkt.vc = 0
-                pkt.inject_time = 0.0
-                pkt.hops = 0
-                pkt.prop_sum = 0.0
-                pkt.intermediate_group = None
-                pkt.arrival_port = None
-                pkt.arrival_vc = 0
-                pkt.buf_shared = True
-                pkt.arrival_buf_shared = True
-                pkt.marked = False
-                pkt.is_last = i == last
-                pkt.traced = False
-                pkt.attempt = 0
-            else:
-                pkt = Packet(
-                    src,
-                    dst,
-                    chunk,
-                    tc=tc,
-                    message=self,
-                    header_bytes=header_bytes,
-                    is_last=(i == last),
-                )
+            # Positional: keyword arguments make this per-packet call
+            # about a third slower (CPython 3.11).
+            pkt = Packet(src, dst, chunk, tc, self, header_bytes, i == last)
             pkt.seq = i
             yield pkt
 

@@ -53,7 +53,6 @@ from typing import Dict, List, Optional, Sequence
 from ..core.traffic_classes import TcScheduler, TrafficClass
 from ..sim import Simulator, stable_hash
 from .buffers import VcBufferPool
-from .packet import recycle_packet
 
 __all__ = ["OutputPort", "Switch", "NUM_VCS", "VC_RESERVE_BYTES"]
 
@@ -118,7 +117,6 @@ class OutputPort:
         "_err_rng",
         "up",
         "pkts_dropped",
-        "recycle_drops",
     )
 
     def __init__(
@@ -189,9 +187,6 @@ class OutputPort:
         # a failed one refuses new transmissions and has dropped its queue.
         self.up = True
         self.pkts_dropped = 0
-        #: recycle unobserved drops?  Off under end-to-end reliability,
-        #: whose tracker holds packet references (set by the injector).
-        self.recycle_drops = True
         # Aliases for the single-TC queue and pool (the lists are never
         # replaced after construction) and a precomputed mark gate.
         self._q0 = self.queues[0]
@@ -454,11 +449,6 @@ class OutputPort:
         _return_credit(self.sim, pkt)
         if self._probe is not None:
             self._probe.dropped(self, pkt)
-        elif self.recycle_drops and not pkt.traced:
-            # Dropped with nobody watching: the packet is dead the moment
-            # the credit-release event above is scheduled (it captured
-            # scalars, not the packet), so recycle it.
-            recycle_packet(pkt)
 
     def recover(self) -> None:
         """Bring a failed wire back; parked traffic resumes immediately."""

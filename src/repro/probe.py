@@ -26,9 +26,9 @@ order.
 Hot path: the port's send body reads ``probe`` into a local once per
 packet, and ``OutputPort._plain`` (which lets a credit release skip a
 port it cannot unblock) has one ``probe is None`` term, refreshed by the
-port's ``probe`` setter; the NIC reads ``probe`` and ``retrans`` into
-locals; and an acked packet returns to the free-list only when ``probe
-is None``, ``retrans is None`` and the packet is untraced.  End-to-end reliability
+port's ``probe`` setter; the NIC's pump reads ``probe`` into a local.
+A probe may keep any packet it is handed: packets die by reference
+count, so no later message reuses one.  End-to-end reliability
 (``NIC.retrans``) is a protocol layer that changes delivery, not an
 observer, so it keeps its own slot.
 """

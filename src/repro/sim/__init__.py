@@ -1,9 +1,9 @@
 """Self-contained discrete-event simulation engine (SimPy-style).
 
 The substrate every other subsystem runs on: a deterministic event queue
-(:class:`Simulator`), generator-based processes (:class:`Process`),
-blocking resources (:class:`Store`, :class:`Credits`, :class:`Gate`),
-seeded RNG streams (:class:`RngFactory`) and measurement recorders.
+(:class:`Simulator`), generator-based processes (:class:`Process`), a
+stable hash for seeding (:func:`stable_hash`) and a windowed byte
+counter (:class:`RateMeter`).
 """
 
 from .engine import (
@@ -15,9 +15,8 @@ from .engine import (
     set_default_watchdog,
 )
 from .process import AllOf, AnyOf, Interrupt, Process
-from .resources import Credits, Gate, Store
-from .rng import RngFactory, stable_hash
-from .trace import RateMeter, SeriesRecorder, TallyRecorder
+from .rng import stable_hash
+from .trace import RateMeter
 
 __all__ = [
     "Simulator",
@@ -30,12 +29,6 @@ __all__ = [
     "Interrupt",
     "AllOf",
     "AnyOf",
-    "Store",
-    "Credits",
-    "Gate",
-    "RngFactory",
     "stable_hash",
-    "SeriesRecorder",
-    "TallyRecorder",
     "RateMeter",
 ]

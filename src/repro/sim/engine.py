@@ -63,9 +63,7 @@ up empty outside ``repro.sim``).
 
 Two run loops exist: the hot loop (no hook, no watchdog) and one
 instrumented loop that honours both :attr:`Simulator.event_hook` and the
-watchdog guards.  Every raising exit from :meth:`Simulator.run` (a stall,
-a handler exception) drains the registered free-lists, so pooled objects
-never leak across runs in a reused worker process.
+watchdog guards.
 """
 
 from __future__ import annotations
@@ -389,7 +387,6 @@ class Simulator:
         "event_hook",
         "_watchdog",
         "stall_diagnostics",
-        "_drain_hooks",
     )
 
     def __init__(self):
@@ -440,29 +437,6 @@ class Simulator:
         #: snapshot, attached to any SimStall this simulator raises.  The
         #: fabric registers its quiescence_snapshot here at build time.
         self.stall_diagnostics: Optional[Callable[[], Dict[str, Any]]] = None
-        #: free-list drain callables (register_free_list); invoked when a
-        #: run() escapes with an exception so pooled objects never leak
-        #: across runs in a reused worker process.
-        self._drain_hooks: List[Callable[[], Any]] = []
-
-    def register_free_list(self, drain: Callable[[], Any]) -> None:
-        """Register a zero-arg callable that empties an object pool.
-
-        Drains run when :meth:`run` exits with an exception (stall,
-        handler error) so recycled objects are never carried into a later
-        run of a reused process, and on :meth:`drain_free_lists`.
-        Registering the same callable twice is a no-op.
-        """
-        if drain not in self._drain_hooks:
-            self._drain_hooks.append(drain)
-
-    def drain_free_lists(self) -> None:
-        """Invoke every registered free-list drain (errors suppressed)."""
-        for drain in self._drain_hooks:
-            try:
-                drain()
-            except Exception:
-                pass
 
     # -- scheduling -------------------------------------------------------
 
@@ -687,18 +661,12 @@ class Simulator:
         if the queue drains earlier, matching SimPy semantics.
 
         With neither an :attr:`event_hook` nor a watchdog this runs the
-        hot loop; otherwise the guarded loop, which honours both.  A
-        raising exit (a :class:`SimStall`, a handler exception) drains
-        the registered free-lists before the exception propagates.
+        hot loop; otherwise the guarded loop, which honours both.
         """
-        try:
-            if self._watchdog is None and self.event_hook is None:
-                self._run_hot(until)
-            else:
-                self._run_guarded(until)
-        except BaseException:
-            self.drain_free_lists()
-            raise
+        if self._watchdog is None and self.event_hook is None:
+            self._run_hot(until)
+        else:
+            self._run_guarded(until)
 
     def _run_hot(self, until: Optional[float]) -> None:
         """Default hot loop (no hook, no watchdog)."""

@@ -1,8 +1,9 @@
-"""Seeded random-number streams for reproducible simulations.
+"""Seeding and sampling helpers for reproducible simulations.
 
-Every stochastic component draws from its own named substream derived
-from the experiment's master seed, so adding a component (or reordering
-draws inside one) never perturbs the random sequence seen by the others.
+Every stochastic component seeds its own generator from
+:func:`stable_hash` of its name and the experiment's seed, so adding a
+component (or reordering draws inside one) never perturbs the random
+sequence seen by the others.
 """
 
 from __future__ import annotations
@@ -10,9 +11,7 @@ from __future__ import annotations
 import hashlib
 from math import ceil, log
 
-import numpy as np
-
-__all__ = ["RngFactory", "sample", "stable_hash"]
+__all__ = ["sample", "stable_hash"]
 
 
 def stable_hash(*parts: object) -> int:
@@ -65,19 +64,3 @@ def sample(getrandbits, population, k: int) -> list:
             picked.add(j)
             out.append(population[j])
     return out
-
-
-class RngFactory:
-    """Derives independent named numpy Generators from one master seed."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = int(seed)
-
-    def stream(self, *name: object) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence([self.seed & 0xFFFFFFFF, stable_hash(*name)])
-        )
-
-    def spawn(self, *name: object) -> "RngFactory":
-        """A child factory whose streams are disjoint from the parent's."""
-        return RngFactory(stable_hash(self.seed, "spawn", *name))

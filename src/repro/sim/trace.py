@@ -1,81 +1,14 @@
-"""Measurement recorders for simulations.
-
-* :class:`SeriesRecorder` — (time, value) samples, for rate-vs-time plots
-  such as the paper's Figure 14.
-* :class:`TallyRecorder` — scalar observations (latencies, durations) with
-  quantile summaries, for distribution figures such as Figures 2 and 8.
-* :class:`RateMeter` — byte counter windowed into a bandwidth time series.
+"""Measurement recorder for simulations: :class:`RateMeter`, a byte
+counter windowed into a bandwidth time series (the paper's Figure 14).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["SeriesRecorder", "TallyRecorder", "RateMeter"]
-
-
-class SeriesRecorder:
-    """Append-only (time, value) series."""
-
-    __slots__ = ("times", "values")
-
-    def __init__(self):
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, t: float, value: float) -> None:
-        self.times.append(t)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.times), np.asarray(self.values)
-
-
-class TallyRecorder:
-    """Scalar observations with summary statistics.
-
-    Quantile math is delegated to :mod:`repro.analysis.stats` (imported
-    lazily — the sim layer must not load the analysis layer at import
-    time) so every summary in the package shares one implementation.
-    """
-
-    __slots__ = ("samples",)
-
-    def __init__(self):
-        self.samples: List[float] = []
-
-    def record(self, value: float) -> None:
-        self.samples.append(value)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
-
-    def median(self) -> float:
-        return self.percentile(50)
-
-    def percentile(self, q: float) -> float:
-        from ..analysis.stats import percentile
-
-        return percentile(self.samples, q)
-
-    def quartiles(self) -> Tuple[float, float, float]:
-        from ..analysis.stats import percentiles
-
-        p = percentiles(self.samples, (25, 50, 75))
-        return p[25], p[50], p[75]
-
-    def summary(self) -> Dict[str, float]:
-        from ..analysis.stats import summarize
-
-        return summarize(self.samples)
+__all__ = ["RateMeter"]
 
 
 class RateMeter:

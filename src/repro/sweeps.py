@@ -41,6 +41,7 @@ from .workloads import (
     split_nodes,
     sweep3d,
     tailbench_client_server,
+    victim_count,
 )
 
 __all__ = [
@@ -144,8 +145,9 @@ def run_heatmap(
     col_labels = list(victims)
     cells = []
     for row_label, congestor_factory, victim_frac in rows:
-        n_victim = max(2, round(len(nodes) * victim_frac))
-        victim_nodes, aggressor_nodes = split_nodes(list(nodes), n_victim, policy, seed=seed)
+        victim_nodes, aggressor_nodes = split_nodes(
+            list(nodes), victim_count(len(nodes), victim_frac), policy, seed=seed
+        )
         for name in col_labels:
             cells.append(
                 (config, victim_nodes, victims[name], aggressor_nodes,

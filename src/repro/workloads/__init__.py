@@ -1,6 +1,6 @@
 """Workloads: congestors, microbenchmarks, application proxies, placement."""
 
-from .allocation import ALLOCATION_POLICIES, split_nodes
+from .allocation import ALLOCATION_POLICIES, split_nodes, victim_count
 from .apps import APP_FACTORIES, fft3d, hpcg, lammps, milc, resnet_proxy
 from .burst import bursty_incast_congestor
 from .ember import grid_dims, halo3d, incast_bench, sweep3d
@@ -27,6 +27,7 @@ from .tailbench import TAILBENCH_APPS, TailbenchApp, tailbench_client_server
 
 __all__ = [
     "split_nodes",
+    "victim_count",
     "ALLOCATION_POLICIES",
     "run_workload",
     "congestion_impact",

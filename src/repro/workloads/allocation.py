@@ -17,9 +17,15 @@ from typing import List, Sequence, Tuple
 
 from ..sim.rng import stable_hash
 
-__all__ = ["split_nodes", "ALLOCATION_POLICIES"]
+__all__ = ["split_nodes", "victim_count", "ALLOCATION_POLICIES"]
 
 ALLOCATION_POLICIES = ("linear", "interleaved", "random")
+
+
+def victim_count(n_nodes: int, fraction: float) -> int:
+    """Victim nodes for *fraction* of *n_nodes*: at least two, so the
+    victim's collectives always have a partner."""
+    return max(2, round(n_nodes * fraction))
 
 
 def split_nodes(

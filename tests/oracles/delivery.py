@@ -8,13 +8,10 @@ enforces event for event (healthy, under fault schedules with
 retransmissions, in the paced/marked regimes, and with several traffic
 classes, rate caps and LLR replays).  Keep these boring: the port's send
 body is its own copy (it calls no production send method), every probe
-call is an attribute check through the public ``probe`` slot, every
-event goes through :meth:`Simulator.schedule`, and acked packets are
-never recycled.
+call is an attribute check through the public ``probe`` slot, and every
+event goes through :meth:`Simulator.schedule`.
 
 Fabrics built inside :func:`reference_delivery` use them.
-:func:`recycling_off` is the reference for packet recycling: while it
-runs, the production NIC and port never return a packet to the pool.
 """
 
 from __future__ import annotations
@@ -25,8 +22,6 @@ from unittest import mock
 from repro.core.congestion_control import PairState
 from repro.core.traffic_classes import TcScheduler
 from repro.network import fabric as fabric_mod
-from repro.network import nic as nic_mod
-from repro.network import switch as switch_mod
 from repro.network.nic import NIC
 from repro.network.packet import Packet
 from repro.network.switch import OutputPort
@@ -34,7 +29,6 @@ from repro.network.switch import OutputPort
 __all__ = [
     "ReferenceNIC",
     "ReferenceOutputPort",
-    "recycling_off",
     "reference_delivery",
 ]
 
@@ -221,16 +215,5 @@ def reference_delivery():
     """Build fabrics with the reference NIC and port while the block runs."""
     with mock.patch.object(fabric_mod, "NIC", ReferenceNIC), mock.patch.object(
         fabric_mod, "OutputPort", ReferenceOutputPort
-    ):
-        yield
-
-
-@contextlib.contextmanager
-def recycling_off():
-    """Run with the packet free-list disabled: ``recycle_packet`` becomes
-    a no-op where the NIC and the port bind it."""
-    noop = lambda pkt: None  # noqa: E731
-    with mock.patch.object(nic_mod, "recycle_packet", noop), mock.patch.object(
-        switch_mod, "recycle_packet", noop
     ):
         yield

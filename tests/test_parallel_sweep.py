@@ -124,6 +124,24 @@ def test_degradation_curve_serial_equals_parallel():
         ("congestion --budget-ms -1", None),
         ("heatmap --budget-ms inf", None),
         ("allocation --budget-ms 0", None),
+        # negative counts and sizes, zero iterations or intervals, a
+        # fraction outside [0, 1] and a node count too small to split into
+        # victims and aggressors used to run (a -0ns latency), exit 1 or
+        # die after the parse with a traceback
+        ("report --messages -5", None),
+        ("trace --messages -3", None),
+        ("trace --scrape-interval-us 0", None),
+        ("trace --sample-rate 2", None),
+        ("observe --top-k -1", None),
+        ("observe --size -1", None),
+        ("latency --iterations -1", None),
+        ("latency --size -8", None),
+        ("congestion --nodes -4", None),
+        ("congestion --nodes 1", None),
+        ("congestion --iterations 0", None),
+        ("congestion --victim-fraction nan", None),
+        ("heatmap --nodes -2", None),
+        ("heatmap --nodes 4", None),
         ("chaos --curve", "0"),
         ("heatmap --jobs 0", "-4"),
     ],

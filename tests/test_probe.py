@@ -3,14 +3,14 @@
 Several subscribers can share a fabric and leave it in any order: each
 keeps recording until its own detach, and once the last one is gone the
 fabric is indistinguishable from one that was never observed — no
-stale ``_plain`` flag, no suspended packet recycling, no extra events.
+stale ``_plain`` flag, no extra events — and a probe on one component
+holds the packets it was handed unchanged for as long as it keeps them.
 """
 
 import pytest
 
 from repro.analysis import MessageTracer
 from repro.faults import FaultSchedule, link_fail, link_recover
-from repro.network.packet import drain_packet_pool, packet_pool_size
 from repro.network.units import KiB
 from repro.probe import HOOKS, Probe, ProbeFanout
 from repro.systems import malbec_mini
@@ -152,12 +152,10 @@ def test_auditor_with_one_checker_shares_ports(auditor_leaves_first):
 
 def test_detached_subscribers_leave_no_stale_state():
     """Attach and detach every subscriber before traffic: the bisection
-    run is the never-observed run event for event, and ack-path packet
-    recycling is back on."""
+    run is the never-observed run event for event."""
     scenario = bisection_scenario("malbec")
 
     def run(observe_then_detach):
-        drain_packet_pool()
         fabric = scenario()
         if observe_then_detach:
             subscribers = [
@@ -172,13 +170,37 @@ def test_detached_subscribers_leave_no_stale_state():
         trace = EventTrace()
         fabric.sim.event_hook = trace
         fabric.sim.run()
-        return trace, packet_pool_size()
+        return trace
 
-    clean, _ = run(False)
-    detached, pooled = run(True)
+    clean = run(False)
+    detached = run(True)
     assert len(detached) == len(clean) == 70_600
     assert detached.events == clean.events
-    assert pooled > 0
+
+
+def test_a_probe_on_one_port_keeps_its_packets_unchanged():
+    """A probe on one host port keeps every packet it arbitrates.  The
+    NICs that ack those packets carry no probe, yet a second round of
+    traffic must not hand any kept packet to another message."""
+    fabric = malbec_mini().build()
+    port = fabric.host_port(5)
+    kept = []
+
+    class Keeper(Probe):
+        def arbitrated(self, port, pkt):
+            kept.append((pkt, (pkt.pid, pkt.src, pkt.dst, pkt.seq)))
+
+    fabric.attach_probe(lambda c: Keeper() if c is port else None)
+    n = fabric.topology.n_nodes
+    for _ in range(2):
+        for i in range(n):
+            fabric.send(i, (i + n // 2) % n, 16 * KiB)
+        fabric.sim.run()
+        fabric.assert_quiescent()
+    assert len(kept) == 8
+    assert [(p.pid, p.src, p.dst, p.seq) for p, _ in kept] == [
+        ident for _, ident in kept
+    ]
 
 
 @pytest.mark.parametrize("first", ["observers", "faults"])

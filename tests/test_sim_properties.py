@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) for the DES engine invariants."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Credits, RngFactory, Simulator, Store
+from repro.sim import Simulator
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=200))
@@ -34,72 +35,6 @@ def test_equal_time_events_fire_fifo(items):
     assert fired == sorted(fired, key=lambda x: x[0])
 
 
-@given(st.integers(min_value=1, max_value=50), st.data())
-def test_store_is_fifo_for_any_interleaving(n, data):
-    """Items always come out of a Store in the order they went in."""
-    sim = Simulator()
-    store = Store(sim)
-    produced = list(range(n))
-    consumed = []
-    put_times = sorted(
-        data.draw(
-            st.lists(
-                st.floats(min_value=0, max_value=1000), min_size=n, max_size=n
-            )
-        )
-    )
-    get_times = data.draw(
-        st.lists(st.floats(min_value=0, max_value=1000), min_size=n, max_size=n)
-    )
-
-    def getter(start):
-        yield start
-        item = yield store.get()
-        consumed.append(item)
-
-    for t, item in zip(put_times, produced):
-        sim.schedule(t, store.put, item)
-    for t in get_times:
-        sim.process(getter(t))
-    sim.run()
-    assert consumed == produced
-
-
-@given(
-    st.integers(min_value=1, max_value=20),
-    st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=30),
-)
-def test_credits_never_go_negative_and_conserve(total, requests):
-    sim = Simulator()
-    credits = Credits(sim, total=total)
-    observed = []
-
-    def worker(amount):
-        amount = min(amount, total)
-        yield credits.acquire(amount)
-        observed.append(credits.available)
-        assert credits.available >= 0
-        yield 1.0
-        credits.release(amount)
-
-    for amount in requests:
-        sim.process(worker(amount))
-    sim.run()
-    assert credits.available == total
-    assert all(a >= 0 for a in observed)
-
-
-@given(st.integers(min_value=0, max_value=2**31))
-def test_rng_streams_are_reproducible_and_distinct(seed):
-    f1 = RngFactory(seed)
-    f2 = RngFactory(seed)
-    a = f1.stream("link", 3).random(4)
-    b = f2.stream("link", 3).random(4)
-    c = f1.stream("link", 4).random(4)
-    assert (a == b).all()
-    assert not (a == c).all()
-
-
 @settings(max_examples=25)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1e5), min_size=2, max_size=60),
@@ -110,7 +45,7 @@ def test_simulation_is_deterministic_across_runs(delays, seed):
 
     def run_once():
         sim = Simulator()
-        rng = RngFactory(seed).stream("jitter")
+        rng = np.random.default_rng(seed)
         trace = []
 
         def proc(i, d):

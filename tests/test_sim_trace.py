@@ -1,34 +1,9 @@
-"""Unit tests for measurement recorders and RNG helpers."""
+"""Unit tests for the rate meter and the stable hash."""
 
-import numpy as np
 import pytest
 
-from repro.sim import RateMeter, RngFactory, SeriesRecorder, TallyRecorder
+from repro.sim import RateMeter
 from repro.sim.rng import stable_hash
-
-
-def test_series_recorder_accumulates():
-    rec = SeriesRecorder()
-    rec.record(1.0, 10.0)
-    rec.record(2.0, 20.0)
-    times, values = rec.as_arrays()
-    assert times.tolist() == [1.0, 2.0]
-    assert values.tolist() == [10.0, 20.0]
-    assert len(rec) == 2
-
-
-def test_tally_summary_statistics():
-    rec = TallyRecorder()
-    for v in range(1, 101):
-        rec.record(float(v))
-    assert rec.mean() == pytest.approx(50.5)
-    assert rec.median() == pytest.approx(50.5)
-    q1, q2, q3 = rec.quartiles()
-    assert q1 < q2 < q3
-    s = rec.summary()
-    assert s["n"] == 100
-    assert s["min"] == 1.0 and s["max"] == 100.0
-    assert s["p99"] >= s["p95"] >= s["median"]
 
 
 def test_rate_meter_bins_bytes_into_windows():
@@ -59,11 +34,3 @@ def test_stable_hash_is_stable_and_sensitive():
     assert stable_hash("a", 1) == stable_hash("a", 1)
     assert stable_hash("a", 1) != stable_hash("a", 2)
     assert stable_hash("a", 1) != stable_hash("b", 1)
-
-
-def test_rng_factory_spawn_gives_disjoint_streams():
-    parent = RngFactory(7)
-    child = parent.spawn("network")
-    a = parent.stream("x").random(8)
-    b = child.stream("x").random(8)
-    assert not np.allclose(a, b)
