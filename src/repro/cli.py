@@ -188,8 +188,8 @@ def _count(text: str) -> int:
 
 
 def _positive_count(text: str) -> int:
-    """argparse type for ``--windows``, ``--nodes`` and iteration counts:
-    an integer >= 1."""
+    """argparse type for ``--windows``, ``--nodes``, ``--ppn``,
+    ``--radix``, ``--hosts`` and iteration counts: an integer >= 1."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1, got {text!r}"
@@ -227,8 +227,8 @@ def _duration(text: str) -> float:
 
 
 def _fraction(text: str) -> float:
-    """argparse type for ``--sample-rate`` / ``--victim-fraction``: a
-    number in [0, 1]."""
+    """argparse type for ``--sample-rate``, ``--victim-fraction`` and the
+    ``qos`` minimum shares: a number in [0, 1]."""
     try:
         value = float(text)
     except ValueError:
@@ -775,8 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("topology", help="dragonfly design math (Fig. 3)")
-    p.add_argument("--radix", type=int, default=64)
-    p.add_argument("--hosts", type=int, default=16)
+    p.add_argument("--radix", type=_positive_count, default=64)
+    p.add_argument("--hosts", type=_positive_count, default=16)
     p.set_defaults(fn=cmd_topology)
 
     p = sub.add_parser("latency", help="quiet-system collective latency")
@@ -805,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allocation", choices=("linear", "interleaved", "random"),
                    default="linear")
     p.add_argument("--nodes", type=_positive_count, default=64)
-    p.add_argument("--ppn", type=int, default=1)
+    p.add_argument("--ppn", type=_positive_count, default=1)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--budget-ms", type=_duration, default=400.0)
     p.add_argument("--jobs", type=_count, default=0,
@@ -819,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--system", choices=_SYSTEMS, default="crystal")
     p.add_argument("--nodes", type=_positive_count, default=64)
-    p.add_argument("--ppn", type=int, default=1)
+    p.add_argument("--ppn", type=_positive_count, default=1)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--budget-ms", type=_duration, default=400.0)
     p.add_argument("--jobs", type=_count, default=0,
@@ -829,8 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_allocation)
 
     p = sub.add_parser("qos", help="traffic-class bandwidth timeline (Fig. 14)")
-    p.add_argument("--min1", type=float, default=0.8)
-    p.add_argument("--min2", type=float, default=0.1)
+    p.add_argument("--min1", type=_fraction, default=0.8)
+    p.add_argument("--min2", type=_fraction, default=0.1)
     p.set_defaults(fn=cmd_qos)
 
     p = sub.add_parser("report", help="fabric utilization diagnostics")
@@ -896,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random link faults drawn from the seeded schedule")
     p.add_argument("--switch-faults", type=_count, default=0,
                    help="whole-switch fail/recover pairs to add")
-    p.add_argument("--fail-global", type=int, default=0,
+    p.add_argument("--fail-global", type=_count, default=0,
                    help="instead: fail K parallel global links between "
                         "groups 0 and 1 for the whole run")
     p.add_argument("--curve", action="store_true",

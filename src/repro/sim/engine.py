@@ -1,48 +1,40 @@
 """Discrete-event simulation core.
 
-The simulator dispatches ``(time, seq, handler, args)`` entries in strict
-``(time, seq)`` order.  ``seq`` is a monotonically increasing sequence
-number that makes event ordering fully deterministic: two events scheduled
-for the same simulated time always fire in the order they were scheduled,
-regardless of Python hash randomization or container internals.
-Determinism is a hard requirement here — the property-based tests compare
-runs event-for-event.
+The simulator dispatches events in strict ``(time, push order)`` order:
+two events scheduled for the same simulated time always fire in the
+order they were scheduled, regardless of Python hash randomization or
+container internals.  Determinism is a hard requirement here — the
+property-based tests compare runs event for event.
 
-The queue is a ladder queue with one rung (Tang, Goh & Thng, ACM TOMACS
-15(3), 2005).  A sorted *near* list holds every entry below a moving time
-``horizon``.  Above it, a *rung* of equal-width time buckets holds the
-entries up to ``rung_end``, and everything later lands unsorted in a
-*far* overflow list.  An enqueue below the horizon is a ``bisect.insort``
-into the near list; one into the rung appends to bucket
-``int((t - t0) * inv)``; a later one appends to the far list.  Dequeue is
-an O(1) ``list.pop()``.  When the near list drains, a *refill* sorts the
-next non-empty bucket into it.  When the rung is used up too, the refill
-spreads the far list over ``len(far) // _REFILL_TARGET`` buckets in one
-pass (a far list too small or too narrow to spread is taken whole), so
-every entry is scanned a fixed number of times however often the queue
-refills.  Measured on the bisection streams, the push cost is flat in
-the fabric size (0.7-1.0 us per traced call on 80 and on 1,024 nodes,
-CPython 3.11 on a 2-vCPU Xeon); what grew was the old refill, which
-carved one slice off the far list per refill and rescanned the whole
-list four times to do it (100 refills over a mean 5,171 far entries
-per 1,024-node SHANDY cell).  Bucket edges are
-exact: the horizon is always the smallest float whose bucket index
-reaches the next untaken bucket, so ``t < horizon`` files an entry below
-that bucket precisely when its index says so.  Entries are stored
-key-negated as ``(-time, -seq, fn, args)`` so the minimum ``(time, seq)``
-sits at the *end* of the ascending near list; float negation is
-bit-exact, so dispatch order is identical to a binary heap over
-``(time, seq)`` — the heap oracle in ``tests/oracles/heap_sim.py`` pins
-that event for event, every tie included.
+The queue keeps one *slot* per pending timestamp.  A dict maps each
+pending time to its entries in push order — one ``(fn, args)`` tuple,
+which becomes a list once a second event shares that time — and a
+``heapq`` holds the distinct pending times.  A push appends to its
+time's slot, and only a push that opens a new slot touches the heap.
+Dispatch pops the earliest time and runs its slot's entries in order,
+which is exactly a binary heap's ``(time, seq)`` order; the heap oracle
+in ``tests/oracles/heap_sim.py`` pins that event for event, every tie
+included.  Equal-size packets on equal-length wires put many events on
+one timestamp (29 per time on the 80-node bisection, 32 on the 1,024-node
+one), so the heap sees one entry per slot, not per event.  A slot stays
+in the queue's hands until the run loop takes it:
+
+* a push at the current time made while that time's slot is dispatching
+  opens a new slot, which runs after the one being dispatched;
+* an exception, a :class:`StopSimulation` or a watchdog trip in the
+  middle of a slot puts the undispatched remainder back, ahead of any
+  same-time pushes made since;
+* :attr:`Simulator.queue_length` counts that remainder, and a
+  compaction from inside a slot filters it too.
 
 Cancellable timers use *lazy deletion*: :meth:`Simulator.schedule_cancellable`
 returns a :class:`TimerHandle` whose O(1) :meth:`~TimerHandle.cancel` blanks
 the handler; the run loop discards blanked entries without dispatching them
-(they do not count as processed events).  When dead entries ever make up
-more than half the queue it is compacted in one O(n) pass (in place — the
-run loops hold direct references to the queue lists), so the queue stays
-proportional to the number of *live* timers no matter how often producers
-re-arm.
+(they neither count as processed events nor advance the clock).  When dead
+entries ever make up more than half the queue it is compacted in one O(n)
+pass (in place — the run loops hold direct references to the queue), so
+the queue stays proportional to the number of *live* timers no matter how
+often producers re-arm.
 
 Time is measured in **nanoseconds** (floats), sizes in **bytes**, and
 bandwidths in **bytes per nanosecond** (so 200 Gb/s == 25 B/ns).  These
@@ -54,12 +46,11 @@ Producer contract (v2, stable): hot producers enqueue through
     sim.push(t, fn, args)
 
 with an absolute time ``t >= sim.now`` and a pre-built args *tuple*.
-``push`` assigns the tie-break sequence number and files the entry into
-the near list, a rung bucket or the far list — it is bit- and
+``push`` appends the entry to time *t*'s slot — it is bit- and
 order-identical to :meth:`Simulator.schedule` minus the delay guard and
-the ``*args`` packing frame.  No code outside this module may touch ``_seq``
-or the queue containers (grep for ``sim._seq`` / ``sim._near`` must come
-up empty outside ``repro.sim``).
+the ``*args`` packing frame.  No code outside this module may touch the
+queue containers (grep for ``sim._pending`` / ``sim._times`` must come up
+empty outside ``repro.sim``).
 
 Two run loops exist: the hot loop (no hook, no watchdog) and one
 instrumented loop that honours both :attr:`Simulator.event_hook` and the
@@ -70,8 +61,9 @@ from __future__ import annotations
 
 import contextlib
 import time
-from bisect import insort
-from math import inf, nextafter
+from heapq import heapify, heappop, heappush
+from math import inf
+from operator import length_hint
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
@@ -89,19 +81,15 @@ __all__ = [
 #: deadline.  ``schedule_at`` clamps these to "now" instead of raising.
 _NEGATIVE_DRIFT_NS = 1e-6
 
-#: Entries per rung bucket when the far list is spread: a spread of n
-#: entries makes ``n // _REFILL_TARGET`` buckets, and a far list shorter
-#: than two buckets' worth is taken whole.  Big enough that per-refill
-#: bookkeeping amortizes to noise, small enough to bound the memmove
-#: behind each near-list insort.  Replaying recorded push/pop traces of
-#: the four benchmark workloads, 16-96 ran within noise of each other
-#: and 128-256 ran slower.
-_REFILL_TARGET = 64
-
 #: Guarded run loop: events dispatched between wall-clock deadline checks.
 #: A tripped deadline is detected at most this many events late; the
 #: regression test pins that bound.
 _WALL_STRIDE = 256
+
+
+def _live(entry: tuple) -> bool:
+    """False for a queue entry whose cancellable timer was cancelled."""
+    return entry[0] is not None or entry[1].fn is not None
 
 
 class StopSimulation(Exception):
@@ -369,16 +357,11 @@ class Simulator:
     # they bypass the instance dict.
     __slots__ = (
         "now",
-        "_near",
-        "_far",
-        "_horizon",
-        "_rung",
-        "_rung_next",
-        "_rung_n",
-        "_rung_end",
-        "_rung_t0",
-        "_rung_inv",
-        "_seq",
+        "_pending",
+        "_times",
+        "_group",
+        "_group_iter",
+        "_extra",
         "_events_processed",
         "_stopped",
         "_dead",
@@ -391,30 +374,21 @@ class Simulator:
 
     def __init__(self):
         self.now: float = 0.0
-        #: ascending-sorted list of negated-key entries (-time, -seq, fn,
-        #: args); the minimum (time, seq) event is at the END and pop() is
-        #: O(1).  Mutated strictly in place — run loops hold direct
-        #: references.
-        self._near: list = []
-        #: unsorted overflow for entries at or past _rung_end; spread
-        #: into a new rung (or taken whole) by _refill()
-        self._far: list = []
-        #: entries strictly below this time belong in _near: the lower
-        #: edge of the next untaken rung bucket (== _rung_end once the
-        #: rung is used up).  Monotonically non-decreasing.
-        self._horizon: float = 0.0
-        #: rung of unsorted time buckets; bucket i holds the entries whose
-        #: index int((t - _rung_t0) * _rung_inv) is i.  Buckets below
-        #: _rung_next have been taken (None or empty); the rest are lists.
-        self._rung: list = []
-        self._rung_next: int = 0
-        #: entries held in the rung (for queue_length)
-        self._rung_n: int = 0
-        #: entries at or past this time belong in _far
-        self._rung_end: float = 0.0
-        self._rung_t0: float = 0.0
-        self._rung_inv: float = 0.0
-        self._seq: int = 0
+        #: pending time -> its entries in push order: one (fn, args) tuple,
+        #: or a list of them once a second event shares that time
+        self._pending: dict = {}
+        #: heapq of the distinct pending times (the keys of _pending).
+        #: Mutated strictly in place — run loops hold direct references.
+        self._times: list = []
+        #: the multi-entry slot being dispatched and the run loop's
+        #: iterator over it, whose remainder is still pending (see
+        #: _compact); run() lets go of the slot when it returns, so the
+        #: queue keeps no dispatched entry (nor the packet it carries)
+        self._group: list = []
+        self._group_iter = None
+        #: pending entries beyond the first of each slot, so that
+        #: queue_length is len(_times) + _extra + the slot remainder
+        self._extra: int = 0
         self._events_processed: int = 0
         self._stopped = False
         #: cancelled-but-unpopped queue entries (lazy deletion bookkeeping)
@@ -446,19 +420,20 @@ class Simulator:
         The stable hot-path contract (v2): *t* must already be validated
         (``t >= now`` up to float drift) and *args* must be a tuple.  No
         guards run here; :meth:`schedule` / :meth:`schedule_at` are the
-        checked front doors.  Exactly one sequence number is consumed per
-        call, in call order.
+        checked front doors.  The entry joins the end of time *t*'s slot,
+        so same-time entries dispatch in call order; only a push that
+        opens a slot touches the heap of pending times.
         """
-        seq = self._seq = self._seq + 1
-        if t < self._horizon:
-            insort(self._near, (-t, -seq, fn, args))
-        elif t < self._rung_end:
-            self._rung[int((t - self._rung_t0) * self._rung_inv)].append(
-                (-t, -seq, fn, args)
-            )
-            self._rung_n += 1
+        entry = (fn, args)
+        slot = self._pending.setdefault(t, entry)
+        if slot is entry:
+            heappush(self._times, t)
         else:
-            self._far.append((-t, -seq, fn, args))
+            self._extra += 1
+            if slot.__class__ is list:
+                slot.append(entry)
+            else:
+                self._pending[t] = [slot, entry]
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after *delay* ns of simulated time."""
@@ -513,106 +488,67 @@ class Simulator:
         return handle
 
     def _compact(self) -> None:
-        """Drop cancelled entries in place (keys unchanged, so live event
-        ordering is preserved exactly).
+        """Drop cancelled entries in place (live entries keep their order).
 
-        In place matters: the run loops bind the queue containers to
-        locals, so rebuilding into a *new* list would strand events pushed
+        In place matters: the run loops bind the heap of times to a local,
+        so rebuilding it into a *new* list would strand events pushed
         after a mid-run compaction (a cancel inside a dispatched handler
-        can get here while run() is on the stack).
+        can get here while run() is on the stack).  In that case the
+        undispatched remainder of the slot being dispatched is filtered
+        too, in place, so the run loop's iterator resumes on what is left.
         """
-        # Filtering preserves ascending order in _near; rung buckets and
-        # _far are unsorted anyway.  No edge or horizon moves.
-        for q in (self._near, self._far, *self._rung[self._rung_next:]):
-            q[:] = [e for e in q if e[2] is not None or e[3].fn is not None]
-        self._rung_n = sum(map(len, self._rung[self._rung_next:]))
-        self._dead = 0
+        pending = self._pending
+        removed = 0
+        extra = 0
+        emptied = False
+        for t, slot in list(pending.items()):
+            if slot.__class__ is list:
+                kept = [e for e in slot if _live(e)]
+                removed += len(slot) - len(kept)
+                if kept:
+                    pending[t] = kept
+                    extra += len(kept) - 1
+                else:
+                    del pending[t]
+                    emptied = True
+            elif not _live(slot):
+                del pending[t]
+                removed += 1
+                emptied = True
+        n = length_hint(self._group_iter)
+        if n:
+            group = self._group
+            kept = [e for e in group[-n:] if _live(e)]
+            removed += n - len(kept)
+            group[-n:] = kept
+        if emptied:
+            times = self._times
+            times[:] = pending
+            heapify(times)
+        self._extra = extra
+        self._dead -= removed
 
-    def _edge(self, i: int) -> float:
-        """Lower edge of rung bucket *i*: the smallest float whose bucket
-        index ``int((t - t0) * inv)`` reaches *i*.
-
-        ``t0 + i / inv`` is within a few ulps of it; the index is monotone
-        in ``t``, so stepping one ulp at a time from there finds it.
-        """
-        t0 = self._rung_t0
-        inv = self._rung_inv
-        t = t0 + i / inv
-        while int((t - t0) * inv) >= i:
-            t = nextafter(t, -inf)
-        while int((t - t0) * inv) < i:
-            t = nextafter(t, inf)
-        return t
-
-    def _refill(self) -> bool:
-        """Move the earliest pending entries into ``_near``, sorted.
-
-        Called only with ``_near`` empty; returns False when nothing is
-        pending.  On True, ``_near`` is non-empty, ascending-sorted, and
-        every entry left in the rung or ``_far`` is strictly after (in
-        ``(time, seq)`` order) every entry moved to ``_near`` — the
-        cross-list invariant the run loops rely on.
-
-        The next non-empty rung bucket is taken first.  Once the rung is
-        used up, ``_far`` is spread over a new rung of
-        ``len(_far) // _REFILL_TARGET`` equal-width buckets (its ``max``
-        and ``min``, then one distribution pass) whose first bucket is
-        taken.  A far list shorter than two buckets, or too narrow for
-        a positive finite bucket scale, is taken whole.
-        """
-        near = self._near
-        if self._rung_n:
-            rung = self._rung
-            for i in range(self._rung_next, len(rung)):
-                bucket = rung[i]
-                if bucket:
-                    rung[i] = None
-                    self._rung_next = i + 1
-                    self._rung_n -= len(bucket)
-                    bucket.sort()
-                    near.extend(bucket)
-                    self._horizon = self._edge(i + 1)
-                    return True
-        far = self._far
-        n = len(far)
-        if n >= 2 * _REFILL_TARGET:
-            # Entries are key-negated: max(far) is the earliest (time,
-            # seq), min(far) the latest.
-            nt0 = max(far)[0]
-            span = nt0 - min(far)[0]
-            nb = n // _REFILL_TARGET
-            inv = nb / span if span > 0.0 else 0.0
-            if 0.0 < inv < inf:
-                # nb + 1 buckets: the latest entry's index rounds to nb
-                # or nb - 1.  nt0 - e[0] is t - t0, rounded identically.
-                rung = self._rung = [[] for _ in range(nb + 1)]
-                for e in far:
-                    rung[int((nt0 - e[0]) * inv)].append(e)
-                far.clear()
-                self._rung_t0 = -nt0
-                self._rung_inv = inv
-                self._rung_next = 0
-                self._rung_n = n
-                self._rung_end = self._edge(nb + 1)
-                return self._refill()
-        if not n:
-            return False
-        near.extend(far)
-        far.clear()
-        near.sort()
-        # No push reaches the (empty) rung once its end is the horizon.
-        self._horizon = self._rung_end = -near[0][0]  # max time taken
-        return True
+    def _put_back(self, t: float, rest: list) -> None:
+        """Return *rest*, the undispatched tail of time *t*'s slot, to the
+        queue, ahead of any entries pushed at *t* since the slot was
+        taken (they were pushed later, so they dispatch later)."""
+        if not rest:
+            return
+        self._extra += len(rest)
+        later = self._pending.get(t)
+        if later is None:
+            heappush(self._times, t)
+            self._extra -= 1
+        elif later.__class__ is list:
+            rest += later
+        else:
+            rest.append(later)
+        self._pending[t] = rest
 
     def _next_time(self) -> Optional[float]:
-        """Timestamp of the next live-or-dead entry (None if drained).
-
-        May trigger a refill; never dispatches.
-        """
-        near = self._near
-        if not near and not self._refill():
-            return None
-        return -near[-1][0]
+        """Timestamp of the next live-or-dead entry (None if drained)."""
+        times = self._times
+        return times[0] if times else None
 
     def watchdog(
         self,
@@ -673,20 +609,23 @@ class Simulator:
         self._stopped = False
         wall_start = time.perf_counter()
         events_before = self._events_processed
-        # Hot loop: the near list and its pop as locals (_refill extends
-        # it strictly in place, so the bindings stay valid), the `until`
-        # test hoisted into a dedicated loop, and a dispatch-free fast
+        # Hot loop: the heap of times and the slot dict's pop as locals
+        # (both are mutated strictly in place, so the bindings stay
+        # valid), the `until` test once per slot, a one-entry slot
+        # dispatched with no list or iterator, and a dispatch-free fast
         # skip for cancelled timers.  Two counters stay on `self` because
         # handlers observe them mid-run.
-        near = self._near
-        pop = near.pop
-        refill = self._refill
+        times = self._times
+        take = self._pending.pop
+        limit = inf if until is None else until
+        t = 0.0
+        it = None  # iterator over the multi-entry slot being dispatched
         try:
-            if until is None:
-                while True:
-                    if not near and not refill():
-                        break
-                    nt, _nseq, fn, args = pop()
+            while times and not times[0] > limit:
+                t = heappop(times)
+                slot = take(t)
+                if slot.__class__ is tuple:
+                    fn, args = slot
                     if fn is None:  # cancellable entry: args is the handle
                         handle = args
                         fn = handle.fn
@@ -698,37 +637,42 @@ class Simulator:
                         # no-op instead of corrupting _dead accounting.
                         handle.fn = None
                         handle.args = ()
-                    self.now = -nt
+                    self.now = t
                     self._events_processed += 1
                     fn(*args)
-            else:
-                while True:
-                    if not near and not refill():
-                        break
-                    if -near[-1][0] > until:
-                        break
-                    nt, _nseq, fn, args = pop()
-                    if fn is None:
-                        handle = args
-                        fn = handle.fn
+                else:
+                    self._extra -= len(slot) - 1
+                    self._group = slot
+                    self._group_iter = it = iter(slot)
+                    for fn, args in it:
                         if fn is None:
-                            self._dead -= 1
-                            continue
-                        args = handle.args
-                        handle.fn = None
-                        handle.args = ()
-                    self.now = -nt
-                    self._events_processed += 1
-                    fn(*args)
+                            handle = args
+                            fn = handle.fn
+                            if fn is None:
+                                self._dead -= 1
+                                continue
+                            args = handle.args
+                            handle.fn = None
+                            handle.args = ()
+                        self.now = t
+                        self._events_processed += 1
+                        fn(*args)
         except StopSimulation:
             self._stopped = True
+        finally:
+            if it is not None:  # a slot left mid-way: its rest stays queued
+                self._put_back(t, list(it))
+            self._group = []
         self.last_run_wall_s = time.perf_counter() - wall_start
         self.last_run_events = self._events_processed - events_before
         if until is not None and not self._stopped and self.now < until:
             self.now = until
 
-    def _stall(self, reason: str) -> None:
-        """Raise :class:`SimStall` with queue context + fabric diagnostics."""
+    def _stall(self, reason: str, t: float, entry: tuple, rest) -> None:
+        """Put the tripping *entry* back at time *t*, ahead of *rest* (the
+        run loop's iterator over its slot, or None), and raise
+        :class:`SimStall` with queue context + fabric diagnostics."""
+        self._put_back(t, [entry] if rest is None else [entry, *rest])
         diag = None
         if self.stall_diagnostics is not None:
             try:
@@ -751,10 +695,9 @@ class Simulator:
         Dispatch order, timestamps, and event accounting are identical to
         the hot loop; the guards only *bound* how far it gets, and
         :attr:`event_hook` sees each event just before it dispatches.  A
-        tripping guard pushes the undispatched entry back by appending to
-        the near list — the entry was just popped from the end, so the
-        list stays sorted and a later run() with the watchdog disarmed or
-        widened resumes exactly here — and raises :class:`SimStall`.  The
+        tripping guard puts the undispatched entry and the rest of its
+        slot back, so a later run() with the watchdog disarmed or widened
+        resumes exactly here, and raises :class:`SimStall`.  The
         wall-clock deadline is checked once every ``_WALL_STRIDE`` events,
         not per event: a syscall per dispatch is exactly the overhead the
         guard exists to avoid.
@@ -768,20 +711,31 @@ class Simulator:
         self._stopped = False
         wall_start = perf()
         events_before = self._events_processed
-        near = self._near
-        refill = self._refill
+        times = self._times
+        take = self._pending.pop
+        limit = inf if until is None else until
         hook = self.event_hook
         wall_countdown = _WALL_STRIDE
+        t = 0.0
+        it = None  # iterator over the multi-entry slot being dispatched
         try:
             while True:
-                if not near and not refill():
-                    break
-                if until is not None and -near[-1][0] > until:
-                    break
-                entry = near.pop()
-                t = -entry[0]
-                fn = entry[2]
-                args = entry[3]
+                if it is None:
+                    if not times or times[0] > limit:
+                        break
+                    t = heappop(times)
+                    entry = take(t)
+                    if entry.__class__ is list:
+                        self._extra -= len(entry) - 1
+                        self._group = entry
+                        self._group_iter = it = iter(entry)
+                        continue
+                else:
+                    entry = next(it, None)
+                    if entry is None:
+                        it = None
+                        continue
+                fn, args = entry
                 if fn is None:
                     handle = args
                     fn = handle.fn
@@ -790,19 +744,19 @@ class Simulator:
                         continue
                     args = handle.args
                 if max_time is not None and t > max_time:
-                    near.append(entry)
-                    self._stall(f"sim time exceeded {max_time:.0f}ns")
+                    self._stall(f"sim time exceeded {max_time:.0f}ns", t, entry, it)
                 if event_budget is not None and self._events_processed >= event_budget:
-                    near.append(entry)
-                    self._stall(f"event budget of {max_events} exhausted")
+                    self._stall(f"event budget of {max_events} exhausted", t, entry, it)
                 if wall_deadline is not None:
                     wall_countdown -= 1
                     if wall_countdown <= 0:
                         wall_countdown = _WALL_STRIDE
                         if perf() > wall_deadline:
-                            near.append(entry)
-                            self._stall(f"wall-clock deadline of {wall_s}s exceeded")
-                if entry[2] is None:
+                            self._stall(
+                                f"wall-clock deadline of {wall_s}s exceeded",
+                                t, entry, it,
+                            )
+                if entry[0] is None:
                     # cancellable entry survives dispatch: blank it now so a
                     # late cancel() stays a no-op (mirrors the hot loop).
                     handle.fn = None
@@ -815,6 +769,9 @@ class Simulator:
         except StopSimulation:
             self._stopped = True
         finally:
+            if it is not None:
+                self._put_back(t, list(it))
+            self._group = []
             self.last_run_wall_s = perf() - wall_start
             self.last_run_events = self._events_processed - events_before
         if until is not None and not self._stopped and self.now < until:
@@ -831,8 +788,9 @@ class Simulator:
     @property
     def queue_length(self) -> int:
         """Pending queue entries, *including* cancelled-but-unpopped ones
-        (the rung's are counted, not walked)."""
-        return len(self._near) + self._rung_n + len(self._far)
+        and the undispatched rest of the slot being dispatched (counted,
+        not walked)."""
+        return len(self._times) + self._extra + length_hint(self._group_iter)
 
     @property
     def live_queue_length(self) -> int:

@@ -1,12 +1,13 @@
-"""Binary-heap event queue: the oracle the calendar queue is pinned to.
+"""Binary-heap event queue: the oracle the production queue is pinned to.
 
 :class:`HeapSimulator` keeps every entry in one ``heapq`` of
-``(time, seq, fn, args)`` — the textbook discrete-event queue.  It
+``(time, seq, fn, args)`` — the textbook discrete-event queue, with a
+sequence number of its own to break same-time ties in push order.  It
 overrides only the queue primitives (``push``, ``_compact``,
 ``_next_time``, ``queue_length``) and ``run``; scheduling front doors,
 cancellable timers and their compaction trigger are inherited from
 :class:`~repro.sim.Simulator` unchanged, so any dispatch difference
-between the two is a calendar-queue bug.
+between the two is a bug in the production queue's per-time slots.
 
 Build a fabric on it with ``config.build(sim=HeapSimulator())``.
 """
@@ -30,13 +31,15 @@ class HeapSimulator(Simulator):
     guards are a production concern, pinned by their own tests.
     """
 
-    __slots__ = ("_queue",)
+    __slots__ = ("_queue", "_seq")
 
     def __init__(self):
         super().__init__()
         #: heapq of (time, seq, fn, args); mutated strictly in place,
         #: because run() holds a direct reference
         self._queue: list = []
+        #: push counter: the same-time tie-break
+        self._seq: int = 0
 
     def push(self, t: float, fn: Callable, args: tuple = ()) -> None:
         seq = self._seq = self._seq + 1

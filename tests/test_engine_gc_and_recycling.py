@@ -5,12 +5,15 @@
 * The delivery-path event handlers are bound once per component, so
   scheduling an event allocates no bound method for the collector to
   walk, and the handler each event dispatches is unchanged.
+* Once ``run()`` returns, the event queue holds no dispatched entry, so
+  every delivered packet has died by reference count.
 """
 
 import gc
 
 import pytest
 
+from repro.network.packet import Packet
 from repro.network.units import KiB
 from repro.sim import Simulator
 from repro.systems import malbec_mini
@@ -59,3 +62,19 @@ def test_delivery_handlers_are_bound_once_per_component():
     bound = 3 * n_ports + len(fabric.switches) + len(fabric.nics)
     assert len(hot) > 10 * bound
     assert len({id(fn) for fn in hot}) <= bound
+
+
+@pytest.mark.parametrize("loop", ["hot", "guarded"])
+def test_a_finished_run_keeps_no_packet_alive(loop):
+    """Equal-size packets share timestamps, so their events dispatch from
+    multi-entry queue slots; the last slot a run dispatched must not keep
+    its packets alive once run() returns (in either run loop)."""
+    fabric = malbec_mini().build()
+    if loop == "guarded":
+        fabric.sim.watchdog(wall_deadline_s=600)
+    n = fabric.topology.n_nodes
+    msgs = [fabric.send(i, (i + n // 2) % n, 16 * KiB) for i in range(n)]
+    fabric.sim.run()
+    assert all(m.complete for m in msgs)
+    gc.collect()
+    assert sum(isinstance(o, Packet) for o in gc.get_objects()) == 0

@@ -142,6 +142,18 @@ def test_degradation_curve_serial_equals_parallel():
         ("congestion --victim-fraction nan", None),
         ("heatmap --nodes -2", None),
         ("heatmap --nodes 4", None),
+        # a zero or negative ranks-per-node started sweep cells, a zero or
+        # negative topology radix or host count died with a traceback, a
+        # negative forced-failure count ran the seeded storm instead, and
+        # a qos minimum share outside [0, 1] died inside the run
+        ("heatmap --ppn 0 --nodes 16", None),
+        ("allocation --ppn -1 --nodes 16", None),
+        ("topology --radix 0", None),
+        ("topology --hosts -1", None),
+        ("chaos --fail-global -1", None),
+        ("qos --min1 nan", None),
+        ("qos --min1 1.5", None),
+        ("qos --min2 -0.1", None),
         ("chaos --curve", "0"),
         ("heatmap --jobs 0", "-4"),
     ],
