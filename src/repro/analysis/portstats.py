@@ -8,8 +8,8 @@ traffic was marked, and how often packets left minimal paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..network.fabric import Fabric
 from .reporting import render_table
@@ -32,9 +32,6 @@ class FabricReport:
     mean_hops: float
     nonminimal_fraction: float
     llr_replays: int
-    #: windowed view, only when an observer was passed:
-    #: (metric base, peak window util, mean window util)
-    windowed_hot: List[tuple] = field(default_factory=list)
 
     def render(self) -> str:
         rows = [
@@ -67,28 +64,12 @@ class FabricReport:
                     title="Hottest ports",
                 )
             )
-        if self.windowed_hot:
-            out.append(
-                render_table(
-                    ["port", "peak window util", "mean window util"],
-                    [
-                        [name, f"{peak:.1%}", f"{mean:.1%}"]
-                        for name, peak, mean in self.windowed_hot
-                    ],
-                    title="Hottest ports by time window (repro.observe)",
-                )
-            )
         return "\n\n".join(out)
 
 
-def fabric_report(fabric: Fabric, top_n: int = 5,
-                  observer: Optional[object] = None) -> FabricReport:
-    """Summarize a fabric after :meth:`Simulator.run`.
-
-    Pass a :class:`repro.observe.FabricObserver` as *observer* to add a
-    windowed hottest-ports view (peak/mean per-window utilization from
-    its time-series ring) on top of the whole-run totals.
-    """
+def fabric_report(fabric: Fabric, top_n: int = 5) -> FabricReport:
+    """Summarize a fabric after :meth:`Simulator.run` (whole-run totals;
+    per-window views are :meth:`repro.observe.FabricObserver.forensics`)."""
     t = max(fabric.sim.now, 1e-9)
     tier_bytes: Dict[str, int] = {}
     tier_capacity: Dict[str, float] = {}
@@ -109,19 +90,6 @@ def fabric_report(fabric: Fabric, top_n: int = 5,
             (port.name, port.bytes_sent, port.bytes_sent / (port.bandwidth * t))
         )
         marks += port.marks_set
-
-    windowed_hot: List[tuple] = []
-    if observer is not None and len(observer.windows):
-        # same per-port series the forensics layer uses (deferred import:
-        # analysis must stay importable without the observe package)
-        from ..observe.forensics import _port_utils
-
-        utils = _port_utils(list(observer.windows), observer.capacities)
-        ranked = sorted(
-            ((max(s), sum(s) / len(s), base) for base, s in utils.items() if s),
-            reverse=True,
-        )[:top_n]
-        windowed_hot = [(base, peak, mean) for peak, mean, base in ranked]
 
     delivered = fabric.packets_delivered()
     total_forwards = sum(sw.pkts_forwarded for sw in fabric.switches)
@@ -147,5 +115,4 @@ def fabric_report(fabric: Fabric, top_n: int = 5,
         mean_hops=mean_hops,
         nonminimal_fraction=min(1.0, nonmin),
         llr_replays=replays,
-        windowed_hot=windowed_hot,
     )

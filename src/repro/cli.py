@@ -471,17 +471,21 @@ def cmd_report(args) -> int:
 def cmd_trace(args) -> int:
     import random
 
+    from .observe.timeseries import TimeSeriesEngine
     from .sim.rng import stable_hash
     from .telemetry import FabricTelemetry
 
     config = _get_system(args.system)()
     fabric = config.build()
-    telem = FabricTelemetry(
-        fabric,
-        sample_rate=args.sample_rate,
-        scrape_interval_ns=args.scrape_interval_us * 1000.0,
-        seed=args.seed,
-    )
+    telem = FabricTelemetry(fabric, sample_rate=args.sample_rate, seed=args.seed)
+    # one sample per window, every window kept, started before any traffic
+    engine = TimeSeriesEngine(
+        fabric.sim,
+        telem.registry,
+        window_ns=args.scrape_interval_us * 1000.0,
+        samples_per_window=1,
+        max_windows=None,
+    ).start()
     rng = random.Random(stable_hash("cli-trace", args.seed))
     n = fabric.topology.n_nodes
     if args.pattern == "incast":
@@ -501,7 +505,8 @@ def cmd_trace(args) -> int:
                 fabric.send(a, b, rng.choice([8, 4 * KiB, 64 * KiB]))
                 sent += 1
     fabric.sim.run()
-    paths = telem.export(args.out)
+    engine.stop()
+    paths = telem.export(args.out, windows=engine)
     sim = fabric.sim
     rows = [
         ["system", config.name],
@@ -513,7 +518,7 @@ def cmd_trace(args) -> int:
         ["span events", len(telem.spans)],
         ["span layers", ", ".join(telem.spans.layers())],
         ["metrics", len(telem.registry)],
-        ["scrape snapshots", len(telem.scraper)],
+        ["time-series windows", len(engine)],
     ]
     for kind, path in paths.items():
         rows.append([kind, path])
@@ -849,7 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-rate", type=_fraction, default=1.0,
                    help="fraction of packets given lifecycle spans")
     p.add_argument("--scrape-interval-us", type=_duration, default=10.0,
-                   help="counter snapshot cadence in simulated microseconds")
+                   help="time-series window width in simulated "
+                        "microseconds (one sample per window)")
     p.add_argument("--out", default="trace_out",
                    help="output directory for trace artifacts")
     p.add_argument("--seed", type=int, default=0)

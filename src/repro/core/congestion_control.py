@@ -63,7 +63,6 @@ class PairState:
         "_window",
         "eff_window",
         "in_flight",
-        "pending",
         "pending_iters",
         "pending_count",
         "pending_bytes",
@@ -78,12 +77,9 @@ class PairState:
     def __init__(self, window: float, last_update_ns: float = 0.0):
         self.window = window  # property assignment: also sets eff_window
         self.in_flight = 0
-        self.pending = deque()
         # Lazy segmentation: submitted messages sit here as un-consumed
-        # packet generators (FIFO); `pending` holds only already-
-        # materialized packets (e.g. none in the common case).  The
-        # counters track what remains across both, so the hot path never
-        # walks either container.
+        # packet generators (FIFO).  The counters track what remains, so
+        # the hot path never walks the container.
         self.pending_iters = deque()
         self.pending_count = 0
         self.pending_bytes = 0.0

@@ -389,7 +389,7 @@ class Fabric:
 
     def attach_telemetry(self, **kwargs):
         """Attach a :class:`repro.telemetry.FabricTelemetry` (keyword
-        arguments ``sample_rate``, ``scrape_interval_ns`` …)."""
+        arguments ``sample_rate``, ``seed`` …)."""
         from ..telemetry import FabricTelemetry
 
         return FabricTelemetry(self, **kwargs)

@@ -164,12 +164,9 @@ class NIC:
 
     def _next_pending(self, state: PairState) -> Packet:
         """Materialize the next queued packet (oldest message first)."""
-        if state.pending:
-            pkt = state.pending.popleft()
-        else:
-            pkt = next(state.pending_iters[0])
-            if pkt.is_last:
-                state.pending_iters.popleft()
+        pkt = next(state.pending_iters[0])
+        if pkt.is_last:
+            state.pending_iters.popleft()
         state.pending_count -= 1
         state.pending_bytes -= pkt.size
         return pkt
@@ -189,16 +186,12 @@ class NIC:
             enqueue = self.out_port.enqueue
             probe = self.probe
             retrans = self.retrans
-            pending = state.pending
             iters = state.pending_iters
             while state.in_flight < eff:
                 # inlined _next_pending(state)
-                if pending:
-                    pkt = pending.popleft()
-                else:
-                    pkt = next(iters[0])
-                    if pkt.is_last:
-                        iters.popleft()
+                pkt = next(iters[0])
+                if pkt.is_last:
+                    iters.popleft()
                 state.pending_count -= 1
                 size = pkt.size
                 state.pending_bytes -= size
@@ -343,7 +336,7 @@ class NIC:
 
     def blocked_pairs(self) -> int:
         """Destinations with queued traffic that the congestion window is
-        currently holding back (diagnostics; scrape-time only).  Pairs
+        currently holding back (diagnostics; sample-time only).  Pairs
         gated by the pacing timer count too: a fractional window with
         nothing in flight but an armed pace wakeup is window-blocked,
         not idle."""

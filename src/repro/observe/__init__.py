@@ -4,8 +4,8 @@ PR 1's :mod:`repro.telemetry` records *what happened* — counters,
 gauges, packet spans.  This package answers *why the run was slow*:
 
 * :mod:`repro.observe.timeseries` — sim-time window ring over every
-  registry metric, with per-window rates, level sketches, and mergeable
-  windows for parallel sweep cells;
+  registry metric, with per-window rates and level sketches (the one
+  sampler ``repro trace`` also runs);
 * :mod:`repro.observe.attribution` — delivered-packet latency
   decomposed into named stage budgets (host-inject wait, VOQ wait,
   arbitration, wire, switch, retry) plus the victim-vs-aggressor port
@@ -35,13 +35,7 @@ from .attribution import (
     victim_aggressor_report,
 )
 from .forensics import ForensicsReport, HotPort, congestion_report
-from .timeseries import (
-    CUMULATIVE_SUFFIXES,
-    LevelAgg,
-    TimeSeriesEngine,
-    TimeWindow,
-    merge_window_series,
-)
+from .timeseries import CUMULATIVE_SUFFIXES, LevelAgg, TimeSeriesEngine, TimeWindow
 from .weathermap import weathermap_data, weathermap_html, write_weathermap
 
 __all__ = [
@@ -49,7 +43,6 @@ __all__ = [
     "TimeSeriesEngine",
     "TimeWindow",
     "LevelAgg",
-    "merge_window_series",
     "CUMULATIVE_SUFFIXES",
     "STAGES",
     "PacketBudget",
@@ -88,7 +81,6 @@ class FabricObserver:
         samples_per_window: int = 4,
         max_windows: int = 256,
         sample_rate: float = 1.0,
-        autostart: bool = True,
     ):
         if telemetry is None:
             from ..telemetry import FabricTelemetry
@@ -119,9 +111,7 @@ class FabricObserver:
             samples_per_window=samples_per_window,
             max_windows=max_windows,
             capacities=self.capacities,
-        )
-        if autostart:
-            self.engine.start()
+        ).start()
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -1,49 +1,42 @@
 """Windowed time-series engine over the telemetry registry.
 
-The PR 1 scraper produces raw snapshot columns; analysis code then
-differences, rates, and percentiles them by hand, per experiment.  This
-module replaces that with a first-class windowed view: sim time is cut
-into fixed ``window_ns`` windows, each holding
+The one sampler over a :class:`~repro.telemetry.TelemetryRegistry`: sim
+time is cut into fixed ``window_ns`` windows, each holding
 
 * **deltas** — the increase of every *cumulative* metric (counters,
   histogram observation counts, and monotone gauges such as
   ``...tx_bytes`` or ``...credit_stall_ns``) over the window, so
   per-window rates and utilizations fall out as ``delta / width``;
 * **levels** — a :class:`LevelAgg` sketch of every instantaneous gauge
-  (``...voq_depth``, ``...cc_queued_bytes`` …) sampled
-  ``samples_per_window`` times per window, answering mean/min/max and
-  p50–p99 questions without storing every sample.
+  (``...voq_depth``, ``...credited_bytes``, ``...cc_queued_bytes`` …)
+  sampled ``samples_per_window`` times per window, answering
+  mean/min/max and p50–p99 questions without storing every sample.
 
-Windows live in a bounded ring (``max_windows``), so a long run keeps a
-sliding recent view at O(windows x metrics) memory.
+Windows live in a ring (``max_windows``; None keeps every window), so a
+long run can keep a sliding recent view at O(windows x metrics) memory.
+``repro observe`` samples four times per window; ``repro trace`` once,
+keeping every window, and renders :meth:`TimeSeriesEngine.counter_tracks`
+as its Chrome counter tracks and its CSV time series.
 
-Windows **merge**: ``TimeWindow.merge`` combines the same window of two
-independent runs (deltas add, level sketches fold together), and
-:func:`merge_window_series` aligns and merges whole series — this is
-what lets :func:`repro.parallel.run_cells` workers return their window
-series and the parent combine them into one fabric-wide view.  Merging
-is exact for deltas and order-independent for sketches (raw samples up
-to a cap, then a shared-layout log-binned histogram), so any merge tree
-over the same cells yields the same result.
-
-Like the scraper, the engine schedules ordinary simulator events and
-re-arms only while real events remain, so it never keeps a finished run
-alive and a fabric without an engine schedules nothing.
+The engine ticks by the simulator's one tick rule
+(:class:`~repro.sim.PeriodicTick`), so it never keeps a finished run
+alive, whatever other samplers share the simulator, and a fabric
+without an engine schedules nothing.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
+from ..sim.engine import PeriodicTick
 from ..telemetry.registry import Histogram, TelemetryRegistry
 
 __all__ = [
     "LevelAgg",
     "TimeWindow",
     "TimeSeriesEngine",
-    "merge_window_series",
     "CUMULATIVE_SUFFIXES",
 ]
 
@@ -58,7 +51,6 @@ CUMULATIVE_SUFFIXES: Tuple[str, ...] = (
     ".acks_marked",
     ".marks",
     ".drops",
-    ".credited_bytes",
     ".credit_stall_ns",
     ".credit_stalls",
     ".pkts_forwarded",
@@ -78,20 +70,17 @@ CUMULATIVE_SUFFIXES: Tuple[str, ...] = (
 #: raw samples kept per level aggregate before spilling to a sketch
 _RAW_CAP = 64
 
-#: shared sketch layout — every LevelAgg sketch uses it, so any two
-#: sketches merge bin-for-bin (coarse on purpose: 4 bins/decade over
-#: 12 decades is 50 ints)
+#: sketch layout of every LevelAgg (coarse on purpose: 4 bins/decade
+#: over 12 decades is 50 ints)
 _SKETCH = dict(lo=1.0, hi=1e12, bins_per_decade=4)
 
 
 class LevelAgg:
-    """Order-independent aggregate of one gauge's samples in one window.
+    """Aggregate of one gauge's samples in one window.
 
     Exact (raw samples) up to :data:`_RAW_CAP` observations; beyond that
-    everything spills into a log-binned :class:`Histogram` sketch.  The
-    spill rule depends only on the *count*, and sketch bins add
-    elementwise, so the aggregate state is a pure function of the sample
-    multiset — the property window merging relies on.
+    everything spills into a log-binned :class:`Histogram` sketch, so a
+    window's memory stays bounded however finely it is sampled.
     """
 
     __slots__ = ("n", "total", "vmin", "vmax", "samples", "sketch")
@@ -151,28 +140,6 @@ class LevelAgg:
             "p99": self.percentile(99),
         }
 
-    # -- merging --------------------------------------------------------------
-
-    def merge(self, other: "LevelAgg") -> "LevelAgg":
-        """A new aggregate over the union of both sample multisets."""
-        out = LevelAgg()
-        out.n = self.n + other.n
-        out.total = self.total + other.total
-        out.vmin = min(self.vmin, other.vmin)
-        out.vmax = max(self.vmax, other.vmax)
-        if self.sketch is None and other.sketch is None and out.n <= _RAW_CAP:
-            out.samples = self.samples + other.samples
-            return out
-        out.samples = None
-        out.sketch = Histogram("level", **_SKETCH)
-        for src in (self, other):
-            if src.sketch is not None:
-                out.sketch.merge(src.sketch)
-            else:
-                for s in src.samples:
-                    out.sketch.observe(s)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LevelAgg(n={self.n}, mean={self.mean():g})"
 
@@ -180,9 +147,8 @@ class LevelAgg:
 class TimeWindow:
     """One ``[t0, t1)`` slice of the run: metric deltas + level sketches.
 
-    Plain data (floats, dicts, :class:`LevelAgg`) — picklable, so
-    parallel sweep workers can return window series across the process
-    boundary.
+    Plain data (floats, dicts, :class:`LevelAgg`), so it pickles across
+    a sweep's process boundary.
     """
 
     __slots__ = ("t0", "t1", "deltas", "levels")
@@ -209,41 +175,9 @@ class TimeWindow:
         w = self.width
         return self.deltas.get(name, 0.0) / (bandwidth * w) if w > 0 else 0.0
 
-    def merge(self, other: "TimeWindow") -> "TimeWindow":
-        """Combine the same window observed by two independent runs."""
-        deltas = dict(self.deltas)
-        for k, v in other.deltas.items():
-            deltas[k] = deltas.get(k, 0.0) + v
-        levels: Dict[str, LevelAgg] = {}
-        for k in set(self.levels) | set(other.levels):
-            a, b = self.levels.get(k), other.levels.get(k)
-            if a is not None and b is not None:
-                levels[k] = a.merge(b)
-            else:
-                levels[k] = (a if a is not None else b).merge(LevelAgg())
-        return TimeWindow(min(self.t0, other.t0), max(self.t1, other.t1),
-                          deltas, levels)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"TimeWindow([{self.t0:g}, {self.t1:g}), "
                 f"{len(self.deltas)} deltas, {len(self.levels)} levels)")
-
-
-def merge_window_series(a: Iterable[TimeWindow],
-                        b: Iterable[TimeWindow]) -> List[TimeWindow]:
-    """Merge two window series, aligning windows by their start time.
-
-    Windows present in only one series pass through unchanged (cells of
-    different simulated length produce different tails).  The result is
-    sorted by ``t0``; merging is associative and commutative, so any
-    fold order over a set of cell series gives the same answer.
-    """
-    by_t0: Dict[float, TimeWindow] = {}
-    for w in a:
-        by_t0[w.t0] = by_t0[w.t0].merge(w) if w.t0 in by_t0 else w
-    for w in b:
-        by_t0[w.t0] = by_t0[w.t0].merge(w) if w.t0 in by_t0 else w
-    return [by_t0[t] for t in sorted(by_t0)]
 
 
 class TimeSeriesEngine:
@@ -259,14 +193,11 @@ class TimeSeriesEngine:
         Level-gauge sampling ticks per window (the tick interval is
         ``window_ns / samples_per_window``; deltas are exact regardless).
     max_windows:
-        Ring capacity — older windows fall off the front.
+        Ring capacity — older windows fall off the front; None keeps
+        every window.
     capacities:
-        Optional ``{"<base>.tx_bytes": bandwidth_B_per_ns}`` map used by
-        :meth:`utilization` and :meth:`counter_tracks` to turn byte
-        deltas into link utilizations.
-    cumulative_suffixes:
-        Extra gauge-name suffixes to treat as monotone totals, on top of
-        :data:`CUMULATIVE_SUFFIXES`.
+        Optional ``{"<base>.tx_bytes": bandwidth_B_per_ns}`` map that
+        :meth:`counter_tracks` turns into link-utilization tracks.
     """
 
     def __init__(
@@ -275,26 +206,25 @@ class TimeSeriesEngine:
         registry: TelemetryRegistry,
         window_ns: float = 10_000.0,
         samples_per_window: int = 4,
-        max_windows: int = 256,
+        max_windows: Optional[int] = 256,
         capacities: Optional[Dict[str, float]] = None,
-        cumulative_suffixes: Tuple[str, ...] = (),
     ):
         if window_ns <= 0:
             raise ValueError("window_ns must be positive")
         if samples_per_window < 1:
             raise ValueError("samples_per_window must be >= 1")
-        if max_windows < 1:
+        if max_windows is not None and max_windows < 1:
             raise ValueError("max_windows must be >= 1")
         self.sim = sim
         self.registry = registry
         self.window_ns = float(window_ns)
         self.samples_per_window = samples_per_window
-        self.interval_ns = self.window_ns / samples_per_window
         self.capacities: Dict[str, float] = dict(capacities or {})
-        self._suffixes = CUMULATIVE_SUFFIXES + tuple(cumulative_suffixes)
         #: the finished-window ring
         self.windows: Deque[TimeWindow] = deque(maxlen=max_windows)
-        self._armed = False
+        self._tick = PeriodicTick(
+            sim, self.window_ns / samples_per_window, self._sample
+        )
         self._started = False
         self._ticks_in_window = 0
         self._open_t0 = 0.0
@@ -305,30 +235,29 @@ class TimeSeriesEngine:
     # -- control --------------------------------------------------------------
 
     def start(self) -> "TimeSeriesEngine":
-        """Open the first window at the current sim time (idempotent)."""
-        if not self._armed:
-            self._armed = True
+        """Open the first window at the current sim time and arm the
+        tick (idempotent)."""
+        if not self._started:
             self._started = True
             self._open_t0 = self.sim.now
             self._open_snap = self.registry.snapshot()
-            self._open_levels = {}
-            self._ticks_in_window = 0
-            self.sim.schedule(self.interval_ns, self._tick)
+        self._tick.start()
         return self
 
     def stop(self) -> None:
-        """Seal the open window (possibly partial) and stop re-arming.
+        """Seal the open window (possibly partial) and stop ticking.
 
-        Works whether the engine is still armed or disarmed itself when
-        the event queue drained — any time that has passed since the
-        last window boundary becomes a final partial window.  Idempotent.
+        Works whether the tick is still armed or stopped re-arming when
+        the run drained — any time that has passed since the last window
+        boundary becomes a final partial window.  Idempotent.
         """
         if not self._started:
             return
-        self._armed = False
+        self._tick.stop()
         if self.sim.now > self._open_t0:
-            self._observe_levels(self.registry.snapshot())
-            self._close_window(self.sim.now)
+            snap = self.registry.snapshot()
+            self._observe_levels(snap)
+            self._close_window(snap)
 
     # -- internals -------------------------------------------------------------
 
@@ -336,7 +265,7 @@ class TimeSeriesEngine:
         c = self._cumulative.get(name)
         if c is None:
             kind = self.registry.get(name).kind
-            c = kind in ("counter", "histogram") or name.endswith(self._suffixes)
+            c = kind in ("counter", "histogram") or name.endswith(CUMULATIVE_SUFFIXES)
             self._cumulative[name] = c
         return c
 
@@ -350,14 +279,14 @@ class TimeSeriesEngine:
                 agg = levels[name] = LevelAgg()
             agg.observe(value)
 
-    def _close_window(self, t1: float) -> None:
-        snap = self.registry.snapshot()
+    def _close_window(self, snap: Dict[str, float]) -> None:
         open_snap = self._open_snap
         deltas = {
             name: value - open_snap.get(name, 0.0)
             for name, value in snap.items()
             if self._is_cumulative(name)
         }
+        t1 = self.sim.now
         self.windows.append(
             TimeWindow(self._open_t0, t1, deltas, self._open_levels)
         )
@@ -366,93 +295,49 @@ class TimeSeriesEngine:
         self._open_levels = {}
         self._ticks_in_window = 0
 
-    def _tick(self) -> None:
-        if not self._armed:
-            return
-        self._observe_levels(self.registry.snapshot())
+    def _sample(self) -> None:
+        snap = self.registry.snapshot()
+        self._observe_levels(snap)
         self._ticks_in_window += 1
         if self._ticks_in_window >= self.samples_per_window:
-            self._close_window(self.sim.now)
-        # Re-arm only while real simulation events remain, so the engine
-        # never keeps an otherwise-finished run alive (scraper rule).
-        if self.sim.queue_length > 0:
-            self.sim.schedule(self.interval_ns, self._tick)
-        else:
-            self._armed = False
+            self._close_window(snap)
 
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.windows)
 
-    def rate_series(self, name: str) -> List[Tuple[float, float]]:
-        """``(window_end_ns, units_per_ns)`` per window for a cumulative
-        metric (empty list for an unknown name)."""
-        return [(w.t1, w.rate(name)) for w in self.windows]
+    def counter_tracks(self) -> List[Tuple[str, List[Tuple[float, float]]]]:
+        """The engine's one track list, sorted by track name.
 
-    def ewma_series(self, name: str, alpha: float = 0.3) -> List[Tuple[float, float]]:
-        """Exponentially-weighted moving average of the per-window rate."""
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
-        out: List[Tuple[float, float]] = []
-        acc = None
-        for t1, r in self.rate_series(name):
-            acc = r if acc is None else alpha * r + (1 - alpha) * acc
-            out.append((t1, acc))
-        return out
+        ``(track_name, [(window_end_ns, value), ...])`` pairs:
 
-    def level_series(self, name: str) -> List[Tuple[float, LevelAgg]]:
-        """``(window_end_ns, LevelAgg)`` per window for a gauge."""
-        return [(w.t1, w.levels[name]) for w in self.windows
-                if name in w.levels]
-
-    def utilization(self, window: TimeWindow) -> Dict[str, float]:
-        """Per-port utilization for one window: ``{base: fraction}`` for
-        every ``<base>.tx_bytes`` capacity the engine knows about."""
-        out = {}
-        for name, bw in self.capacities.items():
-            base = name[: -len(".tx_bytes")] if name.endswith(".tx_bytes") else name
-            out[base] = window.utilization(name, bw)
-        return out
-
-    def counter_tracks(
-        self, prefixes: Optional[List[str]] = None
-    ) -> List[Tuple[str, List[Tuple[float, float]]]]:
-        """Per-window rate (and utilization) tracks for trace export.
-
-        Returns ``(track_name, [(t_ns, value), ...])`` pairs: every
-        cumulative metric becomes a ``<name>.rate`` track (units/ns at
-        each window end) and every known capacity a ``<base>.util``
-        track.  *prefixes* restricts by metric-name prefix.
+        * every level gauge under its own name — its mean sample in each
+          window it was sampled in (with one sample per window, the
+          sampled value itself);
+        * every cumulative metric as ``<name>.rate`` — units per ns in
+          each window, so ``rate * width`` summed over the windows up to
+          an instant is the metric's growth since :meth:`start`;
+        * every known capacity as ``<base>.util`` — the fraction of it
+          the window's ``<base>.tx_bytes`` delta used.
         """
-        if not self.windows:
-            return []
-
-        def wanted(name: str) -> bool:
-            return prefixes is None or any(
-                name == p or name.startswith(p) for p in prefixes
-            )
-
-        names = sorted(
-            {n for w in self.windows for n in w.deltas if wanted(n)}
-        )
+        windows = self.windows
         tracks = [
-            (f"{name}.rate", [(w.t1, w.rate(name)) for w in self.windows])
-            for name in names
+            (name, [(w.t1, w.levels[name].mean())
+                    for w in windows if name in w.levels])
+            for name in {n for w in windows for n in w.levels}
         ]
-        for cap_name in sorted(self.capacities):
-            if not wanted(cap_name):
-                continue
-            bw = self.capacities[cap_name]
-            base = (cap_name[: -len(".tx_bytes")]
-                    if cap_name.endswith(".tx_bytes") else cap_name)
-            tracks.append(
-                (f"{base}.util",
-                 [(w.t1, w.utilization(cap_name, bw)) for w in self.windows])
-            )
+        tracks += [
+            (f"{name}.rate", [(w.t1, w.rate(name)) for w in windows])
+            for name in {n for w in windows for n in w.deltas}
+        ]
+        if windows:
+            for cap_name, bw in self.capacities.items():
+                base = (cap_name[: -len(".tx_bytes")]
+                        if cap_name.endswith(".tx_bytes") else cap_name)
+                tracks.append(
+                    (f"{base}.util",
+                     [(w.t1, w.utilization(cap_name, bw)) for w in windows])
+                )
+        tracks.sort(key=lambda track: track[0])
         return tracks
-
-    def series(self) -> List[TimeWindow]:
-        """The finished windows as a plain (picklable) list — what a
-        parallel sweep worker should return to its parent."""
-        return list(self.windows)

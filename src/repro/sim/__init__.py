@@ -1,13 +1,15 @@
 """Self-contained discrete-event simulation engine (SimPy-style).
 
 The substrate every other subsystem runs on: a deterministic event queue
-(:class:`Simulator`), generator-based processes (:class:`Process`), a
+(:class:`Simulator`), the one tick rule for periodic samplers
+(:class:`PeriodicTick`), generator-based processes (:class:`Process`), a
 stable hash for seeding (:func:`stable_hash`) and a windowed byte
 counter (:class:`RateMeter`).
 """
 
 from .engine import (
     Event,
+    PeriodicTick,
     SimStall,
     Simulator,
     StopSimulation,
@@ -21,6 +23,7 @@ from .trace import RateMeter
 __all__ = [
     "Simulator",
     "Event",
+    "PeriodicTick",
     "StopSimulation",
     "SimStall",
     "set_default_watchdog",

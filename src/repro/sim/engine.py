@@ -71,6 +71,7 @@ __all__ = [
     "Event",
     "StopSimulation",
     "TimerHandle",
+    "PeriodicTick",
     "SimStall",
     "set_default_watchdog",
     "default_watchdog",
@@ -259,6 +260,51 @@ class TimerHandle:
             sim._compact()
 
 
+class PeriodicTick:
+    """Calls ``fn()`` every *interval_ns* of simulated time while the run
+    has other work.
+
+    The one tick rule of every sampler that watches a run from the event
+    queue (the time-series engine, the invariant auditor's sweep): after
+    ``fn`` a tick re-arms only while the queue holds a live entry that is
+    not a pending tick, so any number of samplers on one simulator still
+    let :meth:`Simulator.run` drain — once nothing but ticks and
+    cancelled timers is queued, each fires once more and stops.  The
+    simulator counts the pending ticks (:attr:`Simulator.periodic_ticks`).
+    """
+
+    __slots__ = ("sim", "interval_ns", "fn", "_timer")
+
+    def __init__(self, sim: "Simulator", interval_ns: float, fn: Callable):
+        if not interval_ns > 0:
+            raise ValueError(f"tick interval must be positive, got {interval_ns}")
+        self.sim = sim
+        self.interval_ns = interval_ns
+        self.fn = fn
+        self._timer: Optional[TimerHandle] = None
+
+    def start(self) -> None:
+        """Arm the next tick (idempotent)."""
+        if self._timer is None:
+            self.sim.periodic_ticks += 1
+            self._timer = self.sim.schedule_cancellable(self.interval_ns, self._fire)
+
+    def stop(self) -> None:
+        """Cancel the pending tick (idempotent)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+            self.sim.periodic_ticks -= 1
+
+    def _fire(self) -> None:
+        sim = self.sim
+        self._timer = None
+        sim.periodic_ticks -= 1
+        self.fn()
+        if sim.live_queue_length > sim.periodic_ticks:
+            self.start()
+
+
 class Event:
     """A one-shot occurrence that callbacks and processes can wait on.
 
@@ -365,6 +411,7 @@ class Simulator:
         "_events_processed",
         "_stopped",
         "_dead",
+        "periodic_ticks",
         "last_run_events",
         "last_run_wall_s",
         "event_hook",
@@ -393,9 +440,12 @@ class Simulator:
         self._stopped = False
         #: cancelled-but-unpopped queue entries (lazy deletion bookkeeping)
         self._dead: int = 0
-        # event-loop diagnostics for the telemetry scraper: how the last
-        # run() call performed in *wall-clock* terms (pure observation;
-        # never feeds back into simulated behaviour)
+        #: pending PeriodicTick entries; only the ticks read it, never a
+        #: run loop
+        self.periodic_ticks: int = 0
+        # event-loop diagnostics for telemetry: how the last run() call
+        # performed in *wall-clock* terms (pure observation; never feeds
+        # back into simulated behaviour)
         self.last_run_events: int = 0
         self.last_run_wall_s: float = 0.0
         #: per-event observer ``hook(t, fn, args)`` (repro.validate's

@@ -5,13 +5,18 @@ Three output shapes, all built from the same in-memory telemetry:
 * **JSONL** — one span event per line, exactly as recorded.  The
   greppable/streamable form for ad-hoc analysis (``jq``, pandas).
 * **CSV** — final counter/gauge values and histogram summaries
-  (``counters_to_csv``), and the scraper's long-format time series
+  (``counters_to_csv``), and the windowed time series in long format
   (``timeseries_to_csv``).
 * **Chrome trace-event JSON** — loadable in ``chrome://tracing`` or
   Perfetto.  Sampled packets become one timeline row each (their
   lifecycle phases as complete events, marks/routing decisions as
-  instants) and every scraped metric becomes a counter track, so a
+  instants) and every time-series track becomes a counter track, so a
   whole simulation reads as a visual timeline.
+
+The time series comes from a :class:`repro.observe.TimeSeriesEngine`,
+passed as *windows* and duck-typed on its ``counter_tracks()`` (this
+module must not import the observe layer); the CSV and the Chrome
+counter tracks render that one track list.
 
 Chrome trace timestamps are microseconds; simulation time is
 nanoseconds, hence the /1e3 throughout.
@@ -25,7 +30,6 @@ import json
 from typing import Dict, List, Optional
 
 from .registry import TelemetryRegistry
-from .scraper import CounterScraper
 from .spans import SpanRecorder
 
 __all__ = [
@@ -34,7 +38,6 @@ __all__ = [
     "counters_to_csv",
     "timeseries_to_csv",
     "chrome_trace",
-    "write_chrome_trace",
 ]
 
 #: lifecycle stages that delimit a packet's timeline slices, in order of
@@ -80,13 +83,23 @@ def counters_to_csv(registry: TelemetryRegistry) -> str:
     return buf.getvalue()
 
 
-def timeseries_to_csv(scraper: CounterScraper) -> str:
-    """Scraped snapshots in long format: ``t_ns,name,value``."""
+def _num(v: float) -> str:
+    """``%g`` text where it is exact, else the shortest exact repr: a
+    level reads as it always did, and a rate keeps every digit, so rate
+    x width summed over windows gives back its counter."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
+def timeseries_to_csv(windows) -> str:
+    """The time series in long format, ``t_ns,name,value``: one row per
+    point of every track in ``windows.counter_tracks()``."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["t_ns", "name", "value"])
-    for t, name, v in scraper.rows():
-        w.writerow([f"{t:g}", name, f"{v:g}"])
+    for name, points in windows.counter_tracks():
+        for t, v in points:
+            w.writerow([f"{t:g}", name, _num(v)])
     return buf.getvalue()
 
 
@@ -105,24 +118,12 @@ def _meta(pid: int, name: str, tid: Optional[int] = None) -> Dict:
     return ev
 
 
-def chrome_trace(
-    spans: Optional[SpanRecorder] = None,
-    scraper: Optional[CounterScraper] = None,
-    counter_prefixes: Optional[List[str]] = None,
-    windows=None,
-) -> Dict:
-    """Build a trace-event dict (``json.dump`` it yourself, or use
-    :func:`write_chrome_trace`).
+def chrome_trace(spans: Optional[SpanRecorder] = None, windows=None) -> Dict:
+    """Build a trace-event dict (``json.dump`` it yourself).
 
-    *counter_prefixes* optionally restricts which scraped series become
-    counter tracks (metric cardinality on a big fabric can be large).
-
-    *windows* is anything with a ``counter_tracks(prefixes)`` method —
-    in practice a :class:`repro.observe.TimeSeriesEngine` — whose
-    per-window rate/utilization tracks are emitted as additional counter
-    rows, so windowed utilization shows up alongside spans in Perfetto.
-    (Duck-typed on purpose: this module must not import the observe
-    layer.)
+    Every track of ``windows.counter_tracks()`` (a
+    :class:`repro.observe.TimeSeriesEngine`) becomes a counter row, so
+    the time series shows up alongside the packet spans in Perfetto.
     """
     events: List[Dict] = [_meta(_PID_PACKETS, "packets")]
 
@@ -168,15 +169,11 @@ def chrome_trace(
                     }
                 )
 
-    if scraper is not None and len(scraper):
+    tracks = windows.counter_tracks() if windows is not None else []
+    if tracks:
         events.append(_meta(_PID_COUNTERS, "fabric counters"))
-        for name in scraper.names():
-            if counter_prefixes is not None and not any(
-                name == p or name.startswith(p + ".") or name.startswith(p)
-                for p in counter_prefixes
-            ):
-                continue
-            for t, v in zip(scraper.times, scraper.series[name]):
+        for name, points in tracks:
+            for t, v in points:
                 events.append(
                     {
                         "name": name,
@@ -187,31 +184,5 @@ def chrome_trace(
                     }
                 )
 
-    if windows is not None and hasattr(windows, "counter_tracks"):
-        tracks = windows.counter_tracks(counter_prefixes)
-        if tracks:
-            events.append(_meta(_PID_COUNTERS, "fabric counters"))
-            for name, points in tracks:
-                for t, v in points:
-                    events.append(
-                        {
-                            "name": name,
-                            "ph": "C",
-                            "ts": t / 1e3,
-                            "pid": _PID_COUNTERS,
-                            "args": {"value": v},
-                        }
-                    )
-
     return {"traceEvents": events, "displayTimeUnit": "ns"}
 
-
-def write_chrome_trace(
-    path: str,
-    spans: Optional[SpanRecorder] = None,
-    scraper: Optional[CounterScraper] = None,
-    counter_prefixes: Optional[List[str]] = None,
-    windows=None,
-) -> None:
-    with open(path, "w") as fh:
-        json.dump(chrome_trace(spans, scraper, counter_prefixes, windows), fh)

@@ -23,8 +23,8 @@ Design rules (the whole point of this module):
   imported this package.
 * **Levels over events where possible.**  Quantities the components
   already track (``bytes_sent``, ``backlog``, ``marks_set`` …) are
-  exposed as callable-backed gauges evaluated only at scrape time —
-  zero hot-path cost even when enabled.
+  exposed as callable-backed gauges evaluated only when the registry is
+  sampled — zero hot-path cost even when enabled.
 * **No simulation randomness.**  Span sampling hashes the packet id;
   enabling tracing can never perturb routing or CC decisions.
 """
@@ -45,7 +45,6 @@ from .exporters import (
     spans_to_jsonl,
 )
 from .registry import TelemetryRegistry
-from .scraper import CounterScraper
 from .spans import SpanRecorder
 
 __all__ = ["FabricTelemetry", "PortTelemetry", "SwitchTelemetry",
@@ -256,7 +255,7 @@ class FaultTelemetry(Probe):
     :class:`~repro.faults.FaultInjector`, whether it was attached before
     or after the telemetry.  Fault events land in their own
     ``fault`` span layer (alongside per-packet ``pkt_dropped`` events),
-    and the reliability counters are exposed as scrape-time gauges.
+    and the reliability counters are exposed as sample-time gauges.
     """
 
     __slots__ = ("spans", "events")
@@ -285,17 +284,19 @@ class FabricTelemetry:
     """Unified telemetry over one fabric.
 
     >>> fabric = malbec_mini().build()                      # doctest: +SKIP
-    >>> telem = FabricTelemetry(fabric, sample_rate=0.1,
-    ...                         scrape_interval_ns=10_000)  # doctest: +SKIP
+    >>> telem = FabricTelemetry(fabric, sample_rate=0.1)    # doctest: +SKIP
     >>> fabric.sim.run()                                    # doctest: +SKIP
     >>> telem.export("trace_out/")                          # doctest: +SKIP
+
+    For a time series of the registry, run a
+    :class:`repro.observe.TimeSeriesEngine` over :attr:`registry` and
+    pass it to :meth:`export` (``repro trace`` does).
     """
 
     def __init__(
         self,
         fabric,
         sample_rate: float = 1.0,
-        scrape_interval_ns: Optional[float] = None,
         seed: Optional[int] = None,
         max_span_events: int = 2_000_000,
     ):
@@ -306,11 +307,6 @@ class FabricTelemetry:
             seed=fabric.config.seed if seed is None else seed,
             max_events=max_span_events,
         )
-        self.scraper: Optional[CounterScraper] = None
-        if scrape_interval_ns is not None:
-            self.scraper = CounterScraper(
-                fabric.sim, self.registry, scrape_interval_ns
-            ).start()
         reg, sim = self.registry, fabric.sim
         reg.gauge("sim.queue_depth", fn=lambda: sim.queue_length)
         reg.gauge("sim.events_processed", fn=lambda: sim.events_processed)
@@ -372,8 +368,6 @@ class FabricTelemetry:
             return
         self._handle.detach()
         self._handle = None
-        if self.scraper is not None:
-            self.scraper.stop()
 
     def __enter__(self) -> "FabricTelemetry":
         return self
@@ -383,22 +377,22 @@ class FabricTelemetry:
 
     # -- export ----------------------------------------------------------------
 
-    def export(self, outdir: str, prefix: str = "trace") -> dict:
+    def export(self, outdir: str, prefix: str = "trace", windows=None) -> dict:
         """Write all artifacts into *outdir*; returns {kind: path}.
 
         Artifacts: ``<prefix>.json`` (Chrome/Perfetto trace),
         ``<prefix>.jsonl`` (span event stream), ``<prefix>_counters.csv``
-        (final values + histogram summaries) and, when a scraper is
-        active, ``<prefix>_timeseries.csv``.
+        (final values + histogram summaries) and, given a stopped
+        :class:`repro.observe.TimeSeriesEngine` as *windows*,
+        ``<prefix>_timeseries.csv``; its tracks are the Chrome trace's
+        counter tracks too.
         """
         os.makedirs(outdir, exist_ok=True)
-        if self.scraper is not None:
-            self.scraper.stop()  # final snapshot at current sim time
         paths = {}
 
         p = os.path.join(outdir, f"{prefix}.json")
         with open(p, "w") as fh:
-            json.dump(chrome_trace(self.spans, self.scraper), fh)
+            json.dump(chrome_trace(self.spans, windows), fh)
         paths["chrome_trace"] = p
 
         p = os.path.join(outdir, f"{prefix}.jsonl")
@@ -411,9 +405,9 @@ class FabricTelemetry:
             fh.write(counters_to_csv(self.registry))
         paths["counters_csv"] = p
 
-        if self.scraper is not None:
+        if windows is not None:
             p = os.path.join(outdir, f"{prefix}_timeseries.csv")
             with open(p, "w") as fh:
-                fh.write(timeseries_to_csv(self.scraper))
+                fh.write(timeseries_to_csv(windows))
             paths["timeseries_csv"] = p
         return paths

@@ -10,8 +10,8 @@ Metric names are dot-separated paths under stable component prefixes —
   is a single float add.
 * :class:`Gauge` — instantaneous level.  Either set explicitly or backed
   by a zero-argument callable that is evaluated only when the registry
-  is snapshotted (the periodic scraper), so a gauge over live component
-  state costs *nothing* between scrapes.
+  is snapshotted (by :class:`repro.observe.TimeSeriesEngine`), so a
+  gauge over live component state costs *nothing* between samples.
 * :class:`Histogram` — fixed log-spaced bins (hardware-counter style:
   no per-sample allocation, percentiles reconstructed from bin edges).
 
@@ -167,34 +167,8 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.n if self.n else math.nan
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold *other*'s observations into this histogram.
-
-        Bin counts add elementwise, so merging is exact (no resampling)
-        and order-independent — the property the windowed time-series
-        engine (:mod:`repro.observe`) relies on to combine sketches from
-        parallel sweep cells.  Both histograms must share the same bin
-        layout.
-        """
-        if (self.lo, self.hi, self.bins_per_decade) != (
-            other.lo, other.hi, other.bins_per_decade
-        ):
-            raise ValueError(
-                f"cannot merge histograms with different bin layouts: "
-                f"({self.lo}, {self.hi}, {self.bins_per_decade}) vs "
-                f"({other.lo}, {other.hi}, {other.bins_per_decade})"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.n += other.n
-        self.total += other.total
-        if other.vmin < self.vmin:
-            self.vmin = other.vmin
-        if other.vmax > self.vmax:
-            self.vmax = other.vmax
-
     def read(self) -> float:
-        """Snapshot scalar for the scraper: the observation count."""
+        """Snapshot scalar (the time series rates it): the observation count."""
         return float(self.n)
 
     def summary(self) -> Dict[str, float]:

@@ -14,7 +14,7 @@ Three independent parts, all usable from ``python -m repro validate``:
   module existed.
 * :mod:`repro.validate.differ` — a **determinism differ**: dual-run
   event-order fingerprinting that localizes the first divergent event
-  and diffs final telemetry scrapes, instead of just failing a hash.
+  and diffs the final telemetry snapshots, instead of just failing a hash.
 * :mod:`repro.validate.lint` — a **correctness lint** pass over the
   source tree encoding repo conventions (stable_hash-derived RNG
   streams, no wall-clock reads in sim code, no mutable default args).

@@ -6,7 +6,7 @@ nothing about *where*.  This module is the debugging counterpart: run
 the same scenario twice in one process, record every dispatched event
 via the engine's :attr:`event_hook`, and when the traces disagree report
 the **first divergent event** with surrounding context from both runs,
-plus a diff of the final telemetry scrapes (which localizes divergence
+plus a diff of the final telemetry snapshots (which localizes divergence
 to a subsystem even when the event streams are too long to eyeball).
 
 Event labels must be stable across runs, which takes care: packet and

@@ -15,12 +15,11 @@ event hooks, and reports any disagreement as a structured
 Checkers are :class:`~repro.probe.Probe` subscribers on the fabric's
 one probe slot per component (see :mod:`repro.probe`), so an unaudited
 fabric is bit-identical to one built before this module existed
-(enforced by ``tests/test_event_order_identity.py``).  Sweeps are
-ordinary simulator events that re-arm only while real events remain,
-mirroring
-:class:`repro.telemetry.CounterScraper`, and never mutate state — an
-audited run delivers the same packets at the same times as an unaudited
-one.
+(enforced by ``tests/test_event_order_identity.py``).  Sweeps tick by
+the simulator's one tick rule (:class:`repro.sim.PeriodicTick`), so an
+audited run still drains beside any other sampler, and never mutate
+state — an audited run delivers the same packets at the same times as
+an unaudited one.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from ..core.adaptive_routing import reachable_switches
 from ..network.nic import NIC
 from ..network.switch import OutputPort
 from ..probe import Probe, ProbeFanout
+from ..sim.engine import PeriodicTick
 
 __all__ = [
     "InvariantViolation",
@@ -470,12 +470,11 @@ class InvariantAuditor(Probe):
 
     Registers itself as ``fabric.auditor``, attaches its checkers as the
     probe of every NIC and output port and itself as the fault
-    injector's, and arms a periodic sweep (an ordinary simulator event
-    that re-arms only while real events remain, so an audited run still
-    drains); :meth:`detach` undoes all of it.  Violations are
-    recorded on :attr:`violations` and, with ``raise_on_violation``
-    (the default), raised immediately so the offending event is at the
-    top of the traceback.
+    injector's, and arms a periodic sweep (a :class:`PeriodicTick`, so
+    an audited run still drains); :meth:`detach` undoes all of it.
+    Violations are recorded on :attr:`violations` and, with
+    ``raise_on_violation`` (the default), raised immediately so the
+    offending event is at the top of the traceback.
 
     >>> from repro.systems import malbec_mini
     >>> fabric = malbec_mini().build()
@@ -495,8 +494,6 @@ class InvariantAuditor(Probe):
     ):
         if fabric.auditor is not None:
             raise RuntimeError("fabric already has an InvariantAuditor attached")
-        if sweep_interval_ns <= 0:
-            raise ValueError("sweep interval must be positive")
         self.fabric = fabric
         self.sim = fabric.sim
         self.sweep_interval_ns = sweep_interval_ns
@@ -504,7 +501,7 @@ class InvariantAuditor(Probe):
         self.checkers = list(checkers) if checkers is not None else default_checkers()
         self.violations: List[InvariantViolation] = []
         self.sweeps = 0
-        self._timer = None  # the pending sweep (None = not armed)
+        self._tick = PeriodicTick(self.sim, sweep_interval_ns, self.sweep)
         self._finalized = False
         for c in self.checkers:
             c.attach(self)
@@ -522,24 +519,12 @@ class InvariantAuditor(Probe):
 
     def start(self) -> "InvariantAuditor":
         """Arm the periodic sweep (idempotent)."""
-        if self._timer is None:
-            self._timer = self.sim.schedule_cancellable(
-                self.sweep_interval_ns, self._sweep_tick
-            )
+        self._tick.start()
         return self
-
-    def _sweep_tick(self) -> None:
-        self._timer = None
-        self.sweep()
-        # Re-arm only while real events remain, so an audited run drains.
-        if self.sim.queue_length > 0:
-            self.start()
 
     def detach(self) -> None:
         """Cancel the sweep and remove every probe (idempotent)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._tick.stop()
         self._handle.detach()
         if self.fabric.auditor is self:
             self.fabric.auditor = None

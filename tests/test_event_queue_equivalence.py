@@ -17,10 +17,11 @@ that attach an :class:`~repro.validate.differ.EventTrace` run the guarded
 loop; the delivery-handler comparison runs the hot loop with no hook.
 """
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultSchedule
@@ -31,8 +32,8 @@ from repro.network.switch import OutputPort, Switch
 from repro.network.units import KiB
 from repro.sim import SimStall, Simulator
 from repro.systems import malbec_mini, slingshot_config
+from repro.observe.timeseries import TimeSeriesEngine
 from repro.telemetry.registry import TelemetryRegistry
-from repro.telemetry.scraper import CounterScraper
 from repro.validate.differ import EventTrace
 from tests.oracles.heap_sim import HeapSimulator
 
@@ -130,7 +131,10 @@ def test_random_interleavings_dispatch_identically(ops, budget, preload):
     )
 
 
-@settings(max_examples=10, deadline=None)
+# No shrink phase: a queue that never drains costs ~2 s per failing seed
+# (the bound below), so minimizing one would take minutes.
+@settings(max_examples=10, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 10_000))
 def test_run_until_stepping_dispatches_identically(seed):
     """Repeated run(until=...) slices must agree too (the queue peeks at
@@ -147,8 +151,15 @@ def test_run_until_stepping_dispatches_identically(seed):
 
         for i in range(8):
             sim.schedule(rng.choice(_DELAYS), fire, i)
+        # no chain outlives 301 links at the longest delay, so a queue
+        # still holding entries past that never drains: fail, not hang
+        bound = 301 * max(_DELAYS)
         t = 0.0
         while sim.queue_length:
+            assert t <= bound, (
+                f"queue never drained: {sim.queue_length} entries left "
+                f"at t={t:g}"
+            )
             t += 2_000.0
             sim.run(until=t)
         return log
@@ -295,29 +306,34 @@ def test_compaction_from_inside_a_slot_filters_its_remainder(loop):
     assert log[-1][2:] == (0, 0)
 
 
-def _scraper_beside_work(sim):
+def _sampler_beside_work(sim):
     registry = TelemetryRegistry()
     done = registry.counter("work.done")
-    scraper = CounterScraper(sim, registry, interval_ns=100.0).start()
+    sampler = TimeSeriesEngine(sim, registry, window_ns=100.0,
+                               samples_per_window=1).start()
 
     def work(k):
         done.inc()
         if k < 3:
             sim.schedule(100.0, work, k + 1)
 
-    # pushed after the scraper's first tick: each tick heads a slot whose
+    # pushed after the sampler's first tick: each tick heads a slot whose
     # remainder is the only other pending work
     sim.schedule(100.0, work, 0)
     sim.run()
-    return scraper.times, scraper.get("work.done"), sim.now
+    times = [w.t1 for w in sampler.windows]
+    done = list(itertools.accumulate(w.deltas["work.done"]
+                                     for w in sampler.windows))
+    return times, done, sim.now
 
 
 @_LOOPS
 def test_queue_length_inside_a_slot_counts_its_remainder(loop):
     """A handler reading queue_length inside a slot counts the slot's
-    undispatched remainder: the telemetry scraper, which stops re-arming
-    when it reads 0, keeps sampling while same-time work follows it."""
-    times, done, _ = _on_both(_scraper_beside_work, loop)
+    undispatched remainder: the time-series sampler, which stops
+    re-arming when only ticks are left, keeps sampling while same-time
+    work follows it."""
+    times, done, _ = _on_both(_sampler_beside_work, loop)
     assert times == [100.0, 200.0, 300.0, 400.0, 500.0]
     assert done == [0, 1, 2, 3, 4]
 

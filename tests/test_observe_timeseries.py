@@ -1,26 +1,16 @@
-"""Windowed time-series engine: mechanics, merging, parallel cells.
+"""Windowed time-series engine: mechanics, track list, parallel cells.
 
-The merge property under test is the one :mod:`repro.parallel` relies
-on: combining per-cell window series must be exact for deltas and
-order-independent for level sketches, so a sweep gets the same merged
-view whether its cells ran serially or across a process pool, and
-whatever shape the merge tree takes.
+The engine is the one sampler over a telemetry registry (``repro
+observe`` and ``repro trace`` both run it), so these tests pin what both
+read from it: contiguous windows, exact deltas, level sketches, the one
+track list, and windows that come back whole from a sweep worker.
 """
 
 import math
 import random
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.network.units import KiB
-from repro.observe import (
-    LevelAgg,
-    TimeSeriesEngine,
-    TimeWindow,
-    merge_window_series,
-)
-from repro.observe.timeseries import _RAW_CAP
+from repro.observe import CUMULATIVE_SUFFIXES
 from repro.parallel import run_cells
 from repro.systems import malbec_mini
 
@@ -72,13 +62,11 @@ def test_window_deltas_sum_to_final_totals():
 
 def test_levels_and_rates_are_sane():
     fabric, obs = _run_with_engine()
-    eng = obs.engine
     # every window rates a busy injection port consistently with its delta
     name = "nic.0.port.I0->0.tx_bytes"
-    for t1, r in eng.rate_series(name):
-        assert r >= 0.0
-    ewma = eng.ewma_series(name)
-    assert len(ewma) == len(obs.windows)
+    for w in obs.windows:
+        assert w.rate(name) >= 0.0
+        assert math.isclose(w.rate(name) * w.width, w.deltas[name])
     # level gauges (voq_depth) were sampled and answer summaries
     sampled = [w for w in obs.windows
                for agg in [w.levels.get("sim.queue_depth")] if agg and agg.n]
@@ -104,81 +92,41 @@ def test_engine_never_keeps_a_finished_run_alive():
 
 def test_counter_tracks_emit_rates_and_utils():
     _, obs = _run_with_engine()
-    tracks = dict(obs.engine.counter_tracks(["nic.0.port"]))
+    tracks = dict(obs.engine.counter_tracks())
+    names = list(tracks)
+    assert names == sorted(names)  # one list, in name order
     rate_tracks = [n for n in tracks if n.endswith(".rate")]
     util_tracks = [n for n in tracks if n.endswith(".util")]
-    assert rate_tracks and util_tracks
-    for points in tracks.values():
-        assert len(points) == len(obs.windows)
+    assert "nic.0.port.I0->0.tx_bytes.rate" in rate_tracks
+    assert "nic.0.port.I0->0.util" in util_tracks
+    for name in rate_tracks + util_tracks:
+        points = tracks[name]
+        assert [t for t, _ in points] == [w.t1 for w in obs.windows]
         assert all(v >= 0.0 for _, v in points)
+    # a level gauge is its own track: the window's mean sample
+    depth = tracks["sim.queue_depth"]
+    assert depth == [(w.t1, w.levels["sim.queue_depth"].mean())
+                     for w in obs.windows if "sim.queue_depth" in w.levels]
 
 
-# -- merge properties ---------------------------------------------------------
-
-
-def _agg_from(samples):
-    agg = LevelAgg()
-    for s in samples:
-        agg.observe(s)
-    return agg
-
-
-def _aggs_equal(a: LevelAgg, b: LevelAgg) -> bool:
-    # totals are float sums: association order may differ by ulps
-    if a.n != b.n or not math.isclose(a.total, b.total,
-                                      rel_tol=1e-9, abs_tol=1e-6):
-        return False
-    if a.n == 0:
-        return True
-    if (a.vmin, a.vmax) != (b.vmin, b.vmax):
-        return False
-    if (a.sketch is None) != (b.sketch is None):
-        return False
-    if a.sketch is not None:
-        return a.sketch.counts == b.sketch.counts
-    return sorted(a.samples) == sorted(b.samples)
-
-
-values = st.floats(min_value=0.0, max_value=1e9,
-                   allow_nan=False, allow_infinity=False)
-sample_lists = st.lists(values, max_size=_RAW_CAP + 10)
-
-
-@settings(max_examples=60, deadline=None)
-@given(sample_lists, sample_lists, sample_lists)
-def test_levelagg_merge_is_associative_and_commutative(xs, ys, zs):
-    a, b, c = _agg_from(xs), _agg_from(ys), _agg_from(zs)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert _aggs_equal(left, right)
-    assert _aggs_equal(a.merge(b), b.merge(a))
-    # and the merged state matches observing the union directly
-    assert _aggs_equal(left, _agg_from(xs + ys + zs))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.tuples(st.sampled_from(["m.a", "m.b", "m.c"]), values),
-             max_size=8),
-    st.lists(st.tuples(st.sampled_from(["m.a", "m.b", "m.c"]), values),
-             max_size=8),
-)
-def test_window_merge_deltas_add_by_union(da, db):
-    def window(pairs):
-        deltas = {}
-        for k, v in pairs:
-            deltas[k] = deltas.get(k, 0.0) + v
-        return TimeWindow(0.0, 100.0, deltas, {})
-
-    wa, wb = window(da), window(db)
-    merged = wa.merge(wb)
-    for k in set(merged.deltas):
-        expect = wa.deltas.get(k, 0.0) + wb.deltas.get(k, 0.0)
-        assert math.isclose(merged.deltas[k], expect, rel_tol=1e-12)
-    # commutative
-    flipped = wb.merge(wa)
-    assert merged.deltas == flipped.deltas
-    assert (merged.t0, merged.t1) == (flipped.t0, flipped.t1)
+def test_credited_bytes_is_a_level_not_a_counter():
+    """A port's credited_bytes is the downstream buffer's occupancy:
+    sampled as a level, never differenced as if it were a total."""
+    fabric = malbec_mini().build()
+    obs = fabric.attach_observer(window_ns=5_000.0)
+    for src in range(1, 40):
+        fabric.send(src, 0, 64 * KiB)
+    fabric.sim.run()
+    obs.stop()
+    names = [n for n in obs.registry.names() if n.endswith(".credited_bytes")]
+    assert names
+    peak = 0.0
+    for w in obs.windows:
+        for name in names:
+            assert name in w.levels and name not in w.deltas
+            peak = max(peak, w.levels[name].vmax)
+    assert peak > 0.0
+    assert ".credited_bytes" not in CUMULATIVE_SUFFIXES
 
 
 # -- serial == parallel (the repro.parallel contract) -------------------------
@@ -189,7 +137,7 @@ def _cell_worker(cell):
     seed, n_messages = cell
     _, obs = _run_with_engine(window_ns=5_000.0, n_messages=n_messages,
                               seed=seed)
-    return obs.engine.series()
+    return list(obs.windows)
 
 
 def _fingerprint_series(series):
@@ -207,41 +155,15 @@ def _fingerprint_series(series):
     return out
 
 
-def _series_close(a, b):
-    """Fingerprint equality up to float-summation association order."""
-    if len(a) != len(b):
-        return False
-    for (t0a, t1a, da, la), (t0b, t1b, db, lb) in zip(a, b):
-        if (t0a, t1a) != (t0b, t1b) or len(da) != len(db) or len(la) != len(lb):
-            return False
-        for (ka, va), (kb, vb) in zip(da, db):
-            if ka != kb or not math.isclose(va, vb, rel_tol=1e-9, abs_tol=1e-6):
-                return False
-        for (ka, na, ta, mna, mxa), (kb, nb, tb, mnb, mxb) in zip(la, lb):
-            if (ka, na, mna, mxa) != (kb, nb, mnb, mxb):
-                return False
-            if not math.isclose(ta, tb, rel_tol=1e-9, abs_tol=1e-6):
-                return False
-    return True
-
-
-def test_parallel_cells_merge_to_the_serial_result():
+def test_parallel_cells_match_the_serial_result():
     cells = [(11, 20), (22, 20), (33, 20)]
     serial = run_cells(_cell_worker, cells, jobs=1)
     parallel = run_cells(_cell_worker, cells, jobs=2)
-    # identical per-cell series regardless of execution mode...
+    # identical per-cell series regardless of execution mode
     for s, p in zip(serial, parallel):
         assert _fingerprint_series(s) == _fingerprint_series(p)
-    # ...and merging them in different orders gives the same fabric view
-    merged_lr = serial[0]
-    for s in serial[1:]:
-        merged_lr = merge_window_series(merged_lr, s)
-    merged_rl = parallel[-1]
-    for p in reversed(parallel[:-1]):
-        merged_rl = merge_window_series(p, merged_rl)
-    assert _series_close(_fingerprint_series(merged_lr),
-                         _fingerprint_series(merged_rl))
-    # the merged view accumulates every cell's traffic
-    total = sum(w.deltas.get("fabric.messages_completed", 0.0)
-                for w in merged_lr)
-    assert total == 60.0
+    # and each cell's windows account for all of its traffic
+    for series in serial:
+        total = sum(w.deltas.get("fabric.messages_completed", 0.0)
+                    for w in series)
+        assert total == 20.0

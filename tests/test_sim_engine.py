@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, StopSimulation
+from repro.sim import PeriodicTick, Simulator, StopSimulation
 from repro.sim.engine import Timeout
 
 
@@ -174,3 +174,39 @@ def test_events_processed_counter():
         sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.events_processed == 10
+
+
+def test_pending_ticks_are_counted_and_released():
+    sim = Simulator()
+    fired = []
+    a = PeriodicTick(sim, 100.0, lambda: fired.append(("a", sim.now)))
+    b = PeriodicTick(sim, 30.0, lambda: fired.append(("b", sim.now)))
+    a.start()
+    a.start()  # idempotent
+    b.start()
+    assert sim.periodic_ticks == 2
+    sim.schedule(50.0, lambda: None)
+    sim.run()
+    # b re-arms at 30 (the work is still queued) but not at 60 (only a's
+    # tick is left); a then fires at 100 and stops too
+    assert fired == [("b", 30.0), ("b", 60.0), ("a", 100.0)]
+    assert sim.periodic_ticks == 0 and sim.queue_length == 0
+    a.start()
+    a.stop()
+    a.stop()  # idempotent
+    assert sim.periodic_ticks == 0 and sim.live_queue_length == 0
+
+
+def test_a_raising_tick_releases_its_count():
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("sweep failed")
+
+    PeriodicTick(sim, 10.0, boom).start()
+    sim.schedule(100.0, lambda: None)
+    with pytest.raises(RuntimeError, match="sweep failed"):
+        sim.run()
+    assert sim.periodic_ticks == 0
+    with pytest.raises(ValueError, match="positive"):
+        PeriodicTick(sim, 0.0, boom)

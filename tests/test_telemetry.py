@@ -7,10 +7,10 @@ import pytest
 
 from repro.core.adaptive_routing import ValiantRouter
 from repro.network.units import KiB
+from repro.observe import TimeSeriesEngine
 from repro.sim import Simulator
 from repro.systems import malbec_mini
 from repro.telemetry import (
-    CounterScraper,
     FabricTelemetry,
     Histogram,
     SpanRecorder,
@@ -156,7 +156,15 @@ def test_span_grouping_and_filters():
     assert len(rec.filter(layer="nic", ev="injected")) == 2
 
 
-# -- scraper ------------------------------------------------------------------
+# -- the registry's time series ------------------------------------------------
+#
+# The sampler ``repro trace`` runs over its registry: a TimeSeriesEngine
+# taking one sample per window and keeping every window.
+
+
+def _sampler(sim, reg, interval_ns):
+    return TimeSeriesEngine(sim, reg, window_ns=interval_ns,
+                            samples_per_window=1, max_windows=None)
 
 
 def test_scraper_samples_and_stops_with_queue():
@@ -170,40 +178,49 @@ def test_scraper_samples_and_stops_with_queue():
             sim.schedule(100.0, work, step + 1)
 
     sim.schedule(0.0, work, 0)
-    scraper = CounterScraper(sim, reg, interval_ns=250.0).start()
+    sampler = _sampler(sim, reg, 250.0).start()
     sim.run()
-    # the queue drained; the scraper must not have kept the sim alive
+    # the queue drained; the sampler must not have kept the sim alive
     assert sim.queue_length == 0
-    assert len(scraper) >= 3
-    col = scraper.get("work.done")
-    assert col == sorted(col)  # counters are monotonic
-    rates = scraper.rate("work.done")
-    assert len(rates) == len(scraper) - 1
+    assert [w.t1 for w in sampler.windows] == [250.0, 500.0, 750.0,
+                                               1000.0, 1250.0]
+    deltas = [w.deltas["work.done"] for w in sampler.windows]
+    assert min(deltas) >= 0.0  # counters are monotonic
+    assert sum(deltas) == 11.0  # the windows partition the run
+    rates = dict(sampler.counter_tracks())["work.done.rate"]
+    assert len(rates) == len(sampler)
 
 
 def test_scraper_final_snapshot_on_stop():
     sim = Simulator()
     reg = TelemetryRegistry()
     c = reg.counter("x")
-    scraper = CounterScraper(sim, reg, interval_ns=1000.0)
-    c.inc(5)
-    scraper.stop()
-    assert scraper.get("x") == [5.0]
+    level = reg.gauge("level")
+    sampler = _sampler(sim, reg, 1000.0).start()
+    sim.schedule(300.0, lambda: (c.inc(5), level.set(7.0)))
+    sim.run(until=400.0)
+    sampler.stop()  # seals the partial window [0, 400)
+    assert [(w.t0, w.t1) for w in sampler.windows] == [(0.0, 400.0)]
+    assert sampler.windows[0].deltas == {"x": 5.0}
+    assert dict(sampler.counter_tracks())["level"] == [(400.0, 7.0)]
 
 
 def test_scraper_backfills_late_metrics():
     sim = Simulator()
     reg = TelemetryRegistry()
     reg.counter("early")
-    scraper = CounterScraper(sim, reg, interval_ns=10.0).start()
+    sampler = _sampler(sim, reg, 10.0).start()
     sim.schedule(5.0, lambda: None)
     sim.schedule(25.0, lambda: reg.counter("late").inc(3))
     sim.schedule(45.0, lambda: None)
     sim.run()
-    scraper.stop()
-    assert len(scraper.get("late")) == len(scraper.times)
-    assert scraper.get("late")[0] == 0.0
-    assert scraper.get("late")[-1] == 3.0
+    sampler.stop()
+    late = dict(sampler.counter_tracks())["late.rate"]
+    # aligned with every window, zero before the metric existed
+    assert [t for t, _ in late] == [w.t1 for w in sampler.windows]
+    assert late[0][1] == 0.0
+    growth = sum(r * w.width for (_, r), w in zip(late, sampler.windows))
+    assert growth == pytest.approx(3.0)
 
 
 # -- exporters ----------------------------------------------------------------
@@ -253,15 +270,21 @@ def test_chrome_trace_structure():
 
 
 @pytest.fixture
-def traced_run():
+def traced_series():
     fabric = malbec_mini().build()
-    telem = FabricTelemetry(fabric, sample_rate=1.0, scrape_interval_ns=5000.0)
+    telem = FabricTelemetry(fabric, sample_rate=1.0)
+    sampler = _sampler(fabric.sim, telem.registry, 5000.0).start()
     # incast plus a cross-group flow: exercises VOQs, routing and CC
     for src in range(1, 9):
         fabric.send(src, 0, 64 * KiB)
     fabric.send(0, 79, 16 * KiB)
     fabric.sim.run()
-    return fabric, telem
+    return fabric, telem, sampler
+
+
+@pytest.fixture
+def traced_run(traced_series):
+    return traced_series[:2]
 
 
 def test_fabric_spans_cover_all_layers(traced_run):
@@ -316,18 +339,20 @@ def test_fabric_counters_and_gauges(traced_run):
     assert lat.n == fabric.packets_delivered()
 
 
-def test_fabric_scraper_produced_series(traced_run):
-    fabric, telem = traced_run
-    telem.scraper.stop()
-    assert len(telem.scraper) >= 2
-    # sim-time gauge series ends at the final events_processed
-    col = telem.scraper.get("sim.events_processed")
-    assert col[-1] == fabric.sim.events_processed
+def test_fabric_scraper_produced_series(traced_series):
+    fabric, telem, sampler = traced_series
+    sampler.stop()
+    assert len(sampler) >= 2
+    # the per-window event rates add up to the final events_processed
+    rates = dict(sampler.counter_tracks())["sim.events_processed.rate"]
+    growth = sum(r * w.width for (_, r), w in zip(rates, sampler.windows))
+    assert growth == pytest.approx(fabric.sim.events_processed)
 
 
-def test_fabric_export_writes_artifacts(tmp_path, traced_run):
-    fabric, telem = traced_run
-    paths = telem.export(str(tmp_path))
+def test_fabric_export_writes_artifacts(tmp_path, traced_series):
+    fabric, telem, sampler = traced_series
+    sampler.stop()
+    paths = telem.export(str(tmp_path), windows=sampler)
     trace = json.load(open(paths["chrome_trace"]))
     assert len(trace["traceEvents"]) > 100
     with open(paths["jsonl"]) as fh:

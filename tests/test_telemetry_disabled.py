@@ -4,13 +4,14 @@ The acceptance bar: with no :class:`FabricTelemetry` attached, a run is
 *bit-identical* to the seed behaviour — same event count, same message
 latencies — even though every hot path now carries a telemetry hook.
 And because span recording schedules no events, even an *attached*
-telemetry (without a scraper) must leave the event count and all
-latencies unchanged.
+telemetry (without a time-series sampler) must leave the event count and
+all latencies unchanged.
 """
 
 import random
 
 from repro.network.units import KiB
+from repro.observe import TimeSeriesEngine
 from repro.systems import malbec_mini
 from repro.telemetry import FabricTelemetry
 
@@ -58,7 +59,7 @@ def test_attached_spans_do_not_perturb_the_simulation():
     base = _fingerprint(plain, _workload(plain))
 
     traced = malbec_mini().build()
-    telem = FabricTelemetry(traced, sample_rate=1.0)  # no scraper
+    telem = FabricTelemetry(traced, sample_rate=1.0)  # no sampler
     msgs = _workload(traced)
     assert len(telem.spans) > 0
     # identical events, times, latencies: observation changed nothing
@@ -69,18 +70,20 @@ def test_scraper_only_adds_events_never_changes_latencies():
     plain = malbec_mini().build()
     base = _fingerprint(plain, _workload(plain))
 
-    scraped = malbec_mini().build()
-    telem = FabricTelemetry(scraped, sample_rate=0.5,
-                            scrape_interval_ns=10_000.0)
-    msgs = _workload(scraped)
-    got = _fingerprint(scraped, msgs)
+    sampled = malbec_mini().build()
+    telem = FabricTelemetry(sampled, sample_rate=0.5)
+    # the sampler `repro trace` runs: one sample per window
+    sampler = TimeSeriesEngine(sampled.sim, telem.registry, window_ns=10_000.0,
+                               samples_per_window=1, max_windows=None).start()
+    msgs = _workload(sampled)
+    got = _fingerprint(sampled, msgs)
     assert got["latencies"] == base["latencies"]
     assert got["delivered"] == base["delivered"]
     assert got["marks"] == base["marks"]
-    # the scraper's own ticks are the only extra events (no stop() was
-    # called, so every snapshot corresponds to exactly one tick event)
+    # the sampler's own ticks are the only extra events (no stop() was
+    # called, so every window was sealed by exactly one tick event)
     extra = got["events"] - base["events"]
-    assert extra == len(telem.scraper) > 0
+    assert extra == len(sampler) > 0
 
 
 def test_detached_fabric_runs_bit_identical():
