@@ -39,11 +39,11 @@ real Rosetta switches route.  Each switch keeps lazily built tuples of
 when none is left, its local ports towards the group's live gateway
 switches; per destination switch, its live local detours.  The topology
 keeps the "other groups" Valiant pools.  The tables are functions of the
-installed wiring and the link-health mask, and every fault-control
-mutation bumps the topology's ``health_epoch``: the router compares it
+installed wiring and the ports' ``up`` flags, and every fault-control
+primitive bumps the topology's ``health_epoch``: the router compares it
 once per decision and drops every switch's entries when it has moved,
 so no decision ever sees a port that a fault killed, and the entries
-rebuild lazily from the new mask.  RNG sampling still happens live on
+rebuild lazily from the flags.  RNG sampling still happens live on
 the cached populations, through :func:`repro.sim.rng.sample` — an inlined
 copy of ``random.Random.sample`` that makes the same ``getrandbits``
 draws.  Sampling (like ``choice``) consumes the RNG as a function of
@@ -239,7 +239,7 @@ class AdaptiveRouter:
     # same elements.  Entries are valid for one health epoch.
 
     def _flush(self) -> None:
-        """Drop every switch's live tables: the health mask has moved."""
+        """Drop every switch's live tables: link health has moved."""
         for sw in self._tabled:
             sw.rt_global.clear()
             sw.rt_detour.clear()
@@ -263,8 +263,10 @@ class AdaptiveRouter:
             me = sw.id
             gws = tuple(
                 p2s[g]
-                for g in self.topo.live_gateways(sw.group, group)
-                if g != me and p2s[g].up
+                for g in self.topo.gateways(sw.group, group)
+                if g != me
+                and p2s[g].up
+                and any(p.up for p in p2s[g].rx.ports_to_group[group])
             )
             ent = (gws, False, bool(installed) or not gws)
         sw.rt_global[group] = ent
@@ -275,12 +277,11 @@ class AdaptiveRouter:
         whose link from *sw* is up and whose onward link is up."""
         if not (sw.rt_global or sw.rt_detour):
             self._tabled.append(sw)
-        topo = self.topo
         p2s = sw.port_to_switch
         ports = tuple(
             p2s[s]
-            for s in topo.local_neighbors(sw.id)
-            if s != dst_sw and p2s[s].up and topo.local_link_up(s, dst_sw)
+            for s in self.topo.local_neighbors(sw.id)
+            if s != dst_sw and p2s[s].up and p2s[s].rx.port_to_switch[dst_sw].up
         )
         sw.rt_detour[dst_sw] = ports
         return ports

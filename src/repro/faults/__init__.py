@@ -11,10 +11,11 @@ links or switches fail outright.  This package models the second half:
   recovery, flapping, bandwidth degradation, BER storms, whole-switch
   failure);
 * :mod:`~repro.faults.injector` — applies a schedule to a built
-  :class:`~repro.network.fabric.Fabric`, keeping the data plane (port
-  ``up`` flags), the routing plane (the topology's link-health mask the
-  fault-aware :class:`~repro.core.adaptive_routing.AdaptiveRouter`
-  consults) and the bookkeeping in sync;
+  :class:`~repro.network.fabric.Fabric` through its fault-control
+  primitives, which set the ports' ``up`` flags (what the data plane
+  obeys and the fault-aware
+  :class:`~repro.core.adaptive_routing.AdaptiveRouter` builds its live
+  tables from) and bump the topology's ``health_epoch``;
 * :mod:`~repro.faults.reliability` — the NIC-side end-to-end
   retransmission timer with exponential backoff and receiver
   deduplication that makes fail-stop losses invisible to applications;

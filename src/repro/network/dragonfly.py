@@ -94,6 +94,10 @@ class DragonflyParams:
 class DragonflyTopology:
     """Concrete wiring of a dragonfly: switch ids, link lists, gateways.
 
+    The wiring is immutable.  Whether a link is up is recorded once, on
+    the built fabric's ports (``OutputPort.up``); the topology only
+    carries the ``health_epoch`` that fault control bumps.
+
     Identifiers:
 
     * switches are ``0 .. a*g-1``, with switch ``s`` in group ``s // a``;
@@ -123,20 +127,12 @@ class DragonflyTopology:
         self._gateway_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._valiant_pools: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
-        # -- mutable link-health mask (repro.faults) -----------------------
-        # The wiring above is the *installed* fabric; these sets record
-        # which installed links are currently dead.  All empty on a healthy
-        # fabric, which is what ``degraded`` reports (the invariant
-        # auditor checks it against the ports' ``up`` flags).
-        self._down_local: set = set()  # {(min(si,sj), max(si,sj))}
-        self._down_global: set = set()  # {(min(gi,gj), max(gi,gj), idx)}
-        self._down_hosts: set = set()  # {node}
-        self.degraded = False
-        #: monotonically increasing counter bumped on *every* health-mask
-        #: mutation (and by Fabric.degrade_link).  Consumers that cache
-        #: anything derived from the mask — the adaptive router's live
-        #: per-switch candidate tables — compare it once per use and drop
-        #: their entries when it has moved.
+        #: monotonically increasing counter that every fault-control
+        #: primitive of the fabric bumps when it changes a link's state.
+        #: Consumers that cache anything derived from the ports' ``up``
+        #: flags — the adaptive router's live per-switch candidate tables
+        #: — compare it once per use and drop their entries when it has
+        #: moved.
         self.health_epoch = 0
 
     # -- id helpers ---------------------------------------------------------
@@ -244,80 +240,15 @@ class DragonflyTopology:
 
     # -- link health (repro.faults) ------------------------------------------
 
-    def _refresh_degraded(self) -> None:
-        self.degraded = bool(
-            self._down_local or self._down_global or self._down_hosts
-        )
-        self.health_epoch += 1
-
     def bump_health_epoch(self) -> None:
         """Invalidate every epoch-guarded routing table.
 
-        Called by mask mutations implicitly (via :meth:`_refresh_degraded`)
-        and explicitly by fault-control operations that change link state
-        without touching the mask (``Fabric.degrade_link``): the rule
-        "any fault-control mutation moves the epoch" is cheap insurance
-        against a table depending on state the mask misses.
+        The wiring above never changes; link health lives on the fabric's
+        ports.  Every fault-control primitive of
+        :class:`~repro.network.fabric.Fabric` calls this after it mutates
+        link state, so a table derived from the ports is never read stale.
         """
         self.health_epoch += 1
-
-    def set_local_link_health(self, si: int, sj: int, link_up: bool) -> None:
-        """Mark the intra-group link between *si* and *sj* up or down."""
-        if self.switch_group(si) != self.switch_group(sj) or si == sj:
-            raise ValueError(f"({si}, {sj}) is not a local link")
-        key = (min(si, sj), max(si, sj))
-        if link_up:
-            self._down_local.discard(key)
-        else:
-            self._down_local.add(key)
-        self._refresh_degraded()
-
-    def set_global_link_health(self, gi: int, gj: int, idx: int, link_up: bool) -> None:
-        """Mark the *idx*-th parallel global link between two groups."""
-        if not (0 <= idx < len(self.group_pair_links(gi, gj))):
-            raise ValueError(f"group pair ({gi}, {gj}) has no link #{idx}")
-        key = (min(gi, gj), max(gi, gj), idx)
-        if link_up:
-            self._down_global.discard(key)
-        else:
-            self._down_global.add(key)
-        self._refresh_degraded()
-
-    def set_host_link_health(self, node: int, link_up: bool) -> None:
-        """Mark the host link of *node* up or down."""
-        if not (0 <= node < self.n_nodes):
-            raise ValueError(f"no node {node}")
-        if link_up:
-            self._down_hosts.discard(node)
-        else:
-            self._down_hosts.add(node)
-        self._refresh_degraded()
-
-    def local_link_up(self, si: int, sj: int) -> bool:
-        return (min(si, sj), max(si, sj)) not in self._down_local
-
-    def global_link_up(self, gi: int, gj: int, idx: int) -> bool:
-        return (min(gi, gj), max(gi, gj), idx) not in self._down_global
-
-    def host_link_up(self, node: int) -> bool:
-        return node not in self._down_hosts
-
-    def live_gateways(self, gi: int, gj: int) -> Tuple[int, ...]:
-        """Switches in group *gi* with at least one *live* link to *gj*.
-
-        Identical to :meth:`gateways` on a healthy fabric (same sorted
-        order), so routing decisions are unchanged until a link dies.
-        Not cached: the adaptive router reads it only when it builds a
-        live table entry, once per health epoch.
-        """
-        if not self._down_global:
-            return self.gateways(gi, gj)
-        lo, hi = min(gi, gj), max(gi, gj)
-        return tuple(sorted({
-            si
-            for idx, (si, _) in enumerate(self._pair_links[(gi, gj)])
-            if (lo, hi, idx) not in self._down_global
-        }))
 
     # -- analytic bandwidth figures (used by Fig. 6 theory lines) -----------
 

@@ -418,25 +418,17 @@ class Fabric:
 
     # -- fault control (repro.faults) ---------------------------------------------
     #
-    # These are the primitive mutations the FaultInjector drives.  They keep
-    # three layers in sync: the per-port ``up`` flags (data plane), the
-    # topology's link-health mask (what the adaptive router consults), and
-    # the ``links`` directory bookkeeping (what a recovery must restore).
+    # These are the primitive mutations the FaultInjector drives.  The
+    # per-port ``up`` flags are the one record of link health: the data
+    # plane obeys them and the adaptive router's live tables are built
+    # from them.  Every primitive bumps the topology's ``health_epoch``
+    # after it mutates, so those tables are rebuilt before their next use.
 
     def _link(self, key: tuple) -> LinkRef:
         try:
             return self.links[tuple(key)]
         except KeyError:
             raise KeyError(f"no such link {key!r}; see Fabric.links for ids")
-
-    def _mask_link(self, ref: LinkRef, up: bool) -> None:
-        topo, key = self.topology, ref.key
-        if ref.kind == "local":
-            topo.set_local_link_health(key[1], key[2], up)
-        elif ref.kind == "global":
-            topo.set_global_link_health(key[1], key[2], key[3], up)
-        else:
-            topo.set_host_link_health(key[1], up)
 
     def fail_link(self, key: tuple) -> None:
         """Fail-stop both directions of a link (queued packets drop)."""
@@ -445,17 +437,17 @@ class Fabric:
             return
         for port in ref.ports:
             port.fail()
-        self._mask_link(ref, False)
+        self.topology.bump_health_epoch()
 
     def restore_link(self, key: tuple) -> None:
         """Return a link to its as-built state: up, full bandwidth, and
         the configured frame error rate."""
         ref = self._link(key)
-        self._mask_link(ref, True)
         for port, bw in zip(ref.ports, ref.base_bandwidths):
             port.set_bandwidth(bw)
             port.set_error_rate(ref.spec.frame_error_rate, seed=self.config.seed)
             port.recover()
+        self.topology.bump_health_epoch()
 
     def degrade_link(self, key: tuple, factor: float) -> None:
         """Run a link at ``factor`` of its as-built bandwidth (0 < f <= 1)."""

@@ -520,7 +520,7 @@ class Switch:
         self.ports_to_group: Dict[int, Sequence[OutputPort]] = {}
         self.port_to_node: Dict[int, OutputPort] = {}
         # Live routing candidate tables, filled lazily by AdaptiveRouter
-        # from the wiring and the link-health mask, and cleared by it
+        # from the wiring and the ports' ``up`` flags, and cleared by it
         # whenever the topology's health_epoch moves:
         #: target group -> (ports, direct, rerouted): the live global
         #: links to that group, or else the live local ports towards its

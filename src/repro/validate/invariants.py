@@ -4,7 +4,7 @@ The simulator's layers each maintain redundant views of the same
 physical quantities — an :class:`~repro.network.buffers.VcBufferPool`
 keeps an O(1) occupancy counter next to the per-slice free-byte
 counters it summarizes, an output port's ``backlog`` shadows its queues, the
-topology's link-health mask shadows the per-port ``up`` flags, and the
+adaptive router's live tables cache the per-port ``up`` flags, and the
 NIC counters together encode packet conservation.  Each redundancy is a
 performance or layering win, and each is a place where a bug can let
 the views drift apart silently.  The auditor re-derives every one of
@@ -361,56 +361,35 @@ class TimestampChecker(InvariantChecker):
 
 
 class RoutingHealthChecker(InvariantChecker):
-    """Routing health mask vs. data-plane ``up`` flags vs. reachability.
+    """Live routing tables vs. the ports' ``up`` flags, and reachability.
 
-    The adaptive router consults the topology's link-health mask; the
-    data plane consults per-port ``up`` flags; fault injection mutates
-    both through the fabric's fault-control primitives.  This checker
-    asserts the three layers agree — every link's mask entry matches its
-    ports, the ``degraded`` fast-path flag matches the mask, a dead
-    switch has no live links — and that every endpoint with a live host
-    link can still reach every other over live wires, i.e. the paper's
-    "keeps serving traffic at reduced capacity" promise is structurally
-    possible under the current mask.
+    The ports' ``up`` flags are the one record of link health; the only
+    cache of it is the adaptive router's per-switch live tables, rebuilt
+    whenever the topology's ``health_epoch`` moves.  This checker asserts
+    that while those tables are current, every port they name is up (a
+    fault-control primitive that forgot its epoch bump would leave a dead
+    port routable), that a dead switch has no live links, and that every
+    endpoint with a live host link can still reach every other over live
+    wires, i.e. the paper's "keeps serving traffic at reduced capacity"
+    promise is structurally possible.
     """
 
     name = "routing-health"
 
-    def _mask_up(self, topo, ref) -> bool:
-        key = ref.key
-        if ref.kind == "local":
-            return topo.local_link_up(key[1], key[2])
-        if ref.kind == "global":
-            return topo.global_link_up(key[1], key[2], key[3])
-        return topo.host_link_up(key[1])
-
     def sweep(self, fabric, report: Callable) -> None:
         topo = fabric.topology
-        any_down = False
-        for key, ref in sorted(fabric.links.items(), key=lambda kv: repr(kv[0])):
-            mask_up = self._mask_up(topo, ref)
-            port_up = ref.up
-            if not port_up:
-                any_down = True
-            if mask_up != port_up:
-                report(
-                    self.name,
-                    f"link {key}",
-                    f"health mask says up={mask_up} but the data-plane "
-                    f"ports say up={port_up}",
-                    {
-                        "mask_up": mask_up,
-                        "ports_up": tuple(p.up for p in ref.ports),
-                    },
-                )
-        if topo.degraded != any_down:
-            report(
-                self.name,
-                "topology",
-                f"degraded flag is {topo.degraded} but "
-                f"{'some' if any_down else 'no'} links are down",
-                {"degraded": topo.degraded, "links_down": fabric.links_down()},
-            )
+        if getattr(fabric.router, "_epoch", None) == topo.health_epoch:
+            for sw in fabric.switches:
+                tables = [ent[0] for ent in sw.rt_global.values()]
+                tables.extend(sw.rt_detour.values())
+                dead = sorted({p.name for ports in tables for p in ports if not p.up})
+                if dead:
+                    report(
+                        self.name,
+                        f"switch {sw.id}",
+                        "current routing table names dead ports",
+                        {"epoch": topo.health_epoch, "dead_ports": dead},
+                    )
         for sw in fabric.switches:
             if sw.up:
                 continue
@@ -426,7 +405,7 @@ class RoutingHealthChecker(InvariantChecker):
                     "dead switch still has live links",
                     {"live_links": live},
                 )
-        # Reachability under the mask: all endpoints with live host links
+        # Reachability: all endpoints with live host links
         # must sit in one live component (degraded service, not partition).
         live_switches = sorted(
             {
@@ -444,7 +423,7 @@ class RoutingHealthChecker(InvariantChecker):
                 report(
                     self.name,
                     "fabric",
-                    f"health mask partitions the fabric: switches "
+                    f"link failures partition the fabric: switches "
                     f"{unreachable} unreachable from switch "
                     f"{live_switches[0]}",
                     {
@@ -570,7 +549,7 @@ class InvariantAuditor(Probe):
 
     def fault(self, injector, ev) -> None:
         """Right after the fault injector mutates the fabric: sweep
-        immediately so a mask/data-plane desync is pinned to the fault's
+        immediately so a fault that breaks an invariant is pinned to its
         own tick, not the next periodic sweep."""
         self.sweep()
 

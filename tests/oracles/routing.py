@@ -3,10 +3,13 @@
 The production :class:`~repro.core.adaptive_routing.AdaptiveRouter` has
 one candidate generator that reads per-switch live tables, dropped
 whenever the topology's health epoch moves.  The routers here are the
-pre-table implementation, byte for byte: a healthy branch and a
-degraded branch chosen by ``topology.degraded``, candidate sets
-recomputed per packet from the topology and the live health mask, and
-RNG samples drawn by ``random.Random.sample`` itself.  The hypothesis
+pre-table implementation: a healthy branch and a degraded branch,
+candidate sets recomputed per packet from the wiring and the ports'
+``up`` flags, and RNG samples drawn by ``random.Random.sample`` itself.
+They never read production's tables or its epoch: the degraded branch
+is taken whenever any switch port of the fabric is down, found by a
+scan of every port on every decision, and live gateways are re-derived
+from the topology's global link list.  The hypothesis
 equivalence suite and the flapping-schedule regression test pin the
 tables and the inlined sampler against them, decision for decision, on
 healthy and faulted fabrics.  They differ from production only in what
@@ -22,12 +25,54 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.adaptive_routing import MAX_DEGRADED_HOPS, AdaptiveRouter
+from repro.network.switch import Switch
 
 __all__ = ["ReferenceAdaptiveRouter", "ReferenceValiantRouter"]
 
 
 class ReferenceAdaptiveRouter(AdaptiveRouter):
     """:class:`AdaptiveRouter` with per-packet candidate generation."""
+
+    _ports: Tuple = ()
+
+    def _degraded(self, sw) -> bool:
+        """Whether any link of the fabric is down right now.
+
+        Every link has a switch-owned port, so this scans the ports of
+        every switch, found once by a walk over the installed wiring
+        from *sw* (the wiring never changes; the flags are read fresh).
+        """
+        if not self._ports:
+            seen = {sw.id: sw}
+            frontier = [sw]
+            while frontier:
+                nxt = []
+                for s in frontier:
+                    for port in s.all_ports():
+                        peer = port.rx
+                        if isinstance(peer, Switch) and peer.id not in seen:
+                            seen[peer.id] = peer
+                            nxt.append(peer)
+                frontier = nxt
+            self._ports = tuple(
+                p for s in sorted(seen) for p in seen[s].all_ports()
+            )
+        return not all(p.up for p in self._ports)
+
+    def _live_gateways(self, sw, group) -> List[int]:
+        """Switches of *sw*'s group with a live global link to *group*,
+        ascending: one per link of the topology's list whose port at the
+        gateway is up."""
+        gws = set()
+        for si, sj in self.topo.group_pair_links(sw.group, group):
+            gw = sw if si == sw.id else sw.port_to_switch[si].rx
+            if any(p.up and p.rx.id == sj for p in gw.ports_to_group[group]):
+                gws.add(si)
+        return sorted(gws)
+
+    def _onward_up(self, sw, m, dst_sw) -> bool:
+        """Whether neighbour *m* of *sw* has a live link to *dst_sw*."""
+        return sw.port_to_switch[m].rx.port_to_switch[dst_sw].up
 
     def _sample(self, seq, k: int):
         """The library sampler the production router inlines."""
@@ -46,7 +91,7 @@ class ReferenceAdaptiveRouter(AdaptiveRouter):
         return self._least_loaded([sw.port_to_switch[g] for g in choices])
 
     def route(self, sw, pkt):
-        if self.topo.degraded:
+        if self._degraded(sw):
             return self._route_degraded(sw, pkt)
 
         dst_sw = self.topo.node_switch(pkt.dst)
@@ -104,7 +149,7 @@ class ReferenceAdaptiveRouter(AdaptiveRouter):
             return self._least_loaded(direct)
         gws = [
             g
-            for g in self.topo.live_gateways(sw.group, group)
+            for g in self._live_gateways(sw, group)
             if g != sw.id and sw.port_to_switch[g].up
         ]
         if not gws:
@@ -113,7 +158,7 @@ class ReferenceAdaptiveRouter(AdaptiveRouter):
         return self._least_loaded([sw.port_to_switch[g] for g in choices])
 
     def _route_degraded(self, sw, pkt):
-        """Candidate generation with the link-health mask applied per packet."""
+        """Candidate generation with the ports' ``up`` flags applied per packet."""
         topo = self.topo
         dst_sw = topo.node_switch(pkt.dst)
         if dst_sw == sw.id:
@@ -147,7 +192,7 @@ class ReferenceAdaptiveRouter(AdaptiveRouter):
                         for s in topo.local_neighbors(sw.id)
                         if s != dst_sw
                         and sw.port_to_switch[s].up
-                        and topo.local_link_up(s, dst_sw)
+                        and self._onward_up(sw, s, dst_sw)
                     ]
                     for m in self._sample(others, self.n_candidates):
                         candidates.append((sw.port_to_switch[m], True, None))
@@ -160,7 +205,7 @@ class ReferenceAdaptiveRouter(AdaptiveRouter):
                     for m in topo.local_neighbors(sw.id)
                     if m != dst_sw
                     and sw.port_to_switch[m].up
-                    and topo.local_link_up(m, dst_sw)
+                    and self._onward_up(sw, m, dst_sw)
                 ]
                 for m in self._sample(detours, self.n_candidates):
                     candidates.append((sw.port_to_switch[m], True, None))
@@ -175,7 +220,7 @@ class ReferenceAdaptiveRouter(AdaptiveRouter):
                     rerouted = True  # our own global links to there all died
                 gws = [
                     g
-                    for g in topo.live_gateways(sw.group, target_g)
+                    for g in self._live_gateways(sw, target_g)
                     if g != sw.id and sw.port_to_switch[g].up
                 ]
                 if not gws:
@@ -211,7 +256,7 @@ class ReferenceValiantRouter(ReferenceAdaptiveRouter):
 
     def route(self, sw, pkt):
         topo = self.topo
-        degraded = topo.degraded
+        degraded = self._degraded(sw)
         dst_sw = topo.node_switch(pkt.dst)
         if dst_sw == sw.id:
             port = sw.port_to_node[pkt.dst]
@@ -241,7 +286,7 @@ class ReferenceValiantRouter(ReferenceAdaptiveRouter):
                         s
                         for s in others
                         if sw.port_to_switch[s].up
-                        and topo.local_link_up(s, dst_sw)
+                        and self._onward_up(sw, s, dst_sw)
                     ]
                 if others:
                     port = sw.port_to_switch[self._rng.choice(others)]

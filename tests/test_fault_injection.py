@@ -85,7 +85,6 @@ def test_link_fail_recover_midflight_is_lossless():
     assert injector.giveups() == 0
     # and the fabric healed completely
     assert fabric.links_down() == []
-    assert not fabric.topology.degraded
 
 
 def test_switch_fail_recover_is_lossless():

@@ -61,7 +61,7 @@ def test_restored_schedule_drains_and_conserves(p, a, g, seed, n_faults):
     assert injector.giveups() == 0
     assert injector.outstanding() == 0
     assert fabric.links_down() == []
-    assert not fabric.topology.degraded
+    assert all(sw.up for sw in fabric.switches)
 
 
 @settings(max_examples=8, deadline=None)

@@ -84,6 +84,5 @@ def test_no_fault_state_left_behind_by_healthy_run():
     _workload(fabric)
     assert fabric.links_down() == []
     assert fabric.packets_dropped() == 0
-    assert not fabric.topology.degraded
     assert all(sw.up for sw in fabric.switches)
     assert all(p.up for sw in fabric.switches for p in sw.all_ports())

@@ -8,7 +8,7 @@ be *invisible*: across random topologies, seeds, traffic, and generated
 fault schedules, every port choice — and therefore the entire simulated
 event stream — must be identical to the table-free reference routers in
 ``tests/oracles/routing.py``, which recompute candidate sets per packet
-from the topology and the live health mask.  The comparison reuses the
+from the wiring and the ports' ``up`` flags.  The comparison reuses the
 determinism differ's :class:`~repro.validate.differ.EventTrace`
 (pid/mid-normalized labels), so any divergence reports the exact first
 event where the two implementations disagreed.

@@ -171,21 +171,32 @@ def test_backlog_corruption_is_caught():
     assert port.name in v.entity
 
 
-def test_health_mask_desync_is_caught():
-    # Down a link through the *topology mask only*, bypassing the
-    # fabric's fault-control primitives that keep the data plane in
-    # step — exactly the desync RoutingHealthChecker exists to catch.
+def test_stale_routing_table_is_caught():
+    # A link dies but the router's live tables stay current, as they would
+    # after a fault-control primitive that forgot its epoch bump: the
+    # tables still route onto a dead port, which RoutingHealthChecker
+    # exists to catch.
     fabric = malbec_mini().build()
     fabric.attach_auditor(sweep_interval_ns=2_000.0)
     _small_traffic(fabric)
 
     def corrupt():
-        fabric.topology.set_global_link_health(0, 1, 0, False)
+        tabled = {
+            p for sw in fabric.switches for ent in sw.rt_global.values()
+            for p in ent[0]
+        }
+        key = next(
+            k for k, ref in sorted(fabric.links.items())
+            if tabled & set(ref.ports)
+        )
+        fabric.fail_link(key)
+        fabric.router._epoch = fabric.topology.health_epoch
 
     fabric.sim.schedule(5_000.0, corrupt)
     v = _catch(fabric)
     assert v.invariant == "routing-health"
-    assert "global" in v.entity
+    assert v.entity.startswith("switch")
+    assert "dead ports" in v.detail
 
 
 def test_final_check_catches_unbalanced_drain():
