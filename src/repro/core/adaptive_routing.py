@@ -71,7 +71,6 @@ __all__ = [
     "MinimalRouter",
     "ValiantRouter",
     "MAX_DEGRADED_HOPS",
-    "reachable_switches",
 ]
 
 #: Hop budget before a packet is dropped rather than detoured again
@@ -79,34 +78,6 @@ __all__ = [
 #: its worst case is 6 switch hops).  End-to-end recovery re-injects
 #: anything this cuts off.
 MAX_DEGRADED_HOPS = 12
-
-
-def reachable_switches(fabric, start: int) -> set:
-    """Switch ids reachable from *start* over live inter-switch wires.
-
-    BFS over the fabric's link directory using the same ``up`` flags the
-    router's live tables filter on, so this is exactly the set of switches
-    the routing layer could in principle still deliver to.  The invariant
-    auditor (repro.validate) uses it to assert routing reachability
-    under the current health mask; it is not on any hot path.
-    """
-    adj: dict = {}
-    for ref in fabric.links.values():
-        if ref.kind == "host" or not ref.up:
-            continue
-        for port in ref.ports:
-            adj.setdefault(port.owner.id, []).append(port.rx.id)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in adj.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return seen
 
 
 class AdaptiveRouter:

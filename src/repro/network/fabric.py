@@ -50,14 +50,19 @@ class LinkRef:
 
     ``ports`` holds the constituent :class:`OutputPort` objects (one per
     direction) and ``base_bandwidths`` their as-built rates, so a
-    recovery can restore a degraded link exactly.
+    recovery can restore a degraded link exactly.  ``switches`` are the
+    ids of the switches the link touches, and ``failed`` records that
+    the link's own failure is in progress: the link is up exactly when
+    ``failed`` is False and every one of its switches is up.
     """
 
     key: tuple
     kind: str
     ports: tuple
     spec: LinkSpec
+    switches: tuple = ()
     base_bandwidths: tuple = ()
+    failed: bool = False
 
     def __post_init__(self):
         if not self.base_bandwidths:
@@ -217,8 +222,6 @@ class Fabric:
         self.auditor = None
         #: live probe attachments, in attach order (repro.probe)
         self.probe_handles: List[ProbeHandle] = []
-        #: links a fail_switch() brought down, per switch (for restore)
-        self._switch_downed: Dict[int, List[tuple]] = {}
         # If the engine watchdog ever trips, its SimStall should carry the
         # fabric's quiescence snapshot (stuck packets, deepest VOQ, ...).
         self.sim.stall_diagnostics = self.quiescence_snapshot
@@ -268,7 +271,9 @@ class Fabric:
         )
 
     def _register_link(self, key, kind, ports, spec, *switches) -> None:
-        self.links[key] = LinkRef(key=key, kind=kind, ports=tuple(ports), spec=spec)
+        self.links[key] = LinkRef(
+            key=key, kind=kind, ports=tuple(ports), spec=spec, switches=switches
+        )
         for s in switches:
             self._switch_links.setdefault(s, []).append(key)
 
@@ -430,23 +435,32 @@ class Fabric:
         except KeyError:
             raise KeyError(f"no such link {key!r}; see Fabric.links for ids")
 
+    def _bring_up(self, ref: LinkRef) -> None:
+        """Return *ref* to its as-built state: full bandwidth, the
+        configured frame error rate and, by the liveness rule, up iff its
+        own failure is over and every switch it touches is up."""
+        live = not ref.failed and all(self.switches[s].up for s in ref.switches)
+        for port, bw in zip(ref.ports, ref.base_bandwidths):
+            port.set_bandwidth(bw)
+            port.set_error_rate(ref.spec.frame_error_rate, seed=self.config.seed)
+            if live:
+                port.recover()
+
     def fail_link(self, key: tuple) -> None:
         """Fail-stop both directions of a link (queued packets drop)."""
         ref = self._link(key)
-        if not ref.up:
-            return
+        ref.failed = True
         for port in ref.ports:
             port.fail()
         self.topology.bump_health_epoch()
 
     def restore_link(self, key: tuple) -> None:
-        """Return a link to its as-built state: up, full bandwidth, and
-        the configured frame error rate."""
+        """End a link's own failure and return it to its as-built state:
+        full bandwidth, the configured frame error rate, and up unless a
+        switch it touches is still down."""
         ref = self._link(key)
-        for port, bw in zip(ref.ports, ref.base_bandwidths):
-            port.set_bandwidth(bw)
-            port.set_error_rate(ref.spec.frame_error_rate, seed=self.config.seed)
-            port.recover()
+        ref.failed = False
+        self._bring_up(ref)
         self.topology.bump_health_epoch()
 
     def degrade_link(self, key: tuple, factor: float) -> None:
@@ -468,27 +482,29 @@ class Fabric:
             port.set_error_rate(rate, seed=self.config.seed)
 
     def fail_switch(self, switch_id: int) -> None:
-        """Whole-switch failure: every attached wire goes down."""
+        """Whole-switch failure: every attached wire goes down, and stays
+        down until the switch is back (a ``restore_link`` meanwhile ends
+        only the link's own failure)."""
         sw = self.switches[switch_id]
         if not sw.up:
             return
         sw.up = False
-        downed = []
         for key in self._switch_links.get(switch_id, ()):
-            if self.links[key].up:
-                self.fail_link(key)
-                downed.append(key)
-        self._switch_downed[switch_id] = downed
+            for port in self.links[key].ports:
+                port.fail()
+        self.topology.bump_health_epoch()
 
     def restore_switch(self, switch_id: int) -> None:
-        """Bring a failed switch back, restoring only the links that its
-        failure brought down (independently failed links stay down)."""
+        """Bring a failed switch back.  Each attached link returns to its
+        as-built state, and comes up unless its own failure is still in
+        progress or its other switch is still down."""
         sw = self.switches[switch_id]
         if sw.up:
             return
         sw.up = True
-        for key in self._switch_downed.pop(switch_id, ()):
-            self.restore_link(key)
+        for key in self._switch_links.get(switch_id, ()):
+            self._bring_up(self.links[key])
+        self.topology.bump_health_epoch()
 
     def links_down(self) -> List[tuple]:
         """Keys of all currently-failed links (sorted for determinism)."""

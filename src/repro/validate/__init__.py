@@ -6,8 +6,8 @@ Three independent parts, all usable from ``python -m repro validate``:
 * :mod:`repro.validate.invariants` — a runtime **invariant auditor**:
   pluggable checkers registered against fabric/engine hooks that assert
   credit conservation per output port, buffer-occupancy bounds, packet
-  conservation, monotonic per-entity timestamps, and routing
-  reachability under the current health mask.  Violations raise
+  conservation, monotonic per-entity timestamps, live routing tables,
+  the link liveness rule and routing reachability.  Violations raise
   structured :class:`InvariantViolation` reports (entity, tick, counter
   snapshot).  Attachment follows the telemetry/faults pattern: a fabric
   without an auditor runs bit-identically to one built before this

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..core.adaptive_routing import reachable_switches
 from ..network.nic import NIC
 from ..network.switch import OutputPort
 from ..probe import Probe, ProbeFanout
@@ -360,6 +359,29 @@ class TimestampChecker(InvariantChecker):
         self._last_sweep = now
 
 
+def reachable_switches(fabric, start: int) -> set:
+    """Switch ids reachable from *start* over live inter-switch wires:
+    a BFS over the fabric's link directory, reading the same ``up`` flags
+    the router's live tables filter on."""
+    adj: dict = {}
+    for ref in fabric.links.values():
+        if ref.kind == "host" or not ref.up:
+            continue
+        for port in ref.ports:
+            adj.setdefault(port.owner.id, []).append(port.rx.id)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for t in adj.get(s, ()):
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return seen
+
+
 class RoutingHealthChecker(InvariantChecker):
     """Live routing tables vs. the ports' ``up`` flags, and reachability.
 
@@ -368,10 +390,13 @@ class RoutingHealthChecker(InvariantChecker):
     whenever the topology's ``health_epoch`` moves.  This checker asserts
     that while those tables are current, every port they name is up (a
     fault-control primitive that forgot its epoch bump would leave a dead
-    port routable), that a dead switch has no live links, and that every
-    endpoint with a live host link can still reach every other over live
-    wires, i.e. the paper's "keeps serving traffic at reduced capacity"
-    promise is structurally possible.
+    port routable); that the flags obey the liveness rule, under which a
+    link is up exactly when its own failure is over and every switch it
+    touches is up (so overlapping link and switch faults neither revive
+    a link early nor leave one down); and that every endpoint with a
+    live host link can still reach every other over live wires, i.e.
+    the paper's "keeps serving traffic at reduced capacity" promise is
+    structurally possible.
     """
 
     name = "routing-health"
@@ -390,20 +415,23 @@ class RoutingHealthChecker(InvariantChecker):
                         "current routing table names dead ports",
                         {"epoch": topo.health_epoch, "dead_ports": dead},
                     )
-        for sw in fabric.switches:
-            if sw.up:
-                continue
-            live = [
-                key
-                for key in fabric._switch_links.get(sw.id, ())
-                if fabric.links[key].up
-            ]
-            if live:
+        # The liveness rule: a link is up exactly when its own failure is
+        # over and every switch it touches is up.
+        for key, ref in fabric.links.items():
+            switches_up = tuple(fabric.switches[s].up for s in ref.switches)
+            live = not ref.failed and all(switches_up)
+            ports_up = tuple(p.up for p in ref.ports)
+            if any(up != live for up in ports_up):
                 report(
                     self.name,
-                    f"switch {sw.id}",
-                    "dead switch still has live links",
-                    {"live_links": live},
+                    f"link {key}",
+                    f"link should be {'up' if live else 'down'} by the "
+                    f"liveness rule",
+                    {
+                        "failed": ref.failed,
+                        "switches_up": switches_up,
+                        "ports_up": ports_up,
+                    },
                 )
         # Reachability: all endpoints with live host links
         # must sit in one live component (degraded service, not partition).

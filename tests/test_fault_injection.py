@@ -104,6 +104,36 @@ def test_switch_fail_recover_is_lossless():
     assert fabric.links_down() == []
 
 
+def _switch_and_link():
+    """A fabric, one of its switches and a global link attached to it."""
+    fabric = small_config().build()
+    key = next(k for k in sorted(fabric.links) if k[0] == "global")
+    return fabric, fabric.links[key].ports[0].owner.id, key
+
+
+def test_link_restored_under_a_dead_switch_stays_down_until_the_switch():
+    # A link is up iff its own failure is over and every switch it
+    # touches is up: ending the link's own failure is not enough.
+    fabric, s, key = _switch_and_link()
+    fabric.fail_switch(s)
+    fabric.fail_link(key)
+    fabric.restore_link(key)
+    assert key in fabric.links_down()
+    fabric.restore_switch(s)
+    assert key not in fabric.links_down()
+    assert fabric.links_down() == []
+
+
+def test_switch_recovery_keeps_a_link_down_while_its_own_failure_lasts():
+    fabric, s, key = _switch_and_link()
+    fabric.fail_switch(s)
+    fabric.fail_link(key)
+    fabric.restore_switch(s)
+    assert fabric.links_down() == [key]
+    fabric.restore_link(key)
+    assert fabric.links_down() == []
+
+
 def test_flapping_link_is_lossless():
     fabric = small_config().build()
     schedule = FaultSchedule.flap(
