@@ -60,7 +60,7 @@ class LinkRef:
     kind: str
     ports: tuple
     spec: LinkSpec
-    switches: tuple = ()
+    switches: tuple
     base_bandwidths: tuple = ()
     failed: bool = False
 
@@ -211,8 +211,6 @@ class Fabric:
         self._ingress_pools: Dict[int, List] = {}
         #: link directory for fault injection: key -> LinkRef (repro.faults)
         self.links: Dict[tuple, LinkRef] = {}
-        #: link keys attached to each switch (whole-switch failure support)
-        self._switch_links: Dict[int, List[tuple]] = {}
         self._wire_everything()
         self.messages_sent = 0
         self.messages_completed = 0
@@ -274,8 +272,6 @@ class Fabric:
         self.links[key] = LinkRef(
             key=key, kind=kind, ports=tuple(ports), spec=spec, switches=switches
         )
-        for s in switches:
-            self._switch_links.setdefault(s, []).append(key)
 
     def _wire_everything(self) -> None:
         cfg = self.config
@@ -489,9 +485,10 @@ class Fabric:
         if not sw.up:
             return
         sw.up = False
-        for key in self._switch_links.get(switch_id, ()):
-            for port in self.links[key].ports:
-                port.fail()
+        for ref in self.links.values():
+            if switch_id in ref.switches:
+                for port in ref.ports:
+                    port.fail()
         self.topology.bump_health_epoch()
 
     def restore_switch(self, switch_id: int) -> None:
@@ -502,8 +499,9 @@ class Fabric:
         if sw.up:
             return
         sw.up = True
-        for key in self._switch_links.get(switch_id, ()):
-            self._bring_up(self.links[key])
+        for ref in self.links.values():
+            if switch_id in ref.switches:
+                self._bring_up(ref)
         self.topology.bump_health_epoch()
 
     def links_down(self) -> List[tuple]:

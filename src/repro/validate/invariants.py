@@ -433,8 +433,8 @@ class RoutingHealthChecker(InvariantChecker):
                         "ports_up": ports_up,
                     },
                 )
-        # Reachability: all endpoints with live host links
-        # must sit in one live component (degraded service, not partition).
+        # Reachability: all endpoints with live host links must sit in one
+        # live component (degraded service, not partition).
         live_switches = sorted(
             {
                 topo.node_switch(key[1])
