@@ -443,7 +443,8 @@ class Fabric:
                 port.recover()
 
     def fail_link(self, key: tuple) -> None:
-        """Fail-stop both directions of a link (queued packets drop)."""
+        """Fail-stop both directions of a link (queued packets drop) until
+        :meth:`restore_link` ends this, its own failure."""
         ref = self._link(key)
         ref.failed = True
         for port in ref.ports:
