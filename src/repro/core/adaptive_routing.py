@@ -18,7 +18,16 @@ Model choices:
   that group it reverts to minimal routing towards the destination.
 * Non-minimal candidates pay a multiplicative length penalty plus an
   additive bias, so a quiet network always routes minimally ("biases
-  packets to take minimal paths more frequently").
+  packets to take minimal paths more frequently").  The penalty is the
+  same for every traffic class: per-class routing bias is not modelled.
+
+The decision at injection is one pass that scores each candidate port
+once and keeps a running minimum: the minimal candidates first, then the
+non-minimal ones (a Valiant group scores as its own least-loaded port,
+penalised), a later candidate winning only on a strictly lower score.
+Because every minimal candidate precedes every non-minimal one, that is
+the lexicographic (score, non-minimal, position) minimum of UGAL over
+the whole candidate set, with no candidate list built.
 
 Fault awareness (paper §II-F, "the fabric keeps serving traffic at
 reduced capacity") is part of candidate generation, not a mode: dead
@@ -37,8 +46,9 @@ after the event loop, so candidate generation is table-driven the way
 real Rosetta switches route.  Each switch keeps lazily built tuples of
 *live* ports: per target group, its live global links to that group or,
 when none is left, its local ports towards the group's live gateway
-switches; per destination switch, its live local detours.  The topology
-keeps the "other groups" Valiant pools.  The tables are functions of the
+switches; per destination switch, its live local detours.  The router
+builds the "other groups" Valiant pools once, indexed
+``[source group][destination group]``.  The tables are functions of the
 installed wiring and the ports' ``up`` flags, and every fault-control
 primitive bumps the topology's ``health_epoch``: the router compares it
 once per decision and drops every switch's entries when it has moved,
@@ -50,9 +60,11 @@ draws.  Sampling (like ``choice``) consumes the RNG as a function of
 population *length* only, and the tuples preserve the exact length and
 order of the per-decision lists they replace, so decisions are
 bit-identical to the table-free reference router in
-``tests/oracles/routing.py``, which recomputes candidate sets per packet
-and samples through the library, and which property tests pin against
-the tables on healthy and faulted fabrics.
+``tests/oracles/routing.py``, which recomputes candidate sets per packet,
+samples through the library and applies its own straight-line UGAL
+rule (a candidate list, every score read again, a ``min``), and which
+property tests pin against the tables and the one-pass rule on healthy,
+congested and faulted fabrics.
 
 Three policies are provided: :class:`AdaptiveRouter` (Slingshot and, with
 different parameters, Aries), :class:`MinimalRouter` and
@@ -62,7 +74,6 @@ different parameters, Aries), :class:`MinimalRouter` and
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
 
 from ..sim.rng import sample, stable_hash
 
@@ -78,6 +89,8 @@ __all__ = [
 #: its worst case is 6 switch hops).  End-to-end recovery re-injects
 #: anything this cuts off.
 MAX_DEGRADED_HOPS = 12
+
+_INF = float("inf")
 
 
 class AdaptiveRouter:
@@ -101,7 +114,6 @@ class AdaptiveRouter:
         min_bias_bytes: float = DEFAULT_MIN_BIAS_BYTES,
         n_candidates: int = 2,
         allow_nonminimal: bool = True,
-        tc_routing_bias=None,
     ):
         if n_candidates < 1:
             raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
@@ -110,8 +122,6 @@ class AdaptiveRouter:
         self.min_bias_bytes = min_bias_bytes
         self.n_candidates = n_candidates
         self.allow_nonminimal = allow_nonminimal
-        # per-TC multiplier on the non-minimal penalty (QoS routing bias)
-        self.tc_routing_bias = tc_routing_bias or (lambda tc: 1.0)
         self._rng = random.Random(stable_hash("router", seed))
         self._getrandbits = self._rng.getrandbits
         #: observer slot (repro.probe); None = zero-overhead path
@@ -126,10 +136,13 @@ class AdaptiveRouter:
         p = topology.params
         self._hps = p.hosts_per_switch
         self._spg = p.switches_per_group
-        self._n_groups = p.n_groups
-        #: reusable candidate scratch list — route() is never re-entered,
-        #: so one list per router replaces one allocation per decision
-        self._cand: List[Tuple[object, bool, Optional[int]]] = []
+        self._n_groups = g = p.n_groups
+        #: Valiant pools, ``[source group][destination group]``: every
+        #: other group, ascending (the wiring is fixed, so built once)
+        self._valiant = tuple(
+            tuple(tuple(k for k in range(g) if k != a and k != b) for b in range(g))
+            for a in range(g)
+        )
         #: the health epoch the switches' live tables were built under,
         #: and the switches holding entries (what a flush must clear)
         self._epoch = topology.health_epoch
@@ -162,45 +175,6 @@ class AdaptiveRouter:
             if s < best_score:
                 best, best_score = p, s
         return best
-
-    def _pick(self, sw, pkt, candidates):
-        """UGAL decision rule over the candidate set."""
-        if len(candidates) == 1:
-            port, nonmin, inter = candidates[0]
-            if inter is not None:
-                pkt.intermediate_group = inter
-            if self.probe is not None:
-                self.probe.routed(self, sw, pkt, port, nonmin, inter)
-            return port
-
-        bias_mult = self.tc_routing_bias(pkt.tc)
-        # Lexicographic (score, nonmin, index) minimum without building a
-        # tuple key per candidate: the index tie-break is first-wins, so a
-        # later candidate only displaces the best on a strictly smaller
-        # score, or an equal score with nonmin False against True.
-        best = None
-        best_score = 0.0
-        best_nonmin = False
-        for cand in candidates:
-            port, nonmin, _inter = cand
-            score = port.congestion_score()
-            if nonmin:
-                score = (
-                    score * self.nonmin_penalty * bias_mult
-                    + self.min_bias_bytes * bias_mult
-                )
-            if (
-                best is None
-                or score < best_score
-                or (score == best_score and nonmin < best_nonmin)
-            ):
-                best, best_score, best_nonmin = cand, score, nonmin
-        port, nonmin, inter = best
-        if inter is not None:
-            pkt.intermediate_group = inter
-        if self.probe is not None:
-            self.probe.routed(self, sw, pkt, port, nonmin, inter)
-        return port
 
     # -- live candidate tables -----------------------------------------------
     #
@@ -283,6 +257,12 @@ class AdaptiveRouter:
         gateway for a dead direct global link.  Detours around failures
         are taken even by :class:`MinimalRouter`: fault avoidance is
         resiliency, not congestion-driven non-minimality.
+
+        Where minimal and non-minimal candidates compete, the decision is
+        one pass with a running minimum (module docstring): a minimal
+        candidate scores its ``congestion_score()``, a non-minimal one
+        ``score * nonmin_penalty + min_bias_bytes``, and a later
+        candidate wins only on a strictly lower score.
         """
         if self.topo.health_epoch != self._epoch:
             self._flush()
@@ -323,27 +303,34 @@ class AdaptiveRouter:
             detours = sw.rt_detour.get(dst_sw)
             if detours is None:
                 detours = self._build_detour(sw, dst_sw)
-            cand = self._cand
-            cand.clear()
             if live:
-                cand.append((port, False, None))
+                best, best_score = port, port.congestion_score()
             elif detours:
                 self.reroutes += 1
+                best, best_score = None, _INF
             else:
                 self.no_route += 1
                 return None
-            for p in self._sample(detours, n):
-                cand.append((p, True, None))
-            return self._pick(sw, pkt, cand)
+            if len(detours) > n:
+                detours = sample(self._getrandbits, detours, n)
+            penalty, bias = self.nonmin_penalty, self.min_bias_bytes
+            for p in detours:
+                s = p.congestion_score() * penalty + bias
+                if s < best_score:
+                    best, best_score = p, s
+            if self.probe is not None:
+                self.probe.routed(self, sw, pkt, best, best is not port, None)
+            return best
 
         # Global leg: live direct global links if this switch has any,
-        # otherwise a local hop towards a live gateway switch.  _sample's
+        # otherwise a local hop towards a live gateway switch.  The
         # no-sample branch is inlined (the common case at mini scale).
         ent = sw.rt_global.get(target_g)
         if ent is None:
             ent = self._build_global(sw, target_g)
         ports, _direct, rerouted = ent
-        mins = ports if len(ports) <= n else sample(self._getrandbits, ports, n)
+        getrandbits = self._getrandbits
+        mins = ports if len(ports) <= n else sample(getrandbits, ports, n)
 
         if (
             self.allow_nonminimal
@@ -351,20 +338,45 @@ class AdaptiveRouter:
             and inter is None
             and self._n_groups > 2
         ):
-            cand = self._cand
-            cand.clear()
+            best, best_score, best_inter = None, _INF, None
             for p in mins:
-                cand.append((p, False, None))
-            for k in self._sample(self.topo.valiant_pool(group, dst_g), n):
-                port = self._towards(sw, k)
-                if port is not None:
-                    cand.append((port, True, k))
-            if not cand:
+                s = p.congestion_score()
+                if s < best_score:
+                    best, best_score = p, s
+            pool = self._valiant[group][dst_g]
+            if len(pool) > n:
+                pool = sample(getrandbits, pool, n)
+            rt_global = sw.rt_global
+            penalty, bias = self.nonmin_penalty, self.min_bias_bytes
+            for k in pool:
+                ent = rt_global.get(k)
+                if ent is None:
+                    ent = self._build_global(sw, k)
+                via, direct, _rerouted = ent
+                if not direct and len(via) > n:
+                    via = sample(getrandbits, via, n)
+                # group k scores as its own least-loaded port (first wins)
+                vport, vscore = None, _INF
+                for p in via:
+                    s = p.congestion_score()
+                    if s < vscore:
+                        vport, vscore = p, s
+                if vport is not None:
+                    s = vscore * penalty + bias
+                    if s < best_score:
+                        best, best_score, best_inter = vport, s, k
+            if best is None:
                 self.no_route += 1
                 return None
             if rerouted:
                 self.reroutes += 1
-            return self._pick(sw, pkt, cand)
+            if best_inter is not None:
+                pkt.intermediate_group = best_inter
+            if self.probe is not None:
+                self.probe.routed(
+                    self, sw, pkt, best, best_inter is not None, best_inter
+                )
+            return best
 
         if rerouted:
             if not mins:
@@ -420,7 +432,7 @@ class ValiantRouter(AdaptiveRouter):
             if dst_g != sw.group and self._n_groups > 2:
                 # choice() draws as a function of population length, so
                 # the cached pool substitutes bit-identically.
-                pool = topo.valiant_pool(sw.group, dst_g)
+                pool = self._valiant[sw.group][dst_g]
                 pkt.intermediate_group = misrouted = self._rng.choice(pool)
             elif dst_g == sw.group:
                 ports = sw.rt_detour.get(dst_sw)

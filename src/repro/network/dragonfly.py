@@ -118,14 +118,10 @@ class DragonflyTopology:
         self._wire_global_links()
 
         # -- routing candidate tables ---------------------------------------
-        # The installed wiring never changes after construction, so pure
-        # functions of it (gateway sets, Valiant pools) are cached as
-        # immutable tuples, filled lazily on first use.  The adaptive
-        # router reads a Valiant pool on every injection decision;
-        # rebuilding them per packet was the single hottest allocation in
-        # the simulator.
+        # The installed wiring never changes after construction, so the
+        # gateway sets (a pure function of it) are cached as immutable
+        # tuples, filled lazily on first use.
         self._gateway_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        self._valiant_pools: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
         #: monotonically increasing counter that every fault-control
         #: primitive of the fabric bumps when it changes a link's state.
@@ -200,20 +196,6 @@ class DragonflyTopology:
             out = tuple(sorted({si for si, _ in self._pair_links[key]}))
             self._gateway_cache[key] = out
         return out
-
-    def valiant_pool(self, g_src: int, g_dst: int) -> Tuple[int, ...]:
-        """Intermediate-group candidates for a Valiant misroute from
-        *g_src* towards *g_dst*: every other group, in ascending order
-        (the same order the per-decision list comprehension produced)."""
-        key = (g_src, g_dst)
-        pool = self._valiant_pools.get(key)
-        if pool is None:
-            pool = tuple(
-                g for g in range(self.params.n_groups)
-                if g != g_src and g != g_dst
-            )
-            self._valiant_pools[key] = pool
-        return pool
 
     def local_neighbors(self, switch: int) -> List[int]:
         group = self.switch_group(switch)

@@ -242,6 +242,8 @@ class OutputPort:
     def congestion_score(self) -> float:
         """Estimated cost of routing another packet through this port:
         local backlog plus downstream credit occupancy (both counters)."""
+        if self._single_tc:
+            return self.backlog + self._pool0._in_use
         used = 0.0
         for pool in self.credits:
             used += pool._in_use

@@ -38,10 +38,26 @@ def sample(getrandbits, population, k: int) -> list:
     ``getrandbits``.  Like the library, it consumes the RNG as a function
     of ``len(population)`` and *k* alone.  ``tests/test_routing_sampler.py``
     pins the two.
+
+    k = 2 in the swap branch (the router's every sample) copies no pool:
+    the library's second pick is ``pool[i]`` after ``pool[j]`` took the
+    last element, i.e. the last element when ``i == j``, else
+    ``population[i]``.
     """
     n = len(population)
     if not 0 <= k <= n:
         raise ValueError("sample larger than population or is negative")
+    if k == 2 and n <= 21:
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        m = n - 1
+        bits = m.bit_length()
+        i = getrandbits(bits)
+        while i >= m:
+            i = getrandbits(bits)
+        return [population[j], population[m] if i == j else population[i]]
     out = []
     # the library's list-vs-set size threshold, verbatim
     if n <= (21 if k <= 5 else 21 + 4 ** ceil(log(k * 3, 4))):

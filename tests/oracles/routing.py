@@ -9,12 +9,17 @@ candidate sets recomputed per packet from the wiring and the ports'
 They never read production's tables or its epoch: the degraded branch
 is taken whenever any switch port of the fabric is down, found by a
 scan of every port on every decision, and live gateways are re-derived
-from the topology's global link list.  The hypothesis
+from the topology's global link list.  They also keep their own
+UGAL decision rule, the straight-line one: a list of (port,
+non-minimal, intermediate group) candidates, every ``congestion_score()``
+read again, and the ``min`` over (score, non-minimal, position), where
+production keeps a one-pass running minimum.  The hypothesis
 equivalence suite and the flapping-schedule regression test pin the
-tables and the inlined sampler against them, decision for decision, on
-healthy and faulted fabrics.  They differ from production only in what
-they tell a probe: no final-hop decision on a healthy fabric, and from
-the Valiant reference none at all.
+tables, the inlined sampler and the one-pass rule against them,
+decision for decision, on healthy, congested and faulted fabrics.  They
+differ from production only in what they tell a probe: no final-hop
+decision on a healthy fabric, and from the Valiant reference none at
+all.
 
 Use them through ``FabricConfig.router_factory``, e.g.
 ``cfg.with_(router_factory=ReferenceAdaptiveRouter)``.
@@ -79,6 +84,30 @@ class ReferenceAdaptiveRouter(AdaptiveRouter):
         if len(seq) <= k:
             return seq
         return self._rng.sample(seq, k)
+
+    @staticmethod
+    def _least_loaded(ports):
+        """The first port with the lowest ``congestion_score()``."""
+        return min(ports, key=lambda p: p.congestion_score())
+
+    def _pick(self, sw, pkt, candidates):
+        """UGAL over the candidate list: the (score, non-minimal,
+        position) minimum, a non-minimal score paying the length penalty
+        and the minimal bias."""
+
+        def key(i):
+            port, nonmin, _inter = candidates[i]
+            score = port.congestion_score()
+            if nonmin:
+                score = score * self.nonmin_penalty + self.min_bias_bytes
+            return (score, nonmin, i)
+
+        port, nonmin, inter = candidates[min(range(len(candidates)), key=key)]
+        if inter is not None:
+            pkt.intermediate_group = inter
+        if self.probe is not None:
+            self.probe.routed(self, sw, pkt, port, nonmin, inter)
+        return port
 
     def _port_towards_group(self, sw, group):
         """Best port from *sw* towards *group*: direct global link if any,

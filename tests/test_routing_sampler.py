@@ -62,6 +62,22 @@ def test_sample_crosses_the_library_set_threshold():
     assert router._rng.getstate() == library.getstate()
 
 
+def test_pair_sample_matches_library_at_every_swap_branch_size():
+    """k = 2 has its own copy-free branch for n <= 21; pin it at every
+    size on both sides of the threshold.  n = 2 makes the second draw a
+    ``getrandbits(1)`` rejection loop, n = 22 is the first size of the
+    library's rejection-set branch."""
+    for n in range(2, 23):
+        for population in (tuple(range(100, 100 + n)), range(n)):
+            for seed in range(60):
+                ours, library = random.Random(seed), random.Random(seed)
+                for _ in range(4):
+                    assert sample(ours.getrandbits, population, 2) == (
+                        library.sample(population, 2)
+                    )
+                    assert ours.getstate() == library.getstate()
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(0, 600), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_function_matches_library_for_every_k(n, data, seed):

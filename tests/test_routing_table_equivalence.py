@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from repro.core.adaptive_routing import ValiantRouter
 from repro.faults import FaultSchedule
 from repro.network.dragonfly import DragonflyParams
+from repro.network.units import KiB
+from repro.probe import Probe
 from repro.systems import slingshot_config
 from repro.validate.differ import EventTrace
 from tests.oracles.routing import ReferenceAdaptiveRouter, ReferenceValiantRouter
@@ -59,10 +61,14 @@ def _run_traced(cfg, seed, schedule_of=None):
 
 
 def _assert_equivalent(cfg, seed, schedule_of=None, reference=ReferenceAdaptiveRouter):
-    fab_tab, trace_tab = _run_traced(cfg, seed, schedule_of)
-    fab_ref, trace_ref = _run_traced(
-        cfg.with_(router_factory=reference), seed, schedule_of
+    _assert_same_runs(
+        _run_traced(cfg, seed, schedule_of),
+        _run_traced(cfg.with_(router_factory=reference), seed, schedule_of),
     )
+
+
+def _assert_same_runs(tab, ref):
+    (fab_tab, trace_tab), (fab_ref, trace_ref) = tab, ref
     # event-for-event identity (first mismatch pinpointed for debugging)
     n = min(len(trace_tab), len(trace_ref))
     for i in range(n):
@@ -98,6 +104,55 @@ def test_tables_match_reference_healthy(p, a, g, links, seed):
         DragonflyParams(p, a, g, links_per_pair=links), seed=seed
     )
     _assert_equivalent(cfg, seed)
+
+
+class _InjectionChoices(Probe):
+    """Counts a router's injection decisions, minimal and Valiant."""
+
+    def __init__(self):
+        self.minimal = self.valiant = 0
+
+    def routed(self, router, sw, pkt, port, nonminimal, intermediate_group):
+        if pkt.hops == 1:
+            if intermediate_group is not None:
+                self.valiant += 1
+            elif not nonminimal:
+                self.minimal += 1
+
+
+def _run_shift_traced(cfg):
+    """Every node sends 64 KiB to node ``i + n/2``, under an EventTrace
+    and a probe on the router."""
+    fabric = cfg.build()
+    choices = _InjectionChoices()
+    fabric.attach_probe(lambda c: choices if c is fabric.router else None)
+    trace = EventTrace()
+    fabric.sim.event_hook = trace
+    n = fabric.topology.n_nodes
+    msgs = [fabric.send(i, (i + n // 2) % n, 64 * KiB) for i in range(n)]
+    fabric.sim.run()
+    assert all(m.complete for m in msgs)
+    return fabric, trace, choices
+
+
+def test_tables_match_reference_congested():
+    """A congested fabric, where scores and not ties decide: the shift
+    fills the ports, every cross-group injection samples 2 of the 4
+    Valiant groups, and injection makes both minimal and Valiant
+    choices, so the one-pass rule is compared with the reference's
+    ``min`` over the candidate list on real score differences."""
+    cfg = slingshot_config(DragonflyParams(2, 4, 6, links_per_pair=3), seed=0)
+    fab, trace, choices = _run_shift_traced(cfg)
+    fab_ref, trace_ref, choices_ref = _run_shift_traced(
+        cfg.with_(router_factory=ReferenceAdaptiveRouter)
+    )
+    _assert_same_runs((fab, trace), (fab_ref, trace_ref))
+    assert (choices.minimal, choices.valiant) == (
+        choices_ref.minimal,
+        choices_ref.valiant,
+    )
+    assert choices.minimal > 0 and choices.valiant > 0
+    assert choices.minimal + choices.valiant == fab.packets_injected()
 
 
 def _fault_schedule(seed, n_faults):
