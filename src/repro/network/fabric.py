@@ -53,7 +53,10 @@ class LinkRef:
     recovery can restore a degraded link exactly.  ``switches`` are the
     ids of the switches the link touches, and ``failed`` records that
     the link's own failure is in progress: the link is up exactly when
-    ``failed`` is False and every one of its switches is up.
+    ``failed`` is False and every one of its switches is up.  The link's
+    own impairment sits next to it: ``bandwidth_factor`` (a degradation)
+    and ``error_rate`` (a BER storm), which the link keeps through any
+    switch failure and recovery until its own recovery clears them.
     """
 
     key: tuple
@@ -63,10 +66,14 @@ class LinkRef:
     switches: tuple
     base_bandwidths: tuple = ()
     failed: bool = False
+    bandwidth_factor: float = 1.0
+    error_rate: Optional[float] = None
 
     def __post_init__(self):
         if not self.base_bandwidths:
             self.base_bandwidths = tuple(p.bandwidth for p in self.ports)
+        if self.error_rate is None:
+            self.error_rate = self.spec.frame_error_rate
 
     @property
     def up(self) -> bool:
@@ -432,13 +439,13 @@ class Fabric:
             raise KeyError(f"no such link {key!r}; see Fabric.links for ids")
 
     def _bring_up(self, ref: LinkRef) -> None:
-        """Return *ref* to its as-built state: full bandwidth, the
-        configured frame error rate and, by the liveness rule, up iff its
-        own failure is over and every switch it touches is up."""
+        """Apply *ref*'s own state to its ports: its bandwidth factor,
+        its frame error rate and, by the liveness rule, up iff its own
+        failure is over and every switch it touches is up."""
         live = not ref.failed and all(self.switches[s].up for s in ref.switches)
         for port, bw in zip(ref.ports, ref.base_bandwidths):
-            port.set_bandwidth(bw)
-            port.set_error_rate(ref.spec.frame_error_rate, seed=self.config.seed)
+            port.set_bandwidth(bw * ref.bandwidth_factor)
+            port.set_error_rate(ref.error_rate, seed=self.config.seed)
             if live:
                 port.recover()
 
@@ -452,19 +459,23 @@ class Fabric:
         self.topology.bump_health_epoch()
 
     def restore_link(self, key: tuple) -> None:
-        """End a link's own failure and return it to its as-built state:
-        full bandwidth, the configured frame error rate, and up unless a
-        switch it touches is still down."""
+        """End a link's own failure and impairment and return it to its
+        as-built state: full bandwidth, the configured frame error rate,
+        and up unless a switch it touches is still down."""
         ref = self._link(key)
         ref.failed = False
+        ref.bandwidth_factor = 1.0
+        ref.error_rate = ref.spec.frame_error_rate
         self._bring_up(ref)
         self.topology.bump_health_epoch()
 
     def degrade_link(self, key: tuple, factor: float) -> None:
-        """Run a link at ``factor`` of its as-built bandwidth (0 < f <= 1)."""
+        """Run a link at ``factor`` of its as-built bandwidth (0 < f <= 1)
+        until :meth:`restore_link`, a switch recovery included."""
         if not (0.0 < factor <= 1.0):
             raise ValueError(f"degrade factor must be in (0, 1], got {factor}")
         ref = self._link(key)
+        ref.bandwidth_factor = factor
         for port, bw in zip(ref.ports, ref.base_bandwidths):
             port.set_bandwidth(bw * factor)
         # Bandwidth does not enter any cached candidate set, but bump the
@@ -473,10 +484,12 @@ class Fabric:
         self.topology.bump_health_epoch()
 
     def set_link_error_rate(self, key: tuple, rate: float) -> None:
-        """Set a link's instantaneous frame error rate (BER storm)."""
+        """Set a link's instantaneous frame error rate (BER storm) until
+        :meth:`restore_link`, a switch recovery included."""
         ref = self._link(key)
         for port in ref.ports:
             port.set_error_rate(rate, seed=self.config.seed)
+        ref.error_rate = rate
 
     def fail_switch(self, switch_id: int) -> None:
         """Whole-switch failure: every attached wire goes down, and stays
@@ -493,9 +506,9 @@ class Fabric:
         self.topology.bump_health_epoch()
 
     def restore_switch(self, switch_id: int) -> None:
-        """Bring a failed switch back.  Each attached link returns to its
-        as-built state, and comes up unless its own failure is still in
-        progress or its other switch is still down."""
+        """Bring a failed switch back.  Each attached link keeps its own
+        degradation or BER storm, and comes up unless its own failure is
+        still in progress or its other switch is still down."""
         sw = self.switches[switch_id]
         if sw.up:
             return

@@ -134,6 +134,35 @@ def test_switch_recovery_keeps_a_link_down_while_its_own_failure_lasts():
     assert fabric.links_down() == []
 
 
+def test_switch_recovery_keeps_a_link_degraded_until_its_own_recovery():
+    # A degradation is the link's own impairment: a switch failing and
+    # recovering underneath it neither ends nor resets it.
+    fabric, s, key = _switch_and_link()
+    ref = fabric.links[key]
+    fabric.degrade_link(key, 0.5)
+    fabric.fail_switch(s)
+    fabric.restore_switch(s)
+    assert fabric.links_down() == []
+    for port, bw in zip(ref.ports, ref.base_bandwidths):
+        assert port.bandwidth == bw * 0.5
+    fabric.restore_link(key)
+    for port, bw in zip(ref.ports, ref.base_bandwidths):
+        assert port.bandwidth == bw
+
+
+def test_switch_recovery_keeps_a_ber_storm_until_its_own_recovery():
+    fabric, s, key = _switch_and_link()
+    ref = fabric.links[key]
+    fabric.set_link_error_rate(key, 0.05)
+    fabric.fail_switch(s)
+    fabric.restore_switch(s)
+    assert fabric.links_down() == []
+    assert all(port.error_rate == 0.05 for port in ref.ports)
+    fabric.restore_link(key)
+    base = fabric.config.global_link.frame_error_rate
+    assert all(port.error_rate == base for port in ref.ports)
+
+
 def test_flapping_link_is_lossless():
     fabric = small_config().build()
     schedule = FaultSchedule.flap(
