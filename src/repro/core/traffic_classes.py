@@ -2,9 +2,11 @@
 
 A :class:`TrafficClass` is the administrator-tunable entity the paper
 describes: priority, minimum-bandwidth guarantee, maximum-bandwidth cap,
-ordering and lossiness knobs, and a routing bias.  Packets carry a TC
-index (the DSCP tag in real Slingshot); each egress port keeps one queue
-per TC and a :class:`TcScheduler` that decides which queue sends next.
+and ordering and lossiness knobs.  The paper also lists a per-class
+routing bias; per-class routing bias is not modelled (every class routes
+with the adaptive router's one minimal bias).  Packets carry a TC index
+(the DSCP tag in real Slingshot); each egress port keeps one queue per
+TC and a :class:`TcScheduler` that decides which queue sends next.
 
 Scheduling policy (matches the behaviour measured in Fig. 14):
 
@@ -44,7 +46,6 @@ class TrafficClass:
     max_share: float = 1.0
     ordered: bool = True
     lossless: bool = True
-    routing_bias: float = 1.0  # multiplier on the non-minimal path penalty
     dscp: Optional[int] = None
 
     def __post_init__(self):
