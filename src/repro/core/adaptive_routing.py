@@ -329,8 +329,7 @@ class AdaptiveRouter:
         if ent is None:
             ent = self._build_global(sw, target_g)
         ports, _direct, rerouted = ent
-        getrandbits = self._getrandbits
-        mins = ports if len(ports) <= n else sample(getrandbits, ports, n)
+        mins = ports if len(ports) <= n else sample(self._getrandbits, ports, n)
 
         if (
             self.allow_nonminimal
@@ -338,6 +337,7 @@ class AdaptiveRouter:
             and inter is None
             and self._n_groups > 2
         ):
+            getrandbits = self._getrandbits
             best, best_score, best_inter = None, _INF, None
             for p in mins:
                 s = p.congestion_score()
