@@ -150,20 +150,6 @@ class AdaptiveRouter:
 
     # -- helpers -------------------------------------------------------------
 
-    def _sample(self, seq, k: int):
-        """*k* RNG-sampled elements, or *seq* itself when it already fits.
-
-        The no-sample branch returns the input sequence uncopied (callers
-        only iterate).  The sampled branch is :func:`repro.sim.rng.sample`,
-        the library sampler drawn through ``getrandbits``; it consumes the
-        RNG as a function of ``len(seq)`` alone, which is what lets the
-        cached port tuples substitute for the historical id lists
-        bit-identically.
-        """
-        if len(seq) <= k:
-            return seq
-        return sample(self._getrandbits, seq, k)
-
     @staticmethod
     def _least_loaded(ports) -> "object":
         # first-wins minimum of congestion_score()
@@ -232,18 +218,23 @@ class AdaptiveRouter:
         return ports
 
     def _towards(self, sw, group):
-        """Best live port from *sw* towards *group*: the least-loaded
-        direct global link, else the least-loaded of a sample of live
-        gateway ports; None if the group is unreachable."""
+        """``(port, score)``: the least-loaded live port from *sw* towards
+        *group* (first wins) among its direct global links, else among a
+        sample of its live gateway ports; ``(None, inf)`` if the group
+        is unreachable."""
         ent = sw.rt_global.get(group)
         if ent is None:
             ent = self._build_global(sw, group)
         ports, direct, _rerouted = ent
-        if not direct:
-            if not ports:
-                return None
-            ports = self._sample(ports, self.n_candidates)
-        return ports[0] if len(ports) == 1 else self._least_loaded(ports)
+        n = self.n_candidates
+        if not direct and len(ports) > n:
+            ports = sample(self._getrandbits, ports, n)
+        best, best_score = None, _INF
+        for p in ports:
+            s = p.congestion_score()
+            if s < best_score:
+                best, best_score = p, s
+        return best, best_score
 
     # -- main entry ------------------------------------------------------------
 
@@ -337,7 +328,6 @@ class AdaptiveRouter:
             and inter is None
             and self._n_groups > 2
         ):
-            getrandbits = self._getrandbits
             best, best_score, best_inter = None, _INF, None
             for p in mins:
                 s = p.congestion_score()
@@ -345,26 +335,15 @@ class AdaptiveRouter:
                     best, best_score = p, s
             pool = self._valiant[group][dst_g]
             if len(pool) > n:
-                pool = sample(getrandbits, pool, n)
-            rt_global = sw.rt_global
+                pool = sample(self._getrandbits, pool, n)
             penalty, bias = self.nonmin_penalty, self.min_bias_bytes
             for k in pool:
-                ent = rt_global.get(k)
-                if ent is None:
-                    ent = self._build_global(sw, k)
-                via, direct, _rerouted = ent
-                if not direct and len(via) > n:
-                    via = sample(getrandbits, via, n)
-                # group k scores as its own least-loaded port (first wins)
-                vport, vscore = None, _INF
-                for p in via:
-                    s = p.congestion_score()
-                    if s < vscore:
-                        vport, vscore = p, s
-                if vport is not None:
-                    s = vscore * penalty + bias
-                    if s < best_score:
-                        best, best_score, best_inter = vport, s, k
+                # group k scores as its own least-loaded port
+                port, score = self._towards(sw, k)
+                if port is not None:
+                    score = score * penalty + bias
+                    if score < best_score:
+                        best, best_score, best_inter = port, score, k
             if best is None:
                 self.no_route += 1
                 return None
@@ -449,7 +428,7 @@ class ValiantRouter(AdaptiveRouter):
             if not port.up:
                 port = None
         else:
-            port = self._towards(sw, target_g)
+            port = self._towards(sw, target_g)[0]
         if port is None:
             self.no_route += 1
             return None

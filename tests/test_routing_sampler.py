@@ -1,7 +1,8 @@
 """Property: the inlined sampler is ``random.Random.sample``.
 
-:func:`repro.sim.rng.sample` (behind :meth:`AdaptiveRouter._sample` and
-:meth:`FaultSchedule.generate`) re-implements the library sampler with
+:func:`repro.sim.rng.sample` (behind the adaptive router's candidate
+samples and :meth:`FaultSchedule.generate`) re-implements the library
+sampler with
 direct ``getrandbits`` draws.  It must pick the same elements in the
 same order and leave the RNG in the same state, in both of the
 library's branches: the partial swap over a small population and the
@@ -28,23 +29,21 @@ def _router(seed: int) -> AdaptiveRouter:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(1, 600),
+    n=st.integers(9, 600),
     k=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
     draws=st.integers(1, 4),
 )
 def test_sample_matches_library_draw_for_draw(n, k, seed, draws):
+    """On the router's own RNG, as the router samples: only populations
+    larger than k (one that fits is iterated as is, with no draw)."""
     router = _router(seed)
     library = random.Random()
     library.setstate(router._rng.getstate())
     population = tuple(range(1000, 1000 + n))
     for _ in range(draws):
-        got = router._sample(population, k)
-        if n <= k:
-            # fits: returned as is, no RNG consumed (callers only iterate)
-            assert got is population
-        else:
-            assert got == library.sample(population, k)
+        got = sample(router._getrandbits, population, k)
+        assert got == library.sample(population, k)
         assert router._rng.getstate() == library.getstate()
 
 
@@ -58,7 +57,8 @@ def test_sample_crosses_the_library_set_threshold():
     for n in (7, 21, 22, 85, 86, 600) * 50:
         population = list(range(n))
         for k in (2, 6):
-            assert router._sample(population, k) == library.sample(population, k)
+            got = sample(router._getrandbits, population, k)
+            assert got == library.sample(population, k)
     assert router._rng.getstate() == library.getstate()
 
 
