@@ -55,8 +55,9 @@ class LinkRef:
     the link's own failure is in progress: the link is up exactly when
     ``failed`` is False and every one of its switches is up.  The link's
     own impairment sits next to it: ``bandwidth_factor`` (a degradation)
-    and ``error_rate`` (a BER storm), which the link keeps through any
-    switch failure and recovery until its own recovery clears them.
+    and ``error_rate`` (a BER storm; None means the spec's rate), which
+    the link keeps through any switch failure and recovery until its own
+    recovery clears them.
     """
 
     key: tuple
@@ -72,8 +73,6 @@ class LinkRef:
     def __post_init__(self):
         if not self.base_bandwidths:
             self.base_bandwidths = tuple(p.bandwidth for p in self.ports)
-        if self.error_rate is None:
-            self.error_rate = self.spec.frame_error_rate
 
     @property
     def up(self) -> bool:
@@ -443,9 +442,10 @@ class Fabric:
         its frame error rate and, by the liveness rule, up iff its own
         failure is over and every switch it touches is up."""
         live = not ref.failed and all(self.switches[s].up for s in ref.switches)
+        rate = ref.spec.frame_error_rate if ref.error_rate is None else ref.error_rate
         for port, bw in zip(ref.ports, ref.base_bandwidths):
             port.set_bandwidth(bw * ref.bandwidth_factor)
-            port.set_error_rate(ref.error_rate, seed=self.config.seed)
+            port.set_error_rate(rate, seed=self.config.seed)
             if live:
                 port.recover()
 
@@ -465,7 +465,7 @@ class Fabric:
         ref = self._link(key)
         ref.failed = False
         ref.bandwidth_factor = 1.0
-        ref.error_rate = ref.spec.frame_error_rate
+        ref.error_rate = None
         self._bring_up(ref)
         self.topology.bump_health_epoch()
 
