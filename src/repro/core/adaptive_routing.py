@@ -314,8 +314,9 @@ class AdaptiveRouter:
             return best
 
         # Global leg: live direct global links if this switch has any,
-        # otherwise a local hop towards a live gateway switch.  The
-        # no-sample branch is inlined (the common case at mini scale).
+        # otherwise a local hop towards a live gateway switch.  A
+        # population no larger than the sample is used as is, with no
+        # RNG draw (the common case at mini scale).
         ent = sw.rt_global.get(target_g)
         if ent is None:
             ent = self._build_global(sw, target_g)

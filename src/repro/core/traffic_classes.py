@@ -2,9 +2,9 @@
 
 A :class:`TrafficClass` is the administrator-tunable entity the paper
 describes: priority, minimum-bandwidth guarantee, maximum-bandwidth cap,
-and ordering and lossiness knobs.  The paper also lists a per-class
-routing bias; per-class routing bias is not modelled (every class routes
-with the adaptive router's one minimal bias).  Packets carry a TC index
+and ordering and lossiness knobs.  The paper also gives a class a
+routing bias; per-class routing bias is not modelled: every class routes
+with the adaptive router's one minimal bias.  Packets carry a TC index
 (the DSCP tag in real Slingshot); each egress port keeps one queue per
 TC and a :class:`TcScheduler` that decides which queue sends next.
 

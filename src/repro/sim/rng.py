@@ -39,7 +39,8 @@ def sample(getrandbits, population, k: int) -> list:
     of ``len(population)`` and *k* alone.  ``tests/test_routing_sampler.py``
     pins the two.
 
-    k = 2 in the swap branch (the router's every sample) copies no pool:
+    k = 2 in the swap branch (every sample the adaptive router draws at
+    its default ``n_candidates``) copies no pool:
     the library's second pick is ``pool[i]`` after ``pool[j]`` took the
     last element, i.e. the last element when ``i == j``, else
     ``population[i]``.
