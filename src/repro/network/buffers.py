@@ -16,6 +16,41 @@ channel.  Both halves matter here:
 Accounting: a packet draws its buffer slot from the shared pool when it
 fits, otherwise from its VC's reserve (`Packet.buf_shared` records the
 choice so the release is symmetric).
+
+Credit waits.  A port blocked on credit registers on the pool through
+:meth:`VcBufferPool.notify_on_release`.  A *gated* waiter hands over
+the head packet it is blocked on.  Only a plain single-class port (one
+uncapped class, wire up, no LLR, no probe) registers one, because only
+there a wakeup that finds the head still blocked has no side effect.
+Every other wait is *ungated* (None) and is called on every release.
+
+The waiter invariant: every gated waiter belongs to an armed port whose
+head fits neither the shared region nor its VC's reserve.  A gated
+waiter registers only with such a head; between releases only
+acquisitions happen; and each release walk leaves registered only heads
+that still fit nowhere.  So just before any release, no gated head
+fits.  A release grows exactly one slice (the shared region, or VC v's
+reserve), so only heads that fit that slice can move, and the ports it
+wakes take from that slice.  Once the slice is back at or below its
+pre-release level, no later gated head fits either, so a release on a
+pool whose waiters are all gated stops there: its cost follows the
+ports it wakes, not the ports waiting on the switch.  It removes the
+woken entries in place.  That leaves the order a full walk would: a
+woken gated port sends its head and registers nothing during the walk,
+and a gated entry is never stale (an armed plain port leaves the dict
+only when this pool wakes it, or turns ungated when it leaves the plain
+regime, e.g. on ``fail()``).  The invariant auditor (repro.validate)
+checks the invariant on every sweep.
+
+The same invariant lets ``OutputPort.enqueue`` skip arbitration on an
+armed single-class port: the append leaves the head unchanged, and the
+head fits nothing.
+
+Both rules assume one FIFO per traffic class, so one head per port.
+Per-VC output FIFOs (the fix for a VC-1 head blocking VC-2 packets
+behind it) give a port one head per VC, and must revisit them: "an
+append leaves the head unchanged" and "the gated head fits nothing"
+then become per-VC statements.
 """
 
 from __future__ import annotations
@@ -23,6 +58,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 __all__ = ["VcBufferPool"]
+
+#: stands in for an ungated waiter while the release walk calls it
+_WAKING = object()
 
 
 class VcBufferPool:
@@ -37,12 +75,16 @@ class VcBufferPool:
 
     Waiters are one-shot entries ``callback -> head`` in wake order, one
     per callback, so the dict stays bounded by the ports sharing the
-    pool.  *head* is the packet the waiter is blocked on, or None to
-    wake on every release.  A release walks the entries in order: one
-    whose head still fits nowhere stays registered, in place, uncalled;
-    every other one is called (and re-registers if still blocked).  So
-    a waiter may pass a head only while a wakeup that finds the head
-    blocked would be a no-op for it.
+    pool.  *head* is the packet a gated waiter is blocked on, or None
+    for an ungated one, which wakes on every release.  A release walks
+    the entries in order, in place: a gated entry whose head still fits
+    nowhere stays, uncalled; every other one is removed and called, and
+    an ungated one that re-registers keeps its place.  While every
+    waiter is gated, the walk stops once the slice the release grew is
+    back at its pre-release level (the module docstring says why that
+    wakes exactly the ports a full walk would).  So a waiter may pass a
+    head only while it is armed on that head, the head fits nothing,
+    and a wakeup that finds it blocked would be a no-op for it.
     """
 
     __slots__ = (
@@ -104,21 +146,57 @@ class VcBufferPool:
             total = self.reserve_total
         if avail > total + 1e-9:
             raise RuntimeError(f"credit over-release: {avail} > total {total}")
-        if self._waiters:
-            waiters, self._waiters = self._waiters, {}
-            for fn, head in waiters.items():
-                # inlined can_fit(), against what earlier waiters left
-                if head is not None and (
-                    self.shared_avail < head.size
-                    and self.reserve_avail[head.vc] < head.size
-                ):
-                    self._waiters[fn] = head
-                else:
+        waiters = self._waiters
+        if not waiters:
+            return
+        if None in waiters.values():
+            # An ungated waiter is called on every release, so walk them
+            # all, over a copy: a call may re-register its own entry.
+            for fn, head in list(waiters.items()):
+                if head is None:
+                    # keeps its place if it re-registers
+                    waiters[fn] = _WAKING
                     fn()
+                    if waiters[fn] is _WAKING:
+                        del waiters[fn]
+                elif (
+                    self.shared_avail >= head.size
+                    or self.reserve_avail[head.vc] >= head.size
+                ):
+                    del waiters[fn]
+                    fn()
+            return
+        # Every waiter is gated: wake the first head that fits, until the
+        # grown slice is back at its pre-release level (module docstring).
+        # A woken port sends its head and registers nothing, so the dict
+        # is walked live; each rescan starts over a prefix that a walk,
+        # which only takes bytes, cannot have unblocked.
+        floor = avail - size
+        while True:
+            for fn, head in waiters.items():
+                if (
+                    self.shared_avail >= head.size
+                    or self.reserve_avail[head.vc] >= head.size
+                ):
+                    break
+            else:
+                return
+            del waiters[fn]
+            fn()
+            if (
+                self.shared_avail if was_shared else self.reserve_avail[vc]
+            ) <= floor:
+                return
 
     def notify_on_release(self, head, fn) -> None:
         """One-shot wakeup on the next release that could fit *head*
         (every release when *head* is None).
+
+        A caller passing a *head* promises the waiter invariant (module
+        docstring): *head* fits neither slice now, the callback sends it
+        without registering again when a release calls it, and until
+        then the caller changes the entry only to None.  The early exit
+        of :meth:`release` rests on that promise.
 
         Deduplicated by the callback itself: ``port._retry`` is a fresh
         bound method on every access, but bound methods hash and compare

@@ -256,7 +256,13 @@ class OutputPort:
         self.backlog += pkt.size
         if self._probe is not None:
             self._probe.enqueued(self, pkt)
-        if not self.busy:
+        # An armed single-class port skips arbitration: the append left
+        # its head unchanged, and that head fits nothing downstream (the
+        # waiter invariant in repro.network.buffers), so _try_send would
+        # only reach _arm_retry's armed early-out.  With several classes
+        # (or a capped one) another class may be eligible, so those
+        # ports arbitrate.  Per-VC FIFOs would make this a per-VC rule.
+        if not self.busy and not (self._retry_armed and self._single_tc):
             self._try_send()
 
     def _head_size(self, tc: int) -> Optional[float]:
@@ -338,16 +344,25 @@ class OutputPort:
         """Wake up when credits return or a rate cap unblocks."""
         if self._retry_armed:
             return
-        pending = False
-        # a plain port's wasted wakeup would only re-arm it, so the pool
-        # may skip it: hand over the head (else wake on every release)
-        gate = self._plain
-        for tc, q in enumerate(self.queues):
-            if q:
-                pending = True
-                self.credits[tc].notify_on_release(q[0] if gate else None, self._retry)
-        if not pending:
-            return
+        if self._single_tc:
+            # One registration: _try_send arms a single-class port only
+            # on a head that fits neither slice of its pool.  A plain
+            # port's wasted wakeup would only re-arm it, so it hands the
+            # pool that head (a gated wait: the pool wakes it only when
+            # the head fits); any other port waits ungated (None) and is
+            # woken on every release.  Enqueues skip arbitration until
+            # the wakeup (see enqueue).
+            self._pool0.notify_on_release(
+                self._q0[0] if self._plain else None, self._retry
+            )
+        else:
+            pending = False
+            for tc, q in enumerate(self.queues):
+                if q:
+                    pending = True
+                    self.credits[tc].notify_on_release(None, self._retry)
+            if not pending:
+                return
         self._retry_armed = True
         # Credit-stall accounting (repro.observe): the port has traffic it
         # cannot move because the downstream buffer is out of space (or a

@@ -122,7 +122,8 @@ def _all_ports(fabric):
 
 
 class CreditConservationChecker(InvariantChecker):
-    """Per-pool credit conservation and occupancy bounds.
+    """Per-pool credit conservation and occupancy bounds, and the credit
+    wait rule.
 
     The maintained ``_in_use`` counter must equal the bytes held in the
     shared slice plus every per-VC reserve slice, re-derived from the
@@ -132,6 +133,17 @@ class CreditConservationChecker(InvariantChecker):
     adaptive-routing decision reads ``_in_use`` through
     ``congestion_score`` (uncached), and every release checks its gated
     waiters' heads against the free-byte counters to decide whom to wake.
+
+    The wait rule (see :mod:`repro.network.buffers`): every gated waiter
+    (an entry holding a head packet) belongs to an armed plain port and
+    holds that port's queue head, and every armed single-class port is
+    registered on its pool with a head that fits neither the shared
+    region nor its VC's reserve.  A release's early exit and the
+    enqueue skip in :meth:`OutputPort.enqueue` both rest on it.  The
+    auditor's checkers are every port's probe, which makes each wait
+    ungated, so an audited run checks the second half on every armed
+    single-class port; the first half needs a sweep of an unprobed
+    fabric (``checker.sweep(fabric, report)``).
     """
 
     name = "credit-conservation"
@@ -139,6 +151,8 @@ class CreditConservationChecker(InvariantChecker):
     def sweep(self, fabric, report: Callable) -> None:
         seen = set()
         for where, port in _all_ports(fabric):
+            if port._retry_armed and port._single_tc:
+                self._check_armed(where, port, report)
             for tc, pool in enumerate(port.credits):
                 # shared-switch-buffer pools appear under several ports
                 if id(pool) in seen:
@@ -168,6 +182,61 @@ class CreditConservationChecker(InvariantChecker):
                         f"[0, {pool.total:.0f}]B",
                         snap,
                     )
+                for fn, head in pool._waiters.items():
+                    if head is not None:
+                        port = getattr(fn, "__self__", None)
+                        self._check_gated(entity, pool, port, head, report)
+
+    def _check_armed(self, where, port, report: Callable) -> None:
+        pool = port._pool0
+        q = port._q0
+        head = q[0] if q else None
+        if (
+            head is not None
+            and port._retry in pool._waiters
+            and not pool.can_fit(head.vc, head.size)
+        ):
+            return
+        report(
+            self.name,
+            f"{where} port {port.name or port.kind}",
+            "armed single-class port is not waiting on a blocked head",
+            {
+                "queued_pkts": len(q),
+                "registered": port._retry in pool._waiters,
+                "head_size": None if head is None else head.size,
+                "head_vc": None if head is None else head.vc,
+                "shared_avail": pool.shared_avail,
+                "reserve_avail": list(pool.reserve_avail),
+            },
+        )
+
+    def _check_gated(self, entity, pool, port, head, report: Callable) -> None:
+        if (
+            isinstance(port, OutputPort)
+            and port._retry_armed
+            and port._plain
+            and port._q0
+            and port._q0[0] is head
+            and not pool.can_fit(head.vc, head.size)
+        ):
+            return
+        report(
+            self.name,
+            entity,
+            f"gated waiter {getattr(port, 'name', port)!r} is not an armed "
+            f"plain port blocked on this head",
+            {
+                "armed": getattr(port, "_retry_armed", None),
+                "plain": getattr(port, "_plain", None),
+                "is_queue_head": bool(getattr(port, "_q0", None))
+                and port._q0[0] is head,
+                "head_size": head.size,
+                "head_vc": head.vc,
+                "shared_avail": pool.shared_avail,
+                "reserve_avail": list(pool.reserve_avail),
+            },
+        )
 
 
 class OccupancyChecker(InvariantChecker):

@@ -10,5 +10,7 @@ and are injected through seams the production code already has:
   by :func:`~.delivery.reference_delivery`, which patches the classes
   ``repro.network.fabric`` builds;
 * :mod:`.routing` — the table-free ``ReferenceAdaptiveRouter`` and
-  ``ReferenceValiantRouter``, passed in via ``FabricConfig.router_factory``.
+  ``ReferenceValiantRouter``, passed in via ``FabricConfig.router_factory``;
+* :mod:`.buffers` — ``ReferencePool``, a credit pool whose release walks
+  every waiter, handed to ports through ``OutputPort(pools=...)``.
 """

@@ -37,12 +37,15 @@ class ReferenceOutputPort(OutputPort):
     """Packet-at-a-time reference port.
 
     Its own straight-line arbitrate→credit→serialize body (no inlined
-    fit check, no aliases, the mark gate spelled out), every credit
-    wait wakes on every release of its pool (no head gating), and it
-    keeps a scheduler even for one uncapped class, resetting its deficit
-    whenever a queue empties (the production port has none there); the
-    equivalence suite pins :class:`OutputPort`'s one send body and its
-    gated wakeups bit-identical to this in every regime: one or several
+    fit check, no aliases, the mark gate spelled out), an ``enqueue``
+    that arbitrates whenever the port is idle (the production port skips
+    that behind a blocked single-class head), every credit wait wakes
+    on every release of its pool (no head gating, so its pools never
+    take the gated early exit), and it keeps a scheduler even for one
+    uncapped class, resetting its deficit whenever a queue empties (the
+    production port has none there); the equivalence suite pins
+    :class:`OutputPort`'s one send body, its enqueue and its gated
+    wakeups bit-identical to this in every regime: one or several
     classes, caps, LLR replays, probes and faults.
     """
 
@@ -53,6 +56,14 @@ class ReferenceOutputPort(OutputPort):
         super().__init__(sim, owner, kind, rx, bandwidth, prop_delay, classes,
                          *args, **kwargs)
         self.scheduler = TcScheduler(classes, bandwidth)
+
+    def enqueue(self, pkt) -> None:
+        self.queues[pkt.tc].append(pkt)
+        self.backlog += pkt.size
+        if self.probe is not None:
+            self.probe.enqueued(self, pkt)
+        if not self.busy:
+            self._try_send()
 
     def _try_send(self) -> None:
         if self.busy or not self.up:

@@ -372,3 +372,37 @@ def test_failed_port_loses_its_gated_place_in_wake_order():
     sim.run()
     assert [pid for pid, _ in rx.got] == [pb.pid]
     assert a._retry_armed and not b._retry_armed
+
+
+def test_release_wakes_heads_until_its_bytes_are_taken(monkeypatch):
+    """A release into a gated pool keeps waking heads that fit while the
+    slice it grew stays above its pre-release level, and a release into
+    a VC's reserve wakes only heads on that VC."""
+    woken = []
+    retry = OutputPort._retry
+
+    def logged_retry(port):
+        woken.append(port)
+        retry(port)
+
+    monkeypatch.setattr(OutputPort, "_retry", logged_retry)
+    sim = Simulator()
+    pool, ports, rx = shared_pool_ports(sim, 4)
+    assert pool.acquire(pkt(2000, vc=1))  # VC 1's reserve is full too
+    a, b, c, d = ports
+    a.enqueue(pkt(1000))
+    b.enqueue(pkt(1000, vc=1))
+    c.enqueue(pkt(100))
+    d.enqueue(pkt(1000))
+    assert list(pool._waiters) == [p._retry for p in ports]
+    # 1100B shared: a takes 1000, b's 1000B head does not fit the 100B
+    # left, c's 100B head takes them, and d's is not even checked
+    pool.release(1100, 0, was_shared=True)
+    assert woken == [a, c]
+    assert list(pool._waiters) == [b._retry, d._retry]
+    # VC 1's reserve: only b's head is on that VC
+    pool.release(1000, 1, was_shared=False)
+    assert woken == [a, c, b]
+    assert list(pool._waiters) == [d._retry]
+    sim.run()
+    assert sorted(p.pkts_sent for p in ports) == [0, 1, 1, 1]

@@ -254,3 +254,103 @@ def test_default_checkers_are_fresh_instances():
         "routing-health",
     }
     assert not any(x is y for x in a for y in b)
+
+
+# -- the credit wait rule -----------------------------------------------------
+
+
+def _aries_incast(nbytes=16 * KiB):
+    """``crystal_mini`` (switch-shared Aries buffers): a bisection plus
+    every node sending to node 0, so ports block on shared pools.  The
+    incast's uneven sizes leave short last packets, so one release can
+    unblock several heads."""
+    from repro.systems import crystal_mini
+
+    fabric = crystal_mini().build()
+    n = fabric.topology.n_nodes
+    for i in range(n):
+        fabric.send(i, (i + n // 2) % n, nbytes)
+    for i in range(1, n):
+        fabric.send(i, 0, nbytes + 300 * (i % 7))
+    return fabric
+
+
+def _waits(fabric):
+    """(gated waiters, armed single-class ports) right now."""
+    ports = [port for _, port in fabric.all_ports()]
+    pools = {id(p._pool0): p._pool0 for p in ports}.values()
+    gated = sum(h is not None for pool in pools for h in pool._waiters.values())
+    armed = sum(p._retry_armed and p._single_tc for p in ports)
+    return gated, armed
+
+
+def _raise(invariant, entity, detail, snapshot=None):
+    raise InvariantViolation(invariant, entity, 0.0, detail, snapshot)
+
+
+def test_credit_wait_rule_holds_with_gated_waiters():
+    """Swept from outside (no probe, so waits stay gated), every gated
+    waiter is an armed plain port blocked on its head, through a whole
+    Aries incast."""
+    from repro.validate import CreditConservationChecker
+
+    fabric = _aries_incast()
+    checker = CreditConservationChecker()
+    seen = []
+
+    def sweep():
+        seen.append(_waits(fabric))
+        checker.sweep(fabric, _raise)
+        if fabric.sim.live_queue_length:
+            fabric.sim.schedule(1_000.0, sweep)
+
+    fabric.sim.schedule(1_000.0, sweep)
+    fabric.sim.run()
+    fabric.assert_quiescent()
+    assert sum(g for g, _ in seen) >= 100, seen
+    assert sum(a for _, a in seen) >= 100, seen
+
+
+def test_audited_aries_incast_is_clean():
+    fabric = _aries_incast()
+    auditor = fabric.attach_auditor(sweep_interval_ns=1_000.0)
+    armed = []
+    fabric.sim.schedule(20_000.0, lambda: armed.append(_waits(fabric)[1]))
+    fabric.sim.run()
+    auditor.assert_clean()
+    assert armed[0] > 0  # the audited sweeps checked blocked ports
+
+
+def _blocked_plain_port(fabric):
+    fabric.sim.run(until=20_000.0)
+    for _, port in fabric.all_ports():
+        if port._retry_armed and port._plain:
+            return port
+    raise AssertionError("no blocked plain port")
+
+
+def test_gated_waiter_with_a_fitting_head_is_caught():
+    from repro.network.packet import Packet
+    from repro.validate import CreditConservationChecker
+
+    fabric = _aries_incast()
+    port = _blocked_plain_port(fabric)
+    small = Packet(0, 1, 2)  # 64B: fits the VC-0 reserve of any pool
+    small.vc = 0
+    port._pool0.notify_on_release(small, port._retry)
+    with pytest.raises(InvariantViolation) as exc_info:
+        CreditConservationChecker().sweep(fabric, _raise)
+    assert exc_info.value.invariant == "credit-conservation"
+    assert "gated waiter" in exc_info.value.detail
+
+
+def test_armed_port_missing_from_its_pool_is_caught():
+    fabric = _aries_incast()
+    port = _blocked_plain_port(fabric)
+    auditor = fabric.attach_auditor()  # probes every port: waits ungated
+    del port._pool0._waiters[port._retry]
+    v = _catch(fabric)
+    assert v.invariant == "credit-conservation"
+    assert port.name in v.entity
+    assert v.snapshot["registered"] is False
+    auditor.detach()
