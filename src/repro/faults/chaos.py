@@ -51,19 +51,30 @@ def chaos_run(
     rng = random.Random(stable_hash("chaos-traffic", seed))
     n = fabric.topology.n_nodes
     completed: List = []
+    arrivals = []
     for _ in range(messages):
         src = rng.randrange(n)
         dst = rng.randrange(n - 1)
         if dst >= src:
             dst += 1  # never self-send: every message crosses the fabric
-        t = rng.uniform(0.0, spread_ns)
-        fabric.sim.schedule_at(
-            t,
-            lambda s=src, d=dst: fabric.send(
-                s, d, msg_bytes, on_complete=completed.append
-            ),
-        )
-    fabric.sim.run(until=max_ns)
+        arrivals.append((rng.uniform(0.0, spread_ns), src, dst))
+    # In time order (draw order on a tie: the sort is stable), each
+    # arrival schedules the next, so the event queue holds one pending
+    # arrival, not all of them.  push() takes the drawn time as is:
+    # schedule_at() would add it back onto now as a delay, which can
+    # round.
+    arrivals.sort(key=lambda a: a[0])
+    sim = fabric.sim
+
+    def arrive(k):
+        _, src, dst = arrivals[k]
+        fabric.send(src, dst, msg_bytes, on_complete=completed.append)
+        if k + 1 < len(arrivals):
+            sim.push(arrivals[k + 1][0], arrive, (k + 1,))
+
+    if arrivals:
+        sim.push(arrivals[0][0], arrive, (0,))
+    sim.run(until=max_ns)
 
     # run(until=...) fast-forwards now to max_ns even when the queue
     # drained early; makespan must come from actual completions.
