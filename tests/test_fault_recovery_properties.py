@@ -136,3 +136,67 @@ def test_audited_generated_storm_is_clean_and_lossless(system, seed):
     fabric.assert_quiescent()
     assert injector.giveups() == 0
     assert fabric.links_down() == []
+
+
+class ImpairmentReplay:
+    """Injector probe: after every fault event, each link's ports must run
+    at the bandwidth and frame error rate that the link's own degrade,
+    BER and recover events imply.  It replays those events itself from
+    the as-built port values, without reading ``LinkRef``'s record."""
+
+    def __init__(self, fabric):
+        self.fabric = fabric
+        self.built = {
+            key: [(p.bandwidth, p.error_rate) for p in ref.ports]
+            for key, ref in fabric.links.items()
+        }
+        self.factor = {}
+        self.rate = {}
+        self.events = 0
+        self.wrong = []
+
+    def fault(self, injector, ev):
+        if ev.action == "link_degrade":
+            self.factor[ev.target] = ev.value
+        elif ev.action == "link_error":
+            self.rate[ev.target] = ev.value
+        elif ev.action == "link_recover":
+            self.factor.pop(ev.target, None)
+            self.rate.pop(ev.target, None)
+        self.events += 1
+        for key, ref in self.fabric.links.items():
+            for port, (bandwidth, rate) in zip(ref.ports, self.built[key]):
+                want = (bandwidth * self.factor.get(key, 1.0),
+                        self.rate.get(key, rate))
+                got = (port.bandwidth, port.error_rate)
+                if got != want:
+                    self.wrong.append((ev, port.name, got, want))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    system=st.sampled_from(["malbec_mini", "shandy_mini", "crystal_mini"]),
+    seed=st.integers(0, 10_000),
+)
+# A switch's recovery ended a degradation or BER storm still in progress
+# on one of its links.
+@example(system="malbec_mini", seed=8)
+@example(system="malbec_mini", seed=15)
+@example(system="malbec_mini", seed=16)
+@example(system="shandy_mini", seed=11)
+@example(system="shandy_mini", seed=15)
+@example(system="crystal_mini", seed=4)
+@example(system="crystal_mini", seed=11)
+def test_every_link_impairment_follows_its_own_schedule(system, seed):
+    """Overlapping link and switch faults: only a link's own recovery ends
+    its degradation or BER storm."""
+    fabric = getattr(systems, system)().build()
+    schedule = FaultSchedule.generate(
+        fabric, seed=seed, n_faults=6, switch_faults=1,
+        t_start=5 * US, t_end=400 * US,
+    )
+    injector = fabric.attach_faults(schedule)
+    replay = injector.probe = ImpairmentReplay(fabric)
+    fabric.sim.run()
+    assert replay.events == len(schedule)
+    assert replay.wrong == []
