@@ -149,44 +149,28 @@ class VcBufferPool:
         waiters = self._waiters
         if not waiters:
             return
-        if None in waiters.values():
-            # An ungated waiter is called on every release, so walk them
-            # all, over a copy: a call may re-register its own entry.
-            for fn, head in list(waiters.items()):
-                if head is None:
-                    # keeps its place if it re-registers
-                    waiters[fn] = _WAKING
-                    fn()
-                    if waiters[fn] is _WAKING:
-                        del waiters[fn]
-                elif (
-                    self.shared_avail >= head.size
-                    or self.reserve_avail[head.vc] >= head.size
-                ):
-                    del waiters[fn]
-                    fn()
-            return
-        # Every waiter is gated: wake the first head that fits, until the
-        # grown slice is back at its pre-release level (module docstring).
-        # A woken port sends its head and registers nothing, so the dict
-        # is walked live; each rescan starts over a prefix that a walk,
-        # which only takes bytes, cannot have unblocked.
+        # While every waiter is gated, stop once the grown slice is back
+        # at its pre-release level (module docstring).  The walk is over
+        # a copy: an ungated call may re-register its own entry.
+        gated = None not in waiters.values()
         floor = avail - size
-        while True:
-            for fn, head in waiters.items():
-                if (
-                    self.shared_avail >= head.size
-                    or self.reserve_avail[head.vc] >= head.size
-                ):
-                    break
-            else:
-                return
-            del waiters[fn]
-            fn()
-            if (
-                self.shared_avail if was_shared else self.reserve_avail[vc]
-            ) <= floor:
-                return
+        for fn, head in list(waiters.items()):
+            if head is None:
+                # keeps its place if it re-registers
+                waiters[fn] = _WAKING
+                fn()
+                if waiters[fn] is _WAKING:
+                    del waiters[fn]
+            elif (
+                self.shared_avail >= head.size
+                or self.reserve_avail[head.vc] >= head.size
+            ):
+                del waiters[fn]
+                fn()
+                if gated and (
+                    self.shared_avail if was_shared else self.reserve_avail[vc]
+                ) <= floor:
+                    return
 
     def notify_on_release(self, head, fn) -> None:
         """One-shot wakeup on the next release that could fit *head*
