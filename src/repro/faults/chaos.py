@@ -60,9 +60,10 @@ def chaos_run(
         arrivals.append((rng.uniform(0.0, spread_ns), src, dst))
     # In time order (draw order on a tie: the sort is stable), each
     # arrival schedules the next, so the event queue holds one pending
-    # arrival, not all of them.  push() takes the drawn time as is:
-    # schedule_at() would add it back onto now as a delay, which can
-    # round.
+    # arrival, not all of them.  The first, and earliest, goes through
+    # schedule_at(), which rejects a negative or NaN spread_ns; the rest
+    # are pushed at their drawn times as is, since schedule_at() would
+    # add each back onto now as a delay, which can round.
     arrivals.sort(key=lambda a: a[0])
     sim = fabric.sim
 
@@ -73,7 +74,7 @@ def chaos_run(
             sim.push(arrivals[k + 1][0], arrive, (k + 1,))
 
     if arrivals:
-        sim.push(arrivals[0][0], arrive, (0,))
+        sim.schedule_at(arrivals[0][0], arrive, 0)
     sim.run(until=max_ns)
 
     # run(until=...) fast-forwards now to max_ns even when the queue

@@ -18,6 +18,7 @@ from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultSchedule,
+    chaos_run,
     degradation_curve,
     link_degrade,
     link_error,
@@ -290,6 +291,15 @@ def test_fault_event_validation():
         link_error(0.0, ("host", 0), 1.0)
     with pytest.raises(ValueError):
         FaultEvent(0.0, "switch_fail", ("host", 0))  # wants a switch id
+
+
+@pytest.mark.parametrize("spread_ns", [-1.0, float("nan")])
+def test_chaos_run_rejects_a_bad_spread(spread_ns):
+    """Each arrival schedules the next, and the earliest goes through the
+    checked ``schedule_at``: a spread that puts it in the past, or NaN,
+    raises instead of running the clock backwards."""
+    with pytest.raises(ValueError):
+        chaos_run(small_config(), messages=5, spread_ns=spread_ns)
 
 
 def test_rto_caps_once_backoff_overflows():
