@@ -59,10 +59,6 @@ from typing import List, Optional
 
 __all__ = ["VcBufferPool"]
 
-#: stands in for an ungated waiter while the release walk calls it
-_WAKING = object()
-
-
 class VcBufferPool:
     """One wire's receive buffer: shared bytes + per-VC reserved bytes.
 
@@ -77,14 +73,16 @@ class VcBufferPool:
     per callback, so the dict stays bounded by the ports sharing the
     pool.  *head* is the packet a gated waiter is blocked on, or None
     for an ungated one, which wakes on every release.  A release walks
-    the entries in order, in place: a gated entry whose head still fits
-    nowhere stays, uncalled; every other one is removed and called, and
-    an ungated one that re-registers keeps its place.  While every
-    waiter is gated, the walk stops once the slice the release grew is
-    back at its pre-release level (the module docstring says why that
-    wakes exactly the ports a full walk would).  So a waiter may pass a
-    head only while it is armed on that head, the head fits nothing,
-    and a wakeup that finds it blocked would be a no-op for it.
+    the entries in order: a gated entry whose head still fits nowhere
+    keeps its place, uncalled; every other one is removed and called,
+    and one that re-registers during its call keeps its place too.  A
+    pool with an ungated waiter rebuilds the dict on every release.
+    While every waiter is gated, the walk removes the woken entries in
+    place and stops once the slice the release grew is back at its
+    pre-release level (the module docstring says why that wakes
+    exactly the ports a full walk would).  So a waiter may pass a head
+    only while it is armed on that head, the head fits nothing, and a
+    wakeup that finds it blocked would be a no-op for it.
     """
 
     __slots__ = (
@@ -149,28 +147,42 @@ class VcBufferPool:
         waiters = self._waiters
         if not waiters:
             return
-        # While every waiter is gated, stop once the grown slice is back
-        # at its pre-release level (module docstring).  The walk is over
-        # a copy: an ungated call may re-register its own entry.
-        gated = None not in waiters.values()
+        if None in waiters.values():
+            # An ungated waiter is called on every release: rebuild the
+            # dict, keeping in place every gated head that still fits
+            # nowhere and calling every other entry.
+            self._waiters = {}
+            for fn, head in waiters.items():
+                # inlined can_fit(), against what earlier waiters left
+                if head is not None and (
+                    self.shared_avail < head.size
+                    and self.reserve_avail[head.vc] < head.size
+                ):
+                    self._waiters[fn] = head
+                else:
+                    fn()
+            return
+        # Every waiter is gated: wake the first head that fits, until the
+        # grown slice is back at its pre-release level (module docstring).
+        # A woken port sends its head and registers nothing, so the dict
+        # is walked live; each rescan starts over a prefix that a walk,
+        # which only takes bytes, cannot have unblocked.
         floor = avail - size
-        for fn, head in list(waiters.items()):
-            if head is None:
-                # keeps its place if it re-registers
-                waiters[fn] = _WAKING
-                fn()
-                if waiters[fn] is _WAKING:
-                    del waiters[fn]
-            elif (
-                self.shared_avail >= head.size
-                or self.reserve_avail[head.vc] >= head.size
-            ):
-                del waiters[fn]
-                fn()
-                if gated and (
-                    self.shared_avail if was_shared else self.reserve_avail[vc]
-                ) <= floor:
-                    return
+        while True:
+            for fn, head in waiters.items():
+                if (
+                    self.shared_avail >= head.size
+                    or self.reserve_avail[head.vc] >= head.size
+                ):
+                    break
+            else:
+                return
+            del waiters[fn]
+            fn()
+            if (
+                self.shared_avail if was_shared else self.reserve_avail[vc]
+            ) <= floor:
+                return
 
     def notify_on_release(self, head, fn) -> None:
         """One-shot wakeup on the next release that could fit *head*
