@@ -149,8 +149,9 @@ class VcBufferPool:
             return
         if None in waiters.values():
             # An ungated waiter is called on every release: rebuild the
-            # dict, keeping in place every gated head that still fits
-            # nowhere and calling every other entry.
+            # dict in wake order, carrying over every gated head that
+            # still fits nowhere and calling every other entry (a call
+            # may re-register its own).
             self._waiters = {}
             for fn, head in waiters.items():
                 # inlined can_fit(), against what earlier waiters left
