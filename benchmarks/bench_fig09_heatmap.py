@@ -15,8 +15,8 @@ matters — are asserted; magnitudes are reported for EXPERIMENTS.md.
 import numpy as np
 
 from conftest import get_systems, run_once, save_result
-from heatmap_common import app_victims, micro_victims, run_heatmap
 from repro.analysis import render_heatmap
+from repro.sweeps import app_victims, micro_victims, run_heatmap
 
 NODES = list(range(64))
 

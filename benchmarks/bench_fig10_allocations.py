@@ -14,9 +14,9 @@ from functools import partial
 import numpy as np
 
 from conftest import get_systems, run_once, save_result
-from heatmap_common import run_heatmap
 from repro.analysis import render_table
 from repro.network.units import KiB
+from repro.sweeps import run_heatmap
 from repro.workloads import allreduce_bench, alltoall_bench, pingpong
 
 NODES = list(range(64))

@@ -14,8 +14,8 @@ from functools import partial
 import numpy as np
 
 from conftest import get_systems, run_once, save_result
-from heatmap_common import run_heatmap
 from repro.analysis import render_heatmap
+from repro.sweeps import run_heatmap
 from repro.workloads import (
     alltoall_congestor,
     fft3d,

@@ -19,7 +19,7 @@ mutate traffic state when every ack beats its RTO).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from .events import FaultEvent
 from .reliability import EndToEndReliability
@@ -53,8 +53,6 @@ class FaultInjector:
         self.schedule = schedule
         #: observer slot (repro.probe); None = zero-overhead path
         self.probe = None
-        #: (sim time, event) log of everything applied so far
-        self.applied: List[Tuple[float, FaultEvent]] = []
         self.events_applied = 0
         fabric.fault_injector = self
         if reliability:
@@ -95,7 +93,6 @@ class FaultInjector:
         if f.topology.health_epoch == epoch_before:
             f.topology.bump_health_epoch()
         self.events_applied += 1
-        self.applied.append((self.sim.now, ev))
         if self.probe is not None:
             self.probe.fault(self, ev)
 

@@ -2,8 +2,11 @@
 
 The steady-state companion of the packet simulator: given flows with
 fixed paths over capacitated links, compute the max-min fair rate
-vector.  Used for the theoretical curves of Fig. 6, for fast what-if
-analysis, and as an oracle the DES is cross-validated against in tests.
+vector.  It is the oracle the DES is cross-validated against
+(``tests/test_crossvalidation.py``) and a fast what-if tool; the
+figure benches do not use it (Fig. 6's theory curves come from
+:meth:`~repro.network.dragonfly.DragonflyTopology.bisection_bandwidth_bytes_ns`
+and ``alltoall_bandwidth_bytes_ns``).
 
 The classic algorithm: repeatedly find the most constrained link
 (smallest remaining capacity per unsaturated weighted flow), freeze all

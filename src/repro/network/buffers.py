@@ -18,11 +18,17 @@ fits, otherwise from its VC's reserve (`Packet.buf_shared` records the
 choice so the release is symmetric).
 
 Credit waits.  A port blocked on credit registers on the pool through
-:meth:`VcBufferPool.notify_on_release`.  A *gated* waiter hands over
-the head packet it is blocked on.  Only a plain single-class port (one
-uncapped class, wire up, no LLR, no probe) registers one, because only
-there a wakeup that finds the head still blocked has no side effect.
-Every other wait is *ungated* (None) and is called on every release.
+:meth:`VcBufferPool.notify_on_release`.  A wakeup carries bookkeeping
+only if something can observe it, so a blocked single-class port (one
+uncapped class) hands over the head packet it is blocked on, a *gated*
+wait that a release skips while that head fits nowhere, unless its
+probe records credit stalls (:func:`repro.probe.records_stalls`).  A
+wakeup that finds the head still blocked only re-arms the port on the
+same head; LLR draws only when a frame is sent and a down port is never
+armed, so a stall-recording probe (which sees the wakeup as a
+``stall_end``/``stall_begin`` pair) is the one observer that can tell.
+Such a port, and every port with several or capped classes, waits
+*ungated* (None) and is called on every release.
 
 The waiter invariant: every gated waiter belongs to an armed port whose
 head fits neither the shared region nor its VC's reserve.  A gated
@@ -37,10 +43,12 @@ pool whose waiters are all gated stops there: its cost follows the
 ports it wakes, not the ports waiting on the switch.  It removes the
 woken entries in place.  That leaves the order a full walk would: a
 woken gated port sends its head and registers nothing during the walk,
-and a gated entry is never stale (an armed plain port leaves the dict
-only when this pool wakes it, or turns ungated when it leaves the plain
-regime, e.g. on ``fail()``).  The invariant auditor (repro.validate)
-checks the invariant on every sweep.
+and a gated entry is never stale (an armed port leaves the dict only
+when this pool wakes it, and its entry turns ungated in place when it
+fails or gains a stall-recording probe).  A pool holding an ungated
+waiter runs the *rebuild walk* instead, which visits every waiter.  The
+invariant auditor (repro.validate) checks the invariant on every sweep;
+its checkers record no stalls, so an audited port waits gated.
 
 The same invariant lets ``OutputPort.enqueue`` skip arbitration on an
 armed single-class port: the append leaves the head unchanged, and the
@@ -76,13 +84,15 @@ class VcBufferPool:
     the entries in order: a gated entry whose head still fits nowhere
     keeps its place, uncalled; every other one is removed and called,
     and one that re-registers during its call keeps its place too.  A
-    pool with an ungated waiter rebuilds the dict on every release.
-    While every waiter is gated, the walk removes the woken entries in
-    place and stops once the slice the release grew is back at its
-    pre-release level (the module docstring says why that wakes
-    exactly the ports a full walk would).  So a waiter may pass a head
-    only while it is armed on that head, the head fits nothing, and a
-    wakeup that finds it blocked would be a no-op for it.
+    pool with an ungated waiter runs the rebuild walk: it rebuilds the
+    dict on every release, visiting every waiter.  While every waiter
+    is gated, the walk removes the woken entries in place and stops
+    once the slice the release grew is back at its pre-release level
+    (the module docstring says why that wakes exactly the ports a full
+    walk would).  So a waiter may pass a head only while it is armed on
+    that head, the head fits nothing, and nothing can observe a wakeup
+    that finds it blocked: a single-class port whose probe records no
+    stalls.
     """
 
     __slots__ = (
@@ -189,11 +199,13 @@ class VcBufferPool:
         """One-shot wakeup on the next release that could fit *head*
         (every release when *head* is None).
 
-        A caller passing a *head* promises the waiter invariant (module
-        docstring): *head* fits neither slice now, the callback sends it
-        without registering again when a release calls it, and until
-        then the caller changes the entry only to None.  The early exit
-        of :meth:`release` rests on that promise.
+        A caller passes a *head* only when nothing can observe a wakeup
+        that finds it still blocked (a single-class port whose probe
+        records no stalls), and then promises the waiter invariant
+        (module docstring): *head* fits neither slice now, the callback
+        sends it without registering again when a release calls it, and
+        until then the caller changes the entry only to None.  The early
+        exit of :meth:`release` rests on that promise.
 
         Deduplicated by the callback itself: ``port._retry`` is a fresh
         bound method on every access, but bound methods hash and compare

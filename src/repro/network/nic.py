@@ -60,7 +60,6 @@ class NIC:
         "out_port",
         "pairs",
         "header_bytes",
-        "rx_messages",
         "bytes_injected",
         "bytes_delivered",
         "pkts_injected",
@@ -94,7 +93,6 @@ class NIC:
         self.ack_overhead = ack_overhead
         self.out_port: Optional[OutputPort] = None  # set by the fabric builder
         self.pairs: Dict[int, PairState] = {}
-        self.rx_messages: Dict[int, Message] = {}
         self.bytes_injected = 0
         self.bytes_delivered = 0
         self.pkts_injected = 0

@@ -51,6 +51,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence
 
 from ..core.traffic_classes import TcScheduler, TrafficClass
+from ..probe import records_stalls
 from ..sim import Simulator, stable_hash
 from .buffers import VcBufferPool
 
@@ -107,7 +108,6 @@ class OutputPort:
         "_retry_armed",
         "_retry_timer",
         "_single_tc",
-        "_plain",
         "_mark_at",
         "_q0",
         "_pool0",
@@ -194,26 +194,9 @@ class OutputPort:
         # One comparison replaces the two-clause mark check: a non-host
         # port can never mark, so its gate is +inf.
         self._mark_at = mark_threshold if kind == "host" else float("inf")
-        self.set_error_rate(error_rate, seed)  # also sets _plain
+        self.set_error_rate(error_rate, seed)
 
     # -- probe plumbing -----------------------------------------------------
-    #
-    # ``_plain`` gates head-checked credit wakeups (see ``_arm_retry``):
-    # one uncapped class, wire up, no LLR, no probe — the only state in
-    # which a wasted wakeup has no side effect, so the pool may skip it.
-
-    def _refresh_plain(self) -> None:
-        plain = (
-            self._single_tc
-            and self.up
-            and self._err_rng is None
-            and self._probe is None
-        )
-        if not plain and self._retry_armed and self._retry in self._pool0._waiters:
-            # blocked and leaving the plain regime, outside which a wasted
-            # wakeup has side effects: wake on every release, in place
-            self._pool0._waiters[self._retry] = None
-        self._plain = plain
 
     @property
     def probe(self):
@@ -223,7 +206,15 @@ class OutputPort:
     @probe.setter
     def probe(self, value) -> None:
         self._probe = value
-        self._refresh_plain()
+        if value is not None and records_stalls(value):
+            self._ungate()
+
+    def _ungate(self) -> None:
+        """Turn a blocked single-class port's gated wait ungated, in place
+        (same entry, same place in wake order): from now on every release
+        calls it."""
+        if self._retry_armed and self._single_tc:
+            self._pool0._waiters[self._retry] = None
 
     # -- congestion telemetry (adaptive routing reads these) ---------------
 
@@ -346,15 +337,20 @@ class OutputPort:
             return
         if self._single_tc:
             # One registration: _try_send arms a single-class port only
-            # on a head that fits neither slice of its pool.  A plain
-            # port's wasted wakeup would only re-arm it, so it hands the
-            # pool that head (a gated wait: the pool wakes it only when
-            # the head fits); any other port waits ungated (None) and is
-            # woken on every release.  Enqueues skip arbitration until
-            # the wakeup (see enqueue).
-            self._pool0.notify_on_release(
-                self._q0[0] if self._plain else None, self._retry
-            )
+            # on a head that fits neither slice of its pool.  A wakeup
+            # that finds that head still blocked just re-arms the port on
+            # it, and only a probe that records stalls can see that (as a
+            # stall_end/stall_begin pair; LLR draws only when a frame is
+            # sent, and a down port is never armed).  So the port hands
+            # the pool its head (a gated wait: woken only once the head
+            # fits) unless its probe records stalls; then it waits
+            # ungated (None), woken on every release.  Enqueues skip
+            # arbitration until the wakeup (see enqueue).
+            head = self._q0[0]
+            probe = self._probe
+            if probe is not None and records_stalls(probe):
+                head = None
+            self._pool0.notify_on_release(head, self._retry)
         else:
             pending = False
             for tc, q in enumerate(self.queues):
@@ -445,7 +441,9 @@ class OutputPort:
         if not self.up:
             return
         self.up = False
-        self._refresh_plain()
+        # a disarmed port must not stay gated (the waiter invariant in
+        # repro.network.buffers): its stale entry wakes on the next release
+        self._ungate()
         if self._retry_armed and self._probe is not None:
             self._probe.stall_end(self)  # close the open credit-stall span
         self._retry_armed = False
@@ -472,7 +470,6 @@ class OutputPort:
         if self.up:
             return
         self.up = True
-        self._refresh_plain()
         if not self.busy:
             self._try_send()
 
@@ -493,7 +490,6 @@ class OutputPort:
             self._err_rng = None
         elif self._err_rng is None:
             self._err_rng = random.Random(stable_hash("llr", seed, self.name))
-        self._refresh_plain()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"OutputPort({self.name or self.kind}, backlog={self.backlog:.0f}B)"

@@ -24,9 +24,12 @@ its own probes and unwraps the fan-out, so subscribers detach in any
 order.
 
 Hot path: the port's send body reads ``probe`` into a local once per
-packet, and ``OutputPort._plain`` (which lets a credit release skip a
-port it cannot unblock) has one ``probe is None`` term, refreshed by the
-port's ``probe`` setter; the NIC's pump reads ``probe`` into a local.
+packet, and the NIC's pump reads ``probe`` into a local.  A port blocked
+on credit tests ``probe is None`` once per arming: a credit release may
+skip a single-class port it cannot unblock (a *gated* wait, see
+:mod:`repro.network.buffers`) unless the port's probe
+:func:`records_stalls`, because such a probe is the only thing that can
+tell a skipped wakeup from a wasted one.
 A probe may keep any packet it is handed: packets die by reference
 count, so no later message reuses one.  End-to-end reliability
 (``NIC.retrans``) is a protocol layer that changes delivery, not an
@@ -35,7 +38,7 @@ observer, so it keeps its own slot.
 
 from __future__ import annotations
 
-__all__ = ["Probe", "ProbeFanout", "ProbeHandle"]
+__all__ = ["Probe", "ProbeFanout", "ProbeHandle", "records_stalls"]
 
 
 class Probe:
@@ -113,6 +116,19 @@ def _bind(probes: tuple, name: str):
             call(*args)
 
     return hook
+
+
+def records_stalls(probe) -> bool:
+    """Whether *probe* (one probe or a fan-out) overrides ``stall_begin``
+    or ``stall_end``.
+
+    A wasted credit wakeup ends a port's stall and starts it again at
+    the same instant; only a probe with one of these hooks sees that.
+    """
+    return (
+        _bind((probe,), "stall_begin") is not _noop
+        or _bind((probe,), "stall_end") is not _noop
+    )
 
 
 class ProbeFanout(Probe):

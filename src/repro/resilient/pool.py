@@ -109,7 +109,7 @@ class ResilienceConfig:
     bounds and shapes re-execution; ``journal``/``resume`` make the
     campaign crash-safe and restartable; ``max_events`` /
     ``max_sim_time_ns`` arm additional in-sim watchdog guards inside
-    every worker (via :func:`repro.sim.set_default_watchdog`).
+    every worker (via :func:`repro.sim.default_watchdog`).
     ``in_process=True`` skips worker processes entirely (no kill
     capability — in-sim watchdogs still fire); it exists for the
     degraded path and for fast property tests.
@@ -155,8 +155,10 @@ def _child_main(conn, worker, cell, watchdog) -> None:
     ``("ok", result)`` / ``("stall", str, dict)`` / ``("error", str)``."""
     try:
         if watchdog:
-            _engine.set_default_watchdog(**watchdog)
-        result = worker(cell)
+            with _engine.default_watchdog(**watchdog):
+                result = worker(cell)
+        else:
+            result = worker(cell)
         try:
             conn.send(("ok", result))
         except Exception as exc:

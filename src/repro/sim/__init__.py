@@ -14,9 +14,8 @@ from .engine import (
     Simulator,
     StopSimulation,
     default_watchdog,
-    set_default_watchdog,
 )
-from .process import AllOf, AnyOf, Interrupt, Process
+from .process import AllOf, Process
 from .rng import stable_hash
 from .trace import RateMeter
 
@@ -26,12 +25,9 @@ __all__ = [
     "PeriodicTick",
     "StopSimulation",
     "SimStall",
-    "set_default_watchdog",
     "default_watchdog",
     "Process",
-    "Interrupt",
     "AllOf",
-    "AnyOf",
     "stable_hash",
     "RateMeter",
 ]

@@ -73,7 +73,6 @@ __all__ = [
     "TimerHandle",
     "PeriodicTick",
     "SimStall",
-    "set_default_watchdog",
     "default_watchdog",
 ]
 
@@ -164,7 +163,7 @@ class SimStall(RuntimeError):
 
 
 #: process-wide watchdog applied to every *new* Simulator (see
-#: :func:`set_default_watchdog`).  None = no guards, default hot loop.
+#: :func:`default_watchdog`).  None = no guards, default hot loop.
 _DEFAULT_WATCHDOG: Optional[tuple] = None
 
 
@@ -185,35 +184,22 @@ def _watchdog_tuple(
     return (max_events, max_sim_time_ns, wall_deadline_s)
 
 
-def set_default_watchdog(
-    max_events: Optional[int] = None,
-    max_sim_time_ns: Optional[float] = None,
-    wall_deadline_s: Optional[float] = None,
-) -> None:
-    """Arm (or, with no arguments, disarm) a process-wide default watchdog.
-
-    Every :class:`Simulator` constructed *after* this call starts with the
-    given guards, exactly as if :meth:`Simulator.watchdog` had been called
-    on it.  This is how the campaign harness arms in-sim watchdogs inside
-    worker functions it cannot modify: the supervisor sets the default in
-    the child process before invoking the cell worker, and every fabric
-    the cell builds inherits the guards.  Existing simulators are
-    untouched; passing no limits restores the unguarded default.
-    """
-    global _DEFAULT_WATCHDOG
-    _DEFAULT_WATCHDOG = _watchdog_tuple(
-        max_events, max_sim_time_ns, wall_deadline_s
-    )
-
-
 @contextlib.contextmanager
 def default_watchdog(
     max_events: Optional[int] = None,
     max_sim_time_ns: Optional[float] = None,
     wall_deadline_s: Optional[float] = None,
 ):
-    """Context manager form of :func:`set_default_watchdog` (restores the
-    previous default on exit, even on error)."""
+    """Arm a process-wide default watchdog for the duration of the block
+    (no arguments: no guards), restoring the previous default on exit,
+    even on error.
+
+    Every :class:`Simulator` constructed inside the block starts with the
+    given guards, exactly as if :meth:`Simulator.watchdog` had been
+    called on it; existing simulators are untouched.  This is how the
+    campaign harness arms in-sim watchdogs inside worker functions it
+    cannot modify: every fabric a cell builds inherits the guards.
+    """
     global _DEFAULT_WATCHDOG
     prev = _DEFAULT_WATCHDOG
     _DEFAULT_WATCHDOG = _watchdog_tuple(
@@ -455,7 +441,7 @@ class Simulator:
         #: watchdog guards (max_events, max_sim_time_ns, wall_deadline_s);
         #: None (with no hook) routes run() to the hot loop.  New
         #: simulators inherit the process-wide default
-        #: (set_default_watchdog).
+        #: (default_watchdog).
         self._watchdog: Optional[tuple] = _DEFAULT_WATCHDOG
         #: zero-argument callable returning a plain-data quiescence
         #: snapshot, attached to any SimStall this simulator raises.  The

@@ -8,11 +8,16 @@ may yield:
   its value;
 * another :class:`Process` — wait for it to finish, receiving its return
   value;
-* :class:`AllOf` / :class:`AnyOf` — wait for several events at once.
+* a list (or tuple) of events and processes, or an :class:`AllOf` —
+  wait until all of them trigger, receiving their values in order.
 
 Returning from the generator (plain ``return x``) finishes the process;
 ``x`` becomes the value of the process's completion event so other
 processes can ``result = yield proc``.
+
+A process waits on one thing at a time and nothing cancels a wait, so
+every wakeup resumes it: a wait carries no token to tell a live wakeup
+from a stale one.
 """
 
 from __future__ import annotations
@@ -21,15 +26,7 @@ from typing import Any, Generator, Iterable, List
 
 from .engine import Event, Simulator
 
-__all__ = ["Process", "Interrupt", "AllOf", "AnyOf"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process's generator by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Process", "AllOf"]
 
 
 class AllOf(Event):
@@ -62,40 +59,14 @@ class AllOf(Event):
             self.succeed([e.value for e in self._events])
 
 
-class AnyOf(Event):
-    """Triggers as soon as any event in *events* triggers.
-
-    The value is a ``(index, value)`` pair identifying the first event.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, sim: Simulator, events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = list(events)
-        if not self._events:
-            raise ValueError("AnyOf requires at least one event")
-        for i, ev in enumerate(self._events):
-            ev.add_callback(lambda e, i=i: self._on_child(i, e))
-
-    def _on_child(self, index: int, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev.exception is not None:
-            self.fail(ev.exception)
-            return
-        self.succeed((index, ev._value))
-
-
 class Process:
     """Drives a generator through the simulator.
 
-    The process itself behaves like an event: ``yield process`` inside
-    another process waits for completion, and :attr:`done_event` can be
-    given callbacks directly.
+    ``yield process`` inside another process waits for completion, and
+    :attr:`done_event` can be given callbacks directly.
     """
 
-    __slots__ = ("sim", "_gen", "done_event", "_alive", "_waiting_on")
+    __slots__ = ("sim", "_gen", "done_event", "_alive")
 
     def __init__(self, sim: Simulator, gen: Generator):
         if not hasattr(gen, "send"):
@@ -104,32 +75,11 @@ class Process:
         self._gen = gen
         self.done_event = Event(sim)
         self._alive = True
-        self._waiting_on: Any = None
         sim.schedule(0.0, self._step, None, None)
-
-    # -- public API --------------------------------------------------------
 
     @property
     def alive(self) -> bool:
         return self._alive
-
-    @property
-    def value(self) -> Any:
-        return self.done_event.value
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self._alive:
-            return
-        self._waiting_on = None  # the pending wait is abandoned
-        self.sim.schedule(0.0, self._step, None, Interrupt(cause))
-
-    def add_callback(self, cb) -> None:
-        self.done_event.add_callback(cb)
-
-    @property
-    def triggered(self) -> bool:
-        return self.done_event.triggered
 
     @property
     def exception(self):
@@ -137,18 +87,13 @@ class Process:
 
     # -- engine ------------------------------------------------------------
 
-    def _on_wait_done(self, token: object, ev: Event) -> None:
-        if self._waiting_on is not token:
-            return  # stale wakeup (e.g. interrupted while waiting)
-        self._waiting_on = None
+    def _on_wait_done(self, ev: Event) -> None:
         if ev.exception is not None:
             self._step(None, ev.exception)
         else:
             self._step(ev._value, None)
 
     def _step(self, value: Any, exc: Any) -> None:
-        if not self._alive:
-            return
         try:
             if exc is not None:
                 target = self._gen.throw(exc)
@@ -158,11 +103,6 @@ class Process:
             self._alive = False
             self.done_event.succeed(stop.value)
             return
-        except Interrupt:
-            # Interrupt escaped the generator: treat as a silent kill.
-            self._alive = False
-            self.done_event.succeed(None)
-            return
         except Exception as err:  # propagate failures to waiters
             self._alive = False
             self.done_event.fail(err)
@@ -171,9 +111,11 @@ class Process:
 
     def _wait_for(self, target: Any) -> None:
         if isinstance(target, (int, float)):
-            ev: Event = self.sim.timeout(target)
-        elif isinstance(target, Process):
-            ev = target.done_event
+            # a sleep: resume directly, at the push point a Timeout would use
+            self.sim.schedule(target, self._step, None, None)
+            return
+        if isinstance(target, Process):
+            ev: Event = target.done_event
         elif isinstance(target, Event):
             ev = target
         elif isinstance(target, (list, tuple)):
@@ -184,6 +126,4 @@ class Process:
                 TypeError(f"process yielded unsupported value: {target!r}")
             )
             return
-        token = object()
-        self._waiting_on = token
-        ev.add_callback(lambda e, token=token: self._on_wait_done(token, e))
+        ev.add_callback(self._on_wait_done)

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..network.nic import NIC
 from ..network.switch import OutputPort
-from ..probe import Probe, ProbeFanout
+from ..probe import Probe, ProbeFanout, records_stalls
 from ..sim.engine import PeriodicTick
 
 __all__ = [
@@ -135,15 +135,14 @@ class CreditConservationChecker(InvariantChecker):
     waiters' heads against the free-byte counters to decide whom to wake.
 
     The wait rule (see :mod:`repro.network.buffers`): every gated waiter
-    (an entry holding a head packet) belongs to an armed plain port and
-    holds that port's queue head, and every armed single-class port is
-    registered on its pool with a head that fits neither the shared
-    region nor its VC's reserve.  A release's early exit and the
-    enqueue skip in :meth:`OutputPort.enqueue` both rest on it.  The
-    auditor's checkers are every port's probe, which makes each wait
-    ungated, so an audited run checks the second half on every armed
-    single-class port; the first half needs a sweep of an unprobed
-    fabric (``checker.sweep(fabric, report)``).
+    (an entry holding a head packet) belongs to an armed single-class
+    port whose probe does not record stalls and holds that port's queue
+    head, and every armed single-class port is registered on its pool
+    with a head that fits neither the shared region nor its VC's
+    reserve.  A release's early exit and the enqueue skip in
+    :meth:`OutputPort.enqueue` both rest on it.  The checkers record no
+    stalls, so an audited port still waits gated and a sweep checks
+    both halves on the production credit path.
     """
 
     name = "credit-conservation"
@@ -212,10 +211,13 @@ class CreditConservationChecker(InvariantChecker):
         )
 
     def _check_gated(self, entity, pool, port, head, report: Callable) -> None:
+        is_port = isinstance(port, OutputPort)
+        stalls = is_port and port.probe is not None and records_stalls(port.probe)
         if (
-            isinstance(port, OutputPort)
+            is_port
             and port._retry_armed
-            and port._plain
+            and port._single_tc
+            and not stalls
             and port._q0
             and port._q0[0] is head
             and not pool.can_fit(head.vc, head.size)
@@ -225,10 +227,12 @@ class CreditConservationChecker(InvariantChecker):
             self.name,
             entity,
             f"gated waiter {getattr(port, 'name', port)!r} is not an armed "
-            f"plain port blocked on this head",
+            f"single-class port blocked on this head without a "
+            f"stall-recording probe",
             {
                 "armed": getattr(port, "_retry_armed", None),
-                "plain": getattr(port, "_plain", None),
+                "single_tc": getattr(port, "_single_tc", None),
+                "records_stalls": stalls,
                 "is_queue_head": bool(getattr(port, "_q0", None))
                 and port._q0[0] is head,
                 "head_size": head.size,
@@ -572,7 +576,6 @@ class InvariantAuditor(Probe):
             raise RuntimeError("fabric already has an InvariantAuditor attached")
         self.fabric = fabric
         self.sim = fabric.sim
-        self.sweep_interval_ns = sweep_interval_ns
         self.raise_on_violation = raise_on_violation
         self.checkers = list(checkers) if checkers is not None else default_checkers()
         self.violations: List[InvariantViolation] = []

@@ -162,7 +162,7 @@ def test_fast_path_matches_reference_healthy(p, a, g, links, seed):
 )
 def test_fast_path_matches_reference_under_faults(p, a, g, seed, n_faults):
     """Faults exercise retransmission, hook dispatch, and port fail/recover
-    (which must keep the precomputed ``_plain`` flag coherent)."""
+    (which must turn a blocked port's gated wait ungated)."""
     cfg = slingshot_config(
         DragonflyParams(p, a, g, links_per_pair=2), seed=seed
     )
@@ -235,25 +235,32 @@ def _incast_and_random(seed):
     buf_kib=st.integers(16, 64),
     seed=st.integers(0, 1_000),
     n_faults=st.integers(0, 3),
+    error_rate=st.sampled_from((0.0, 0.02)),
 )
-@example(p=2, a=3, g=2, links=4, buf_kib=64, seed=11, n_faults=0)
+@example(p=2, a=3, g=2, links=4, buf_kib=64, seed=11, n_faults=0, error_rate=0.0)
+@example(p=2, a=3, g=2, links=4, buf_kib=64, seed=11, n_faults=0, error_rate=0.02)
 def test_fast_path_matches_reference_aries_shared_buffers(
-    p, a, g, links, buf_kib, seed, n_faults
+    p, a, g, links, buf_kib, seed, n_faults, error_rate
 ):
-    """NoCC + switch-shared pools, healthy and faulted: the production
-    port's gated credit wakeups (a release skips a waiter whose head it
-    cannot fit) against the reference's wake-every-waiter, plus the
-    infinite-window pump branch and the shared-buffer accounting.
+    """NoCC + switch-shared pools, healthy and faulted, with and without
+    LLR: the production port's gated credit wakeups (a release skips a
+    waiter whose head it cannot fit; LLR ports wait gated too) against
+    the reference's wake-every-waiter, plus the infinite-window pump
+    branch and the shared-buffer accounting.
 
     About 1% of faulted examples end in the per-class FIFO credit
     deadlock (a VC-1 head blocks the VC-2 packets behind it) and then
     retransmit forever, so both sides stop at 20 ms: 24x the latest
     drain seen over 3,000 generated examples (0.82 ms)."""
-    cfg = aries_config(
+    base = aries_config(
         DragonflyParams(p, a, g, links_per_pair=links),
         seed=seed,
         switch_buffer_bytes=buf_kib * KiB,
     )
+    cfg = base.with_(**{
+        kind: replace(getattr(base, kind), frame_error_rate=error_rate)
+        for kind in ("host_link", "local_link", "global_link")
+    })
     schedule_of = None
     if n_faults:
 
@@ -294,10 +301,11 @@ def _stalls_with_late_telemetry(cfg, t_attach):
 
 @pytest.mark.parametrize("t_attach", [5_000.0, 20_000.0])
 def test_telemetry_attached_mid_stall_counts_like_reference(t_attach):
-    """A gated waiter whose port gains a probe while blocked must go back
-    to waking on every release: the reference's wasted wakeups close and
-    reopen the stall span, so skipping them would change every port's
-    stall count and time while leaving the event stream intact."""
+    """A gated waiter whose port gains a stall-recording probe while
+    blocked must go back to waking on every release: the reference's
+    wasted wakeups close and reopen the stall span, so skipping them
+    would change every port's stall count and time while leaving the
+    event stream intact."""
     cfg = aries_config(
         DragonflyParams(4, 4, 2, links_per_pair=4),
         seed=3,

@@ -319,8 +319,9 @@ def shared_pool_ports(sim, n, kind="local"):
 
 
 def test_release_wakes_only_the_waiter_it_can_unblock(monkeypatch):
-    """Armed plain ports hand their head to the pool, so a release checks
-    each head inline and calls ``_retry`` only for one that now fits."""
+    """Armed single-class ports without a probe hand their head to the
+    pool, so a release checks each head inline and calls ``_retry`` only
+    for one that now fits."""
     woken = []
     retry = OutputPort._retry
 
@@ -334,7 +335,11 @@ def test_release_wakes_only_the_waiter_it_can_unblock(monkeypatch):
     heads = [pkt(1000) for _ in ports]
     for port, head in zip(ports, heads):
         port.enqueue(head)
-    assert all(p._retry_armed and p._plain for p in ports)
+    # no probe: each blocked port hands its pool the head it waits on
+    assert all(
+        p._retry_armed and pool._waiters[p._retry] is head
+        for p, head in zip(ports, heads)
+    )
     # too small for any head: no wakeup at all, wake order kept
     pool.release(500, 0, was_shared=True)
     assert woken == []

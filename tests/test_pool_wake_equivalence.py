@@ -7,10 +7,12 @@ those on every release, again in place.  Neither may be observable.
 Several single-class ports share one pool (the Aries switch-shared
 ingress buffer) and go through random enqueues of mixed sizes and VCs,
 releases into the shared region and into VC reserves, partial
-serialization, fail/recover, probe attach/detach and LLR on/off; the
-same scenario then runs on :class:`~tests.oracles.buffers.ReferencePool`,
-whose release detaches the waiter dict and walks all of it.  Every
-``_retry`` call and delivery (in order, with its time), the pool's
+serialization, fail/recover, LLR on/off, and probes that alternate
+between one that records credit stalls (so its port waits ungated) and
+a bare one (gated); the same scenario then runs on
+:class:`~tests.oracles.buffers.ReferencePool`, whose release detaches
+the waiter dict and walks all of it.  Every ``_retry`` call, stall
+begin and end, and delivery (in order, with its time), the pool's
 waiter order after every step, and the final counters must match.
 """
 
@@ -42,6 +44,19 @@ class LoggedPort(OutputPort):
     def _retry(self) -> None:
         self.log.append(("retry", self.name, self.sim.now, self._retry_armed))
         OutputPort._retry(self)
+
+
+class StallLog(Probe):
+    """Logs each credit stall a port begins and ends."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def stall_begin(self, port):
+        self.log.append(("stall_begin", port.name, port.sim.now))
+
+    def stall_end(self, port):
+        self.log.append(("stall_end", port.name, port.sim.now))
 
 
 class Sink:
@@ -117,7 +132,8 @@ def play(pool_cls, kinds, ops):
             ports[args[0] % len(ports)].recover()
         elif kind == "probe":
             port = ports[args[0] % len(ports)]
-            port.probe = None if port.probe is not None else Probe()
+            stalls = isinstance(port.probe, StallLog)
+            port.probe = Probe() if stalls else StallLog(log)
         elif kind == "llr":
             port = ports[args[0] % len(ports)]
             port.set_error_rate(0.3 if port.error_rate == 0.0 else 0.0)

@@ -3,8 +3,10 @@
 Several subscribers can share a fabric and leave it in any order: each
 keeps recording until its own detach, and once the last one is gone the
 fabric is indistinguishable from one that was never observed — no
-stale ``_plain`` flag, no extra events — and a probe on one component
+probe left on any port, no extra events — and a probe on one component
 holds the packets it was handed unchanged for as long as it keeps them.
+Whether a probe records credit stalls decides how a blocked port waits
+(:func:`~repro.probe.records_stalls`).
 """
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from repro.analysis import MessageTracer
 from repro.faults import FaultSchedule, link_fail, link_recover
 from repro.network.units import KiB
-from repro.probe import HOOKS, Probe, ProbeFanout
+from repro.probe import HOOKS, Probe, ProbeFanout, records_stalls
 from repro.systems import malbec_mini
 from repro.telemetry import FabricTelemetry
 from repro.validate import EventTrace, InvariantAuditor, bisection_scenario
@@ -58,7 +60,7 @@ def test_fanout_dispatches_in_attach_order_and_unwraps_on_detach():
         fabric.attach_probe(lambda c, k=k: Recorder(k, log) if c is port else None)
         for k in "abc"
     ]
-    assert isinstance(port.probe, ProbeFanout) and not port._plain
+    assert isinstance(port.probe, ProbeFanout) and not records_stalls(port.probe)
     port.probe.wire_tx(port, None)
     assert log == ["a", "b", "c"]
     handles[1].detach()
@@ -67,7 +69,7 @@ def test_fanout_dispatches_in_attach_order_and_unwraps_on_detach():
     assert port.probe.name == "c"  # a single probe is installed unwrapped
     handles[2].detach()
     handles[2].detach()  # idempotent
-    assert port.probe is None and port._plain
+    assert port.probe is None
     assert fabric.probe_handles == []
 
 
@@ -83,6 +85,42 @@ def test_fanout_covers_every_hook_point():
     assert log == ["a", "b"]
     # hooks no member overrides are bound to one shared no-op
     assert len({id(getattr(fanout, h)) for h in HOOKS if h != "wire_tx"}) == 1
+
+
+class StallBegin(Probe):
+    def stall_begin(self, port):
+        pass
+
+
+class StallEnd(Probe):
+    def stall_end(self, port):
+        pass
+
+
+def test_records_stalls_sees_either_hook_through_fanouts():
+    """A probe records stalls iff it, or a member of its fan-out,
+    overrides ``stall_begin`` or ``stall_end``."""
+    log = []
+    assert not records_stalls(Probe())
+    assert not records_stalls(Recorder("a", log))
+    assert records_stalls(StallBegin())
+    assert records_stalls(StallEnd())
+    assert not records_stalls(ProbeFanout((Recorder("a", log), Probe())))
+    assert records_stalls(ProbeFanout((Recorder("a", log), StallEnd())))
+    assert records_stalls(ProbeFanout((StallBegin(), StallEnd())))
+    # what the subscribers install on a port (the tracer probes only
+    # NICs): telemetry records stalls, the auditor's checkers do not, and
+    # the two together do
+    fabric = malbec_mini().build()
+    port = fabric.nics[0].out_port
+    auditor = InvariantAuditor(fabric)
+    assert not records_stalls(port.probe)
+    telem = FabricTelemetry(fabric)
+    assert isinstance(port.probe, ProbeFanout) and records_stalls(port.probe)
+    auditor.detach()
+    assert records_stalls(port.probe)
+    telem.detach()
+    assert port.probe is None
 
 
 SUBSCRIBERS = ("tel_a", "tracer_a", "auditor", "tel_b", "tracer_b")
@@ -166,7 +204,7 @@ def test_detached_subscribers_leave_no_stale_state():
             for sub in subscribers:
                 sub.detach()
             assert all(c.probe is None for c in fabric.probe_points())
-            assert all(port._plain for _, port in fabric.all_ports())
+            assert all(port.probe is None for _, port in fabric.all_ports())
         trace = EventTrace()
         fabric.sim.event_hook = trace
         fabric.sim.run()

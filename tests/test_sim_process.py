@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import AllOf, Simulator
 
 
 def test_process_sleeps_for_yielded_delay():
@@ -85,19 +85,6 @@ def test_allof_empty_triggers_immediately():
     assert got == [(0.0, [])]
 
 
-def test_anyof_returns_first_event_index_and_value():
-    sim = Simulator()
-    got = []
-
-    def main():
-        result = yield AnyOf(sim, [sim.timeout(20.0, "slow"), sim.timeout(4.0, "fast")])
-        got.append((sim.now, result))
-
-    sim.process(main())
-    sim.run()
-    assert got == [(4.0, (1, "fast"))]
-
-
 def test_process_exception_propagates_to_waiter():
     sim = Simulator()
     caught = []
@@ -115,72 +102,6 @@ def test_process_exception_propagates_to_waiter():
     sim.process(main())
     sim.run()
     assert caught == ["kaput"]
-
-
-def test_interrupt_is_catchable_inside_process():
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield 1000.0
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    p = sim.process(victim())
-    sim.schedule(10.0, p.interrupt, "enough")
-    sim.run()
-    assert log == [(10.0, "enough")]
-
-
-def test_uncaught_interrupt_kills_process_silently():
-    sim = Simulator()
-
-    def victim():
-        yield 1000.0
-
-    ended_at = []
-    p = sim.process(victim())
-    p.add_callback(lambda e: ended_at.append(sim.now))
-    sim.schedule(5.0, p.interrupt)
-    sim.run()
-    assert not p.alive
-    assert p.value is None
-    # The process died at the interrupt time; the abandoned timer still
-    # drains from the queue afterwards but resumes nobody.
-    assert ended_at == [pytest.approx(5.0)]
-
-
-def test_interrupted_wait_does_not_double_resume():
-    """After an interrupt, the original timeout firing must be ignored."""
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield 100.0
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-        yield 50.0
-        log.append(("resumed", sim.now))
-
-    p = sim.process(victim())
-    sim.schedule(30.0, p.interrupt)
-    sim.run()
-    assert log == [("interrupted", 30.0), ("resumed", 80.0)]
-
-
-def test_interrupt_dead_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield 1.0
-
-    p = sim.process(quick())
-    sim.run()
-    assert not p.alive
-    p.interrupt()  # must not raise
-    sim.run()
 
 
 def test_yielding_garbage_fails_the_process():

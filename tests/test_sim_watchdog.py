@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.network.units import KiB
-from repro.sim import SimStall, Simulator, default_watchdog, set_default_watchdog
+from repro.sim import SimStall, Simulator, default_watchdog
 from repro.systems import malbec_mini
 
 
@@ -132,16 +132,13 @@ def _arm_default(**limits):
 @pytest.mark.parametrize("field", ["max_events", "max_sim_time_ns", "wall_deadline_s"])
 @pytest.mark.parametrize(
     "arm",
-    [lambda **kw: Simulator().watchdog(**kw), set_default_watchdog, _arm_default],
-    ids=["Simulator.watchdog", "set_default_watchdog", "default_watchdog"],
+    [lambda **kw: Simulator().watchdog(**kw), _arm_default],
+    ids=["Simulator.watchdog", "default_watchdog"],
 )
 def test_watchdog_rejects_nan_limits_at_every_front_door(arm, field):
     # NaN compares false both ways, so a NaN guard would never trip
-    try:
-        with pytest.raises(ValueError, match=field):
-            arm(**{field: float("nan")})
-    finally:
-        set_default_watchdog()
+    with pytest.raises(ValueError, match=field):
+        arm(**{field: float("nan")})
 
 
 def test_default_watchdog_applies_to_new_simulators_only():
@@ -157,20 +154,6 @@ def test_default_watchdog_applies_to_new_simulators_only():
     after = Simulator()
     _runaway(after, stop_at=100.0)
     after.run()  # default restored: no guard
-
-
-def test_set_default_watchdog_explicit_disarm():
-    set_default_watchdog(max_events=3)
-    try:
-        sim = Simulator()
-        _runaway(sim)
-        with pytest.raises(SimStall):
-            sim.run()
-    finally:
-        set_default_watchdog()
-    sim2 = Simulator()
-    _runaway(sim2, stop_at=50.0)
-    sim2.run()
 
 
 def test_fabric_stall_carries_quiescence_diagnostics():

@@ -8,6 +8,7 @@ import pytest
 from repro.core.adaptive_routing import ValiantRouter
 from repro.network.units import KiB
 from repro.observe import TimeSeriesEngine
+from repro.probe import records_stalls
 from repro.sim import Simulator
 from repro.systems import malbec_mini
 from repro.telemetry import (
@@ -364,9 +365,12 @@ def test_fabric_export_writes_artifacts(tmp_path, traced_series):
 
 def test_detach_restores_zero_overhead(traced_run):
     fabric, telem = traced_run
+    # telemetry records credit stalls on every port, so blocked ports
+    # wait ungated while it is attached
+    assert all(records_stalls(port.probe) for _, port in fabric.all_ports())
     telem.detach()
     assert all(c.probe is None for c in fabric.probe_points())
-    assert all(port._plain for _, port in fabric.all_ports())
+    assert all(port.probe is None for _, port in fabric.all_ports())
     n_before = len(telem.spans)
     fabric.send(0, 40, 4 * KiB)
     fabric.sim.run()

@@ -19,6 +19,7 @@ from repro.validate import (
     bisection_scenario,
     default_checkers,
 )
+from repro.validate.invariants import InvariantChecker
 
 
 def _small_traffic(fabric, n_msgs=8, nbytes=64 * KiB):
@@ -289,9 +290,9 @@ def _raise(invariant, entity, detail, snapshot=None):
 
 
 def test_credit_wait_rule_holds_with_gated_waiters():
-    """Swept from outside (no probe, so waits stay gated), every gated
-    waiter is an armed plain port blocked on its head, through a whole
-    Aries incast."""
+    """Swept from outside (no probe), every gated waiter is an armed
+    single-class port blocked on its head, through a whole Aries
+    incast."""
     from repro.validate import CreditConservationChecker
 
     fabric = _aries_incast()
@@ -311,22 +312,42 @@ def test_credit_wait_rule_holds_with_gated_waiters():
     assert sum(a for _, a in seen) >= 100, seen
 
 
+class _WaitSampler(InvariantChecker):
+    """Records :func:`_waits` on every auditor sweep."""
+
+    name = "wait-sampler"
+
+    def __init__(self):
+        self.samples = []
+
+    def sweep(self, fabric, report):
+        self.samples.append(_waits(fabric))
+
+
 def test_audited_aries_incast_is_clean():
+    """The auditor's checkers record no stalls, so an audited port still
+    waits gated: every blocked port the sweeps see holds a gated entry,
+    and the audit covers the production credit path."""
     fabric = _aries_incast()
-    auditor = fabric.attach_auditor(sweep_interval_ns=1_000.0)
-    armed = []
-    fabric.sim.schedule(20_000.0, lambda: armed.append(_waits(fabric)[1]))
+    sampler = _WaitSampler()
+    auditor = fabric.attach_auditor(
+        sweep_interval_ns=1_000.0, checkers=default_checkers() + [sampler]
+    )
     fabric.sim.run()
     auditor.assert_clean()
-    assert armed[0] > 0  # the audited sweeps checked blocked ports
+    gated = sum(g for g, _ in sampler.samples)
+    armed = sum(a for _, a in sampler.samples)
+    assert gated == armed > 0, (gated, armed)
 
 
-def _blocked_plain_port(fabric):
+def _blocked_gated_port(fabric):
     fabric.sim.run(until=20_000.0)
     for _, port in fabric.all_ports():
-        if port._retry_armed and port._plain:
+        if port._retry_armed and port._single_tc:
+            # no probe: the port handed its pool the head it waits on
+            assert port._pool0._waiters[port._retry] is port._q0[0]
             return port
-    raise AssertionError("no blocked plain port")
+    raise AssertionError("no blocked single-class port")
 
 
 def test_gated_waiter_with_a_fitting_head_is_caught():
@@ -334,7 +355,7 @@ def test_gated_waiter_with_a_fitting_head_is_caught():
     from repro.validate import CreditConservationChecker
 
     fabric = _aries_incast()
-    port = _blocked_plain_port(fabric)
+    port = _blocked_gated_port(fabric)
     small = Packet(0, 1, 2)  # 64B: fits the VC-0 reserve of any pool
     small.vc = 0
     port._pool0.notify_on_release(small, port._retry)
@@ -346,8 +367,8 @@ def test_gated_waiter_with_a_fitting_head_is_caught():
 
 def test_armed_port_missing_from_its_pool_is_caught():
     fabric = _aries_incast()
-    port = _blocked_plain_port(fabric)
-    auditor = fabric.attach_auditor()  # probes every port: waits ungated
+    port = _blocked_gated_port(fabric)
+    auditor = fabric.attach_auditor()  # probes every port, records no stalls
     del port._pool0._waiters[port._retry]
     v = _catch(fabric)
     assert v.invariant == "credit-conservation"
