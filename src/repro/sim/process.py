@@ -111,7 +111,7 @@ class Process:
 
     def _wait_for(self, target: Any) -> None:
         if isinstance(target, (int, float)):
-            # a sleep: resume directly, at the push point a Timeout would use
+            # a sleep: the resume is the timer event itself
             self.sim.schedule(target, self._step, None, None)
             return
         if isinstance(target, Process):
