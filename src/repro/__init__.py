@@ -7,11 +7,11 @@ The package is organized as the paper's system stack:
 * :mod:`repro.network` — packets, switches, NICs, dragonfly fabrics;
 * :mod:`repro.core` — Slingshot's contributions: Rosetta, adaptive
   routing, congestion control, traffic classes, HPC Ethernet;
-* :mod:`repro.flowsim` — fluid/steady-state bandwidth models;
+* :mod:`repro.flowsim` — the fluid traffic-class bandwidth model;
 * :mod:`repro.mpi` — MPI-like layer (matching, collectives, stack model);
 * :mod:`repro.workloads` — GPCNet congestors, ember, app proxies,
   Tailbench, allocation policies, the experiment runner;
-* :mod:`repro.analysis` — statistics and paper-style reporting;
+* :mod:`repro.analysis` — sample summaries and paper-style reporting;
 * :mod:`repro.systems` — the paper's machines (Crystal, Malbec, Shandy).
 
 Quickstart:

@@ -1,35 +1,21 @@
-"""Analysis: statistics (Hoefler-Belli rules) and paper-style reporting."""
+"""Analysis: sample summaries and paper-style reporting."""
 
 from .reporting import (
-    format_bandwidth,
     format_time_ns,
     render_heatmap,
     render_series,
     render_table,
 )
 from .portstats import FabricReport, fabric_report
-from .stats import (
-    RepetitionController,
-    ci_converged,
-    median_ci,
-    quartile_whiskers,
-    summarize,
-)
-from .tracing import MessageRecord, MessageTracer
+from .stats import quartile_whiskers, summarize
 
 __all__ = [
-    "median_ci",
-    "ci_converged",
-    "RepetitionController",
     "summarize",
     "quartile_whiskers",
     "render_table",
     "render_heatmap",
     "render_series",
     "format_time_ns",
-    "format_bandwidth",
     "FabricReport",
     "fabric_report",
-    "MessageTracer",
-    "MessageRecord",
 ]

@@ -14,7 +14,6 @@ __all__ = [
     "render_heatmap",
     "render_series",
     "format_time_ns",
-    "format_bandwidth",
 ]
 
 
@@ -27,11 +26,6 @@ def format_time_ns(ns: float) -> str:
     if ns < 1e9:
         return f"{ns / 1e6:.2f}ms"
     return f"{ns / 1e9:.2f}s"
-
-
-def format_bandwidth(bytes_per_ns: float) -> str:
-    """Bytes/ns == GB/s; also show Gb/s like the paper's link specs."""
-    return f"{bytes_per_ns:.2f}GB/s ({bytes_per_ns * 8:.0f}Gb/s)"
 
 
 def render_table(

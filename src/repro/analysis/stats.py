@@ -1,114 +1,28 @@
-"""Statistically sound benchmarking helpers (paper §III-A, [52]).
+"""Sample summaries for the figures (paper §III-A).
 
-The paper follows Hoefler & Belli's rules: repeat each microbenchmark at
-least 200 times and for at least 4 seconds, stop once the 95% confidence
-interval of the median is within 5% of the median, and report the
-maximum across ranks per iteration.  This module provides:
+The paper repeats each microbenchmark until the 95% confidence interval
+of the median is within 5% of the median (Hoefler & Belli [52]).  A
+simulated run is deterministic at a fixed seed, so every bench runs its
+cells once with a fixed number of iterations and summarizes the spread
+across those iterations:
 
-* :func:`median_ci` — nonparametric CI of the median via binomial order
-  statistics (no normality assumption, as [52] requires);
-* :func:`ci_converged` — the paper's stopping criterion;
-* :class:`RepetitionController` — drives repeat-until-converged loops;
-* :func:`summarize` — quartile/percentile summaries for the figures.
+* :func:`summarize` — mean, quartiles, extremes and tail percentiles;
+* :func:`percentile` / :func:`percentiles` — one or several percentiles;
+* :func:`quartile_whiskers` — the box-and-whisker convention of Fig. 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 __all__ = [
-    "median_ci",
-    "ci_converged",
-    "RepetitionController",
     "summarize",
     "percentile",
     "percentiles",
     "quartile_whiskers",
 ]
-
-
-def median_ci(samples: Sequence[float], confidence: float = 0.95) -> Tuple[float, float]:
-    """Nonparametric confidence interval of the median.
-
-    Uses the binomial order-statistic construction: the CI is
-    [x_(l), x_(u)] where l is the largest 1-based rank with
-    P(Binom(n, 1/2) < l) <= alpha/2 and u = n + 1 - l, so the coverage
-    P(x_(l) <= median <= x_(u)) is >= *confidence*.
-
-    The order statistics are 1-based; ``ppf`` returns the 1-based rank
-    l directly, so the 0-based array index is ``l - 1`` (the symmetric
-    upper rank n + 1 - l lands at 0-based index ``n - l``).
-    """
-    from scipy import stats as sps  # deferred: scipy is a dev-only dep
-
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    if n == 0:
-        raise ValueError("median_ci needs at least one sample")
-    if n < 3:
-        return float(x[0]), float(x[-1])
-    # ppf(a/2) is the smallest k with P(X <= k) >= a/2, hence
-    # P(X <= k-1) < a/2: taking l = k as the 1-based lower rank keeps
-    # P(median < x_(l)) = P(X <= l-1) below a/2 on each tail.
-    l = int(sps.binom.ppf((1 - confidence) / 2, n, 0.5))
-    lo = max(0, l - 1)
-    hi = min(n - 1, n - l)
-    return float(x[lo]), float(x[hi])
-
-
-def ci_converged(
-    samples: Sequence[float],
-    tolerance: float = 0.05,
-    confidence: float = 0.95,
-    min_reps: int = 10,
-) -> bool:
-    """The paper's stopping rule: CI of the median within *tolerance* of
-    the median (and at least *min_reps* repetitions)."""
-    if len(samples) < min_reps:
-        return False
-    med = float(np.median(samples))
-    if med == 0:
-        return True
-    lo, hi = median_ci(samples, confidence)
-    return (hi - lo) / abs(med) <= 2 * tolerance
-
-
-@dataclass
-class RepetitionController:
-    """Repeat-until-stable driver.
-
-    The paper runs >=200 reps / >=4 s wall; a pure-Python simulation
-    scales those knobs down but keeps the *criterion* (CI of the median
-    within 5%).
-    """
-
-    min_reps: int = 10
-    max_reps: int = 200
-    tolerance: float = 0.05
-    confidence: float = 0.95
-
-    def __post_init__(self):
-        if self.min_reps < 3 or self.max_reps < self.min_reps:
-            raise ValueError("need max_reps >= min_reps >= 3")
-
-    def needs_more(self, samples: Sequence[float]) -> bool:
-        if len(samples) >= self.max_reps:
-            return False
-        if len(samples) < self.min_reps:
-            return True
-        return not ci_converged(
-            samples, self.tolerance, self.confidence, self.min_reps
-        )
-
-    def run(self, sample_fn) -> List[float]:
-        """Call ``sample_fn()`` until the stopping rule is met."""
-        samples: List[float] = []
-        while self.needs_more(samples):
-            samples.append(float(sample_fn()))
-        return samples
 
 
 def summarize(samples: Sequence[float]) -> Dict[str, float]:

@@ -15,7 +15,6 @@ from .ethernet import (
     STANDARD_ETHERNET,
     FecModel,
     FrameSpec,
-    LlrModel,
     effective_bandwidth,
     frame_rate,
     goodput_fraction,
@@ -49,7 +48,6 @@ __all__ = [
     "STANDARD_ETHERNET",
     "HPC_ETHERNET",
     "FecModel",
-    "LlrModel",
     "effective_bandwidth",
     "frame_rate",
     "goodput_fraction",

@@ -10,8 +10,11 @@ protocol for internal traffic:
   for transient errors, and lane degrade for hard failures.
 
 This module is pure protocol arithmetic: frame layouts, effective
-bandwidth and frame-rate math, and simple FEC/LLR latency/retry models
-used by the link layer and the ablation benches.
+bandwidth, frame rate and goodput, and the FEC lane overhead.  The
+simulator does not use it: its packets carry the RoCEv2 header bytes of
+:mod:`repro.network.packet`, and its output ports replay LLR errors
+frame by frame.  ``tests/test_ethernet.py`` pins the paper's framing
+claims here.
 """
 
 from __future__ import annotations
@@ -22,12 +25,10 @@ __all__ = [
     "FrameSpec",
     "STANDARD_ETHERNET",
     "HPC_ETHERNET",
-    "rocev2_overhead",
     "effective_bandwidth",
     "frame_rate",
     "goodput_fraction",
     "FecModel",
-    "LlrModel",
     "SERDES_LANES",
     "LANE_RAW_GBPS",
     "LANE_EFFECTIVE_GBPS",
@@ -69,13 +70,6 @@ STANDARD_ETHERNET = FrameSpec("standard", 64, 8, 12, 18)
 HPC_ETHERNET = FrameSpec("hpc", 32, 2, 0, 0)
 
 
-def rocev2_overhead() -> int:
-    """Header+trailer bytes per RoCEv2 data packet (§II-G; paper total)."""
-    from ..network.packet import ROCE_HEADER_BYTES
-
-    return ROCE_HEADER_BYTES
-
-
 def effective_bandwidth(l2_payload: int, link_bw: float, spec: FrameSpec) -> float:
     """Payload throughput (bytes/ns) on a *link_bw* link for back-to-back
     frames of the given payload size."""
@@ -111,35 +105,3 @@ class FecModel:
 
     def effective_rate(self, raw_rate: float) -> float:
         return raw_rate * (1.0 - self.bandwidth_overhead)
-
-
-@dataclass(frozen=True)
-class LlrModel:
-    """Link-level reliability: local retransmission of corrupted frames.
-
-    LLR localizes error handling so that, in large systems, a transient
-    link error costs one link round trip instead of an end-to-end
-    retransmission (§II-F).
-    """
-
-    frame_error_rate: float = 0.0
-    replay_latency_ns: float = 200.0
-
-    def expected_transmissions(self) -> float:
-        """Mean sends per frame under independent error trials."""
-        p = self.frame_error_rate
-        if not (0.0 <= p < 1.0):
-            raise ValueError("frame_error_rate must be in [0, 1)")
-        return 1.0 / (1.0 - p)
-
-    def expected_extra_latency(self) -> float:
-        """Mean added latency per frame from replays."""
-        return (self.expected_transmissions() - 1.0) * self.replay_latency_ns
-
-    def end_to_end_equivalent_latency(self, hops: int, e2e_rtt_ns: float) -> float:
-        """What the same error rate would cost with only end-to-end retry:
-        any of *hops* links failing forces a full-path retransmission."""
-        p_path = 1.0 - (1.0 - self.frame_error_rate) ** hops
-        if p_path >= 1.0:
-            raise ValueError("path error probability saturated")
-        return p_path / (1.0 - p_path) * e2e_rtt_ns

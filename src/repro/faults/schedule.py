@@ -56,43 +56,6 @@ class FaultSchedule:
         """Time of the last event (0.0 for an empty schedule)."""
         return self.events[-1].t if self.events else 0.0
 
-    @property
-    def ends_restored(self) -> bool:
-        """Does every fault get undone by the end of the schedule?
-
-        Tracks fail/degrade/error state per target through the event
-        list.  A schedule that ends restored guarantees (with end-to-end
-        reliability armed) that the fabric eventually drains and every
-        injected packet is accounted for.
-        """
-        down_links: set = set()
-        down_switches: set = set()
-        degraded: set = set()
-        erred: set = set()
-        for ev in self.events:
-            if ev.action == "link_fail":
-                down_links.add(ev.target)
-            elif ev.action == "link_recover":
-                # restore_link also resets bandwidth and error rate
-                down_links.discard(ev.target)
-                degraded.discard(ev.target)
-                erred.discard(ev.target)
-            elif ev.action == "link_degrade":
-                if ev.value < 1.0:
-                    degraded.add(ev.target)
-                else:
-                    degraded.discard(ev.target)
-            elif ev.action == "link_error":
-                if ev.value > 0.0:
-                    erred.add(ev.target)
-                else:
-                    erred.discard(ev.target)
-            elif ev.action == "switch_fail":
-                down_switches.add(ev.target)
-            elif ev.action == "switch_recover":
-                down_switches.discard(ev.target)
-        return not (down_links or down_switches or degraded or erred)
-
     # -- builders -------------------------------------------------------------
 
     @classmethod

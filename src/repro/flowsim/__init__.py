@@ -1,12 +1,9 @@
-"""Flow-level (fluid) models: max-min fairness, TC allocation, rate-vs-time."""
+"""Flow-level (fluid) models: TC allocation and rate-vs-time (Fig. 14)."""
 
 from .fluid import FluidBottleneck, FluidJob
-from .maxmin import Flow, MaxMinNetwork
 from .tc_alloc import allocate_classes, split_within_class
 
 __all__ = [
-    "Flow",
-    "MaxMinNetwork",
     "allocate_classes",
     "split_within_class",
     "FluidJob",

@@ -1,4 +1,4 @@
-"""Time-stepped fluid simulation of jobs sharing a bottleneck (Fig. 13/14).
+"""Time-stepped fluid simulation of jobs sharing a bottleneck (Fig. 14).
 
 Jobs are fluid flows with a start time, a byte volume (or open-ended
 duration), and a traffic class.  At every instant the bottleneck

@@ -247,8 +247,6 @@ class NIC:
         msg.complete_time = self.sim.now
         if msg.on_complete is not None:
             msg.on_complete(msg)
-        if self.probe is not None:
-            self.probe.message_done(self, msg)
 
     # -- receive side ---------------------------------------------------------
 
@@ -282,8 +280,6 @@ class NIC:
                 msg.complete_time = now
                 if msg.on_complete is not None:
                     msg.on_complete(msg)
-                if self.probe is not None:
-                    self.probe.message_done(self, msg)
         if self.probe is not None:
             self.probe.delivered(self, pkt, msg)
         # End-to-end ack back to the source (contention-free reverse path:

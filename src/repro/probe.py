@@ -10,9 +10,8 @@ names every hook point once, each taking the calling component first;
 its methods do nothing, so a subscriber overrides only what it observes.
 
 Subscribers — :class:`~repro.telemetry.FabricTelemetry` (and
-:class:`~repro.observe.FabricObserver` through it),
-:class:`~repro.validate.InvariantAuditor` and
-:class:`~repro.analysis.MessageTracer` — attach through one call,
+:class:`~repro.observe.FabricObserver` through it) and
+:class:`~repro.validate.InvariantAuditor` — attach through one call,
 :meth:`Fabric.attach_probe(factory) <repro.network.fabric.Fabric.attach_probe>`:
 the fabric walks its components once and installs ``factory(component)``
 wherever that returns a probe (telemetry returns one object per port; a
@@ -55,9 +54,6 @@ class Probe:
 
     def acked(self, nic, pkt, state) -> None:
         """The end-to-end ack for *pkt* reached its source."""
-
-    def message_done(self, nic, msg) -> None:
-        """The last packet of *msg* arrived (loopback included)."""
 
     # OutputPort (and Switch, for ``dropped``)
     def enqueued(self, port, pkt) -> None:

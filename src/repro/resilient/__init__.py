@@ -37,7 +37,6 @@ from .metrics import (
     harness_counter,
     harness_metrics,
     harness_summary_rows,
-    reset_harness_metrics,
 )
 from .pool import (
     CellFailure,
@@ -59,5 +58,4 @@ __all__ = [
     "harness_metrics",
     "harness_counter",
     "harness_summary_rows",
-    "reset_harness_metrics",
 ]

@@ -27,7 +27,7 @@ Counters:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..telemetry.registry import TelemetryRegistry
 
@@ -35,7 +35,6 @@ __all__ = [
     "harness_metrics",
     "harness_counter",
     "harness_summary_rows",
-    "reset_harness_metrics",
 ]
 
 _REGISTRY = TelemetryRegistry()
@@ -70,16 +69,6 @@ def harness_summary_rows() -> List[List[object]]:
         if value:
             rows.append([name, int(value)])
     return rows
-
-
-def reset_harness_metrics() -> Dict[str, float]:
-    """Zero every harness counter (tests); returns the prior snapshot."""
-    snap = _REGISTRY.snapshot()
-    for name in list(snap):
-        metric = _REGISTRY.get(name)
-        if metric.kind == "counter":
-            metric.value = 0.0
-    return snap
 
 
 # Pre-register the canonical counters so a summary of an untouched

@@ -353,25 +353,6 @@ class Event:
             self.callbacks.append(cb)
 
 
-class Timeout(Event):
-    """An event that triggers automatically after a fixed delay."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        super().__init__(sim)
-        if not delay >= 0:
-            raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        sim.schedule(delay, self._fire, value)
-
-    def _fire(self, value: Any) -> None:
-        # Like succeed(), but dispatches inline: the engine already charged
-        # the delay, so a second zero-delay hop would only add overhead.
-        self._triggered = True
-        self._value = value
-        self._dispatch()
-
-
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -613,9 +594,6 @@ class Simulator:
 
     def event(self) -> Event:
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        return Timeout(self, delay, value)
 
     # -- processes (imported lazily to avoid a cycle) ----------------------
 

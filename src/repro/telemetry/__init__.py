@@ -32,7 +32,6 @@ from .exporters import (
     counters_to_csv,
     spans_to_jsonl,
     timeseries_to_csv,
-    write_jsonl,
 )
 from .instrument import FabricTelemetry, FaultTelemetry
 from .registry import Counter, Gauge, Histogram, TelemetryRegistry
@@ -50,5 +49,4 @@ __all__ = [
     "counters_to_csv",
     "spans_to_jsonl",
     "timeseries_to_csv",
-    "write_jsonl",
 ]

@@ -34,7 +34,6 @@ from .spans import SpanRecorder
 
 __all__ = [
     "spans_to_jsonl",
-    "write_jsonl",
     "counters_to_csv",
     "timeseries_to_csv",
     "chrome_trace",
@@ -58,11 +57,6 @@ def spans_to_jsonl(spans: SpanRecorder) -> str:
     """One compact JSON object per line, in recording order."""
     lines = [json.dumps(e, separators=(",", ":")) for e in spans.events]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_jsonl(spans: SpanRecorder, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(spans_to_jsonl(spans))
 
 
 # -- CSV -----------------------------------------------------------------------

@@ -254,8 +254,3 @@ class TelemetryRegistry:
     def snapshot(self) -> Dict[str, float]:
         """Scalar view of every metric (gauge callables evaluated now)."""
         return {n: self._metrics[n].read() for n in sorted(self._metrics)}
-
-    def histograms(self) -> Dict[str, Histogram]:
-        return {
-            n: m for n, m in self._metrics.items() if m.kind == "histogram"
-        }

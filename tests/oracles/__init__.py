@@ -13,4 +13,13 @@ and are injected through seams the production code already has:
   ``ReferenceValiantRouter``, passed in via ``FabricConfig.router_factory``;
 * :mod:`.buffers` — ``ReferencePool``, a credit pool whose release walks
   every waiter, handed to ports through ``OutputPort(pools=...)``.
+
+Two more are closed-form checks that need no seam:
+
+* :mod:`.maxmin` — ``MaxMinNetwork``, max-min fair water-filling over
+  capacitated links, which the packet simulator's rates are
+  cross-validated against (``tests/test_crossvalidation.py``);
+* :mod:`.faults` — ``ends_restored``, whether every fault of a
+  :class:`~repro.faults.FaultSchedule` is undone by its end: the premise
+  the fault-recovery tests assert before they run a schedule.
 """

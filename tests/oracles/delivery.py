@@ -197,8 +197,6 @@ class ReferenceNIC(NIC):
                 msg.complete_time = self.sim.now
                 if msg.on_complete is not None:
                     msg.on_complete(msg)
-                if self.probe is not None:
-                    self.probe.message_done(self, msg)
         if self.probe is not None:
             self.probe.delivered(self, pkt, msg)
         src_nic = self.nic_lookup(pkt.src)

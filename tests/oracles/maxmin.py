@@ -1,12 +1,11 @@
-"""Max-min fair bandwidth allocation (water-filling).
+"""Max-min fair bandwidth allocation (water-filling): a steady-state oracle.
 
-The steady-state companion of the packet simulator: given flows with
-fixed paths over capacitated links, compute the max-min fair rate
-vector.  It is the oracle the DES is cross-validated against
-(``tests/test_crossvalidation.py``) and a fast what-if tool; the
-figure benches do not use it (Fig. 6's theory curves come from
+Given flows with fixed paths over capacitated links, compute the max-min
+fair rate vector.  The packet simulator is cross-validated against it
+(``tests/test_crossvalidation.py``).  The figure benches do not use it:
+Fig. 6's theory curves come from
 :meth:`~repro.network.dragonfly.DragonflyTopology.bisection_bandwidth_bytes_ns`
-and ``alltoall_bandwidth_bytes_ns``).
+and ``alltoall_bandwidth_bytes_ns``.
 
 The classic algorithm: repeatedly find the most constrained link
 (smallest remaining capacity per unsaturated weighted flow), freeze all

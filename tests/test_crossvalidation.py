@@ -7,10 +7,11 @@ pin the DES against closed-form results where they exist.
 import pytest
 
 from repro.core.traffic_classes import TrafficClass
-from repro.flowsim import Flow, MaxMinNetwork, allocate_classes
+from repro.flowsim import allocate_classes
 from repro.network.units import KiB, MiB, MS
 from repro.probe import Probe
 from repro.systems import malbec_mini
+from tests.oracles.maxmin import Flow, MaxMinNetwork
 
 
 class OnArbitrated(Probe):

@@ -7,11 +7,9 @@ from repro.core.ethernet import (
     STANDARD_ETHERNET,
     FecModel,
     FrameSpec,
-    LlrModel,
     effective_bandwidth,
     frame_rate,
     goodput_fraction,
-    rocev2_overhead,
 )
 from repro.network.units import gbps
 
@@ -69,10 +67,6 @@ def test_zero_payload_bandwidth_is_zero():
     assert effective_bandwidth(0, gbps(100), HPC_ETHERNET) == 0.0
 
 
-def test_rocev2_overhead_is_62():
-    assert rocev2_overhead() == 62
-
-
 class TestFec:
     def test_lane_overhead(self):
         fec = FecModel()
@@ -81,30 +75,6 @@ class TestFec:
 
     def test_latency_is_low(self):
         assert FecModel().latency_ns <= 100.0
-
-
-class TestLlr:
-    def test_no_errors_no_cost(self):
-        llr = LlrModel(frame_error_rate=0.0)
-        assert llr.expected_transmissions() == 1.0
-        assert llr.expected_extra_latency() == 0.0
-
-    def test_expected_transmissions_geometric(self):
-        llr = LlrModel(frame_error_rate=0.5)
-        assert llr.expected_transmissions() == pytest.approx(2.0)
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            LlrModel(frame_error_rate=1.0).expected_transmissions()
-
-    def test_llr_cheaper_than_end_to_end_retry(self):
-        """The paper's point: LLR localizes error handling.  For a 3-hop
-        path with per-link errors, local replay costs far less than
-        end-to-end retransmission."""
-        llr = LlrModel(frame_error_rate=1e-3, replay_latency_ns=200.0)
-        local_cost = 3 * llr.expected_extra_latency()  # each link replays itself
-        e2e_cost = llr.end_to_end_equivalent_latency(hops=3, e2e_rtt_ns=4000.0)
-        assert local_cost < e2e_cost
 
 
 def test_custom_framespec():

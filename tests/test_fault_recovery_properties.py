@@ -17,6 +17,7 @@ from repro.faults import FaultSchedule
 from repro.network.dragonfly import DragonflyParams
 from repro.network.units import KiB, US
 from repro.systems import slingshot_config
+from tests.oracles.faults import ends_restored
 
 
 @settings(max_examples=10, deadline=None)
@@ -40,7 +41,7 @@ def test_restored_schedule_drains_and_conserves(p, a, g, seed, n_faults):
         t_end=400_000.0,
         switch_faults=seed % 2,
     )
-    assert schedule.ends_restored
+    assert ends_restored(schedule)
     injector = fabric.attach_faults(
         schedule, base_rto_ns=100_000.0, max_rto_ns=400_000.0
     )

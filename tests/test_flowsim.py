@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from repro.core.traffic_classes import TrafficClass
 from repro.flowsim import (
-    Flow,
     FluidBottleneck,
     FluidJob,
-    MaxMinNetwork,
     allocate_classes,
     split_within_class,
 )
+from tests.oracles.maxmin import Flow, MaxMinNetwork
 
 
 # ---------------------------------------------------------------- max-min

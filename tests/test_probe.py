@@ -11,8 +11,8 @@ Whether a probe records credit stalls decides how a blocked port waits
 
 import pytest
 
-from repro.analysis import MessageTracer
 from repro.faults import FaultSchedule, link_fail, link_recover
+from repro.network.nic import NIC
 from repro.network.units import KiB
 from repro.probe import HOOKS, Probe, ProbeFanout, records_stalls
 from repro.systems import malbec_mini
@@ -28,6 +28,23 @@ class Recorder(Probe):
 
     def wire_tx(self, port, pkt):
         self.log.append(self.name)
+
+
+class DeliveryCounter(Probe):
+    """A fabric-wide subscriber: one probe object on every NIC, counting
+    the packets they deliver."""
+
+    def __init__(self, fabric):
+        self.count = 0
+        self._handle = fabric.attach_probe(
+            lambda c: self if isinstance(c, NIC) else None
+        )
+
+    def detach(self):
+        self._handle.detach()
+
+    def delivered(self, nic, pkt, msg):
+        self.count += 1
 
 
 class InjectCounter(InvariantChecker):
@@ -75,7 +92,7 @@ def test_fanout_dispatches_in_attach_order_and_unwraps_on_detach():
 
 def test_fanout_covers_every_hook_point():
     assert set(HOOKS) == {
-        "injected", "delivered", "acked", "message_done", "enqueued",
+        "injected", "delivered", "acked", "enqueued",
         "arbitrated", "marked", "wire_tx", "dropped", "stall_begin",
         "stall_end", "switch_rx", "routed", "window_update", "fault",
     }
@@ -108,9 +125,8 @@ def test_records_stalls_sees_either_hook_through_fanouts():
     assert not records_stalls(ProbeFanout((Recorder("a", log), Probe())))
     assert records_stalls(ProbeFanout((Recorder("a", log), StallEnd())))
     assert records_stalls(ProbeFanout((StallBegin(), StallEnd())))
-    # what the subscribers install on a port (the tracer probes only
-    # NICs): telemetry records stalls, the auditor's checkers do not, and
-    # the two together do
+    # what the subscribers install on a port: telemetry records stalls,
+    # the auditor's checkers do not, and the two together do
     fabric = malbec_mini().build()
     port = fabric.nics[0].out_port
     auditor = InvariantAuditor(fabric)
@@ -123,29 +139,30 @@ def test_records_stalls_sees_either_hook_through_fanouts():
     assert port.probe is None
 
 
-SUBSCRIBERS = ("tel_a", "tracer_a", "auditor", "tel_b", "tracer_b")
+SUBSCRIBERS = ("tel_a", "nics_a", "auditor", "tel_b", "nics_b")
 
 
 @pytest.mark.parametrize(
     "attach_order, detach_order",
     [
         (SUBSCRIBERS, SUBSCRIBERS),
-        (SUBSCRIBERS, ("tracer_b", "tel_b", "auditor", "tracer_a", "tel_a")),
+        (SUBSCRIBERS, ("nics_b", "tel_b", "auditor", "nics_a", "tel_a")),
         (("auditor",) + SUBSCRIBERS[:2] + SUBSCRIBERS[3:], SUBSCRIBERS),
         (("auditor",) + SUBSCRIBERS[:2] + SUBSCRIBERS[3:],
-         ("auditor", "tel_b", "tracer_a", "tel_a", "tracer_b")),
+         ("auditor", "tel_b", "nics_a", "tel_a", "nics_b")),
     ],
 )
 def test_subscribers_detach_in_any_order(attach_order, detach_order):
-    """Two telemetries, two tracers and an auditor share one fabric; every
-    subscriber still attached keeps recording after the others leave."""
+    """Two telemetries, two fabric-wide NIC subscribers and an auditor
+    share one fabric; every subscriber still attached keeps recording
+    after the others leave."""
     fabric = malbec_mini().build()
     counter = InjectCounter()
     make = {
         "tel_a": lambda: FabricTelemetry(fabric),
         "tel_b": lambda: FabricTelemetry(fabric),
-        "tracer_a": lambda: MessageTracer(fabric),
-        "tracer_b": lambda: MessageTracer(fabric),
+        "nics_a": lambda: DeliveryCounter(fabric),
+        "nics_b": lambda: DeliveryCounter(fabric),
         "auditor": lambda: InvariantAuditor(
             fabric, checkers=default_checkers() + [counter]
         ),
@@ -155,8 +172,8 @@ def test_subscribers_detach_in_any_order(attach_order, detach_order):
     live = {
         "tel_a": lambda: len(subs["tel_a"].spans),
         "tel_b": lambda: len(subs["tel_b"].spans),
-        "tracer_a": lambda: len(subs["tracer_a"]),
-        "tracer_b": lambda: len(subs["tracer_b"]),
+        "nics_a": lambda: subs["nics_a"].count,
+        "nics_b": lambda: subs["nics_b"].count,
         "auditor": lambda: counter.count,
     }
     for leaving in (None,) + detach_order:
@@ -199,7 +216,7 @@ def test_detached_subscribers_leave_no_stale_state():
             subscribers = [
                 FabricTelemetry(fabric),
                 InvariantAuditor(fabric),
-                MessageTracer(fabric),
+                DeliveryCounter(fabric),
             ]
             # telemetry's stall hooks would make every blocked port wait
             # ungated; after the detach no port has a probe at all

@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis.portstats import FabricReport, fabric_report
 from repro.analysis.reporting import (
-    format_bandwidth,
     format_time_ns,
     render_heatmap,
     render_series,
@@ -27,12 +26,6 @@ def test_format_time_ns_branches():
     assert format_time_ns(1500.0) == "1.50us"
     assert format_time_ns(2_500_000.0) == "2.50ms"
     assert format_time_ns(3_200_000_000.0) == "3.20s"
-
-
-def test_format_bandwidth_shows_both_units():
-    out = format_bandwidth(25.0)
-    assert "25.00GB/s" in out
-    assert "200Gb/s" in out
 
 
 def test_render_table_alignment_and_title():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import PeriodicTick, Simulator, StopSimulation
-from repro.sim.engine import Timeout
 
 
 def test_events_fire_in_time_order():
@@ -65,7 +64,6 @@ def test_negative_delay_rejected():
         "schedule_at",
         "schedule_cancellable",
         "schedule_at_cancellable",
-        "Timeout",
     ],
 )
 def test_nan_time_rejected_by_every_front_door(door):
@@ -74,10 +72,7 @@ def test_nan_time_rejected_by_every_front_door(door):
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     with pytest.raises(ValueError, match="nan"):
-        if door == "Timeout":
-            Timeout(sim, float("nan"))
-        else:
-            getattr(sim, door)(float("nan"), lambda: None)
+        getattr(sim, door)(float("nan"), lambda: None)
     assert sim.queue_length == 1
 
 
@@ -157,15 +152,6 @@ def test_event_fail_propagates_exception_via_value():
     assert isinstance(ev.exception, RuntimeError)
     with pytest.raises(RuntimeError):
         _ = ev.value
-
-
-def test_timeout_event_carries_value():
-    sim = Simulator()
-    got = []
-    ev = sim.timeout(7.0, value="tick")
-    ev.add_callback(lambda e: got.append((sim.now, e.value)))
-    sim.run()
-    assert got == [(7.0, "tick")]
 
 
 def test_events_processed_counter():
