@@ -121,11 +121,15 @@ class EndToEndReliability:
     def on_deliver(self, pkt) -> bool:
         """True if this is the first arrival of (mid, seq); False for a
         duplicate (original and retransmission both made it through)."""
-        seen = self._seen.setdefault(pkt.message.mid, set())
-        if pkt.seq in seen:
+        mid = pkt.message.mid
+        seen = self._seen.get(mid)
+        if seen is None:
+            self._seen[mid] = {pkt.seq}
+        elif pkt.seq in seen:
             self.dup_pkts += 1
             return False
-        seen.add(pkt.seq)
+        else:
+            seen.add(pkt.seq)
         return True
 
     # -- timer ---------------------------------------------------------------

@@ -26,6 +26,15 @@ message has arrived at the destination NIC (a conservative rendezvous-
 like completion that needs no extra protocol traffic).  Eager buffering
 would only make victims *less* sensitive to congestion, so this choice
 is the faithful one for the paper's congestion experiments.
+
+A send allocates no closure: ``isend`` and ``put`` schedule the bound
+:meth:`MpiWorld._inject` with the send's arguments, and the send's
+completion event rides on the message, in ``Message.meta``, which this
+module owns for every message it sends.  The NIC clears the one-shot
+``on_complete`` (:meth:`MpiWorld._completed`) before calling it, and
+:meth:`MpiWorld._arrive` clears ``meta`` before it triggers the event,
+so a finished message is freed by reference count, not by the cyclic
+collector.
 """
 
 from __future__ import annotations
@@ -120,25 +129,9 @@ class Rank:
     def isend(self, dst_rank: int, nbytes: int, tag=0) -> Event:
         """Non-blocking send; event fires when the message has fully
         arrived at the destination (see module docstring)."""
-        world = self.world
-        dst_node = world.nodes[dst_rank]
-        done = Event(self.sim)
-        overhead = world.stack.overhead_ns
-        tc = world.tc_for(tag)
-
-        def _inject():
-            world.fabric.send(
-                self.node,
-                dst_node,
-                nbytes,
-                tc=tc,
-                tag=("p2p", self.rank, dst_rank, tag),
-                on_complete=lambda m: world._deliver(dst_rank, m, overhead, done),
-            )
-
-        # software send overhead before the NIC sees the message
-        self.sim.schedule(overhead, _inject)
-        return done
+        return self._send(
+            dst_rank, nbytes, self.world.tc_for(tag), ("p2p", self.rank, dst_rank, tag)
+        )
 
     def send(self, dst_rank: int, nbytes: int, tag=0):
         """Blocking send (yield it): completes when delivered."""
@@ -150,20 +143,22 @@ class Rank:
 
     def put(self, dst_rank: int, nbytes: int) -> Event:
         """One-sided put (MPI_Put): no matching at the target."""
+        return self._send(dst_rank, nbytes, self.world.tc, None)
+
+    def _send(self, dst_rank: int, nbytes: int, tc: int, tag) -> Event:
         world = self.world
         done = Event(self.sim)
-        overhead = world.stack.overhead_ns
-
-        def _inject():
-            world.fabric.send(
-                self.node,
-                world.nodes[dst_rank],
-                nbytes,
-                tc=world.tc,
-                on_complete=lambda m: self.sim.schedule(overhead, done.succeed, m),
-            )
-
-        self.sim.schedule(overhead, _inject)
+        # software send overhead before the NIC sees the message
+        self.sim.schedule(
+            world.stack.overhead_ns,
+            world._inject,
+            self.node,
+            world.nodes[dst_rank],
+            nbytes,
+            tc,
+            tag,
+            done,
+        )
         return done
 
     def sendrecv(self, dst_rank: int, src_rank: int, nbytes: int, tag=0):
@@ -262,14 +257,24 @@ class MpiWorld:
                 return self.tc_map[op]
         return self.tc
 
-    def _deliver(self, dst_rank: int, msg: Message, overhead: float, send_done: Event) -> None:
-        """Charge receive-side software overhead, then match."""
+    def _inject(self, src: int, dst: int, nbytes: int, tc: int, tag, done: Event) -> None:
+        """Send overhead paid: hand the message to the NIC.  *tag* is
+        the wire tag of an ``isend`` and None for a ``put``."""
+        msg = self.fabric.send(src, dst, nbytes, tc=tc, tag=tag, on_complete=self._completed)
+        msg.meta = done
 
-        def _arrive():
-            self._matchers[dst_rank].deliver(msg.tag, msg)
-            send_done.succeed(msg)
+    def _completed(self, msg: Message) -> None:
+        """The NIC has the whole message: charge receive-side overhead."""
+        self.fabric.sim.schedule(self.stack.overhead_ns, self._arrive, msg)
 
-        self.fabric.sim.schedule(overhead, _arrive)
+    def _arrive(self, msg: Message) -> None:
+        """Match an ``isend`` at its destination rank, then complete the
+        send, letting go of its event first."""
+        done, msg.meta = msg.meta, None
+        tag = msg.tag
+        if tag is not None:
+            self._matchers[tag[2]].deliver(tag, msg)
+        done.succeed(msg)
 
     def spawn(self, main: Callable, *args) -> List[Process]:
         """Start ``main(rank, *args)`` as a process for every rank."""

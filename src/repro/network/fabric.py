@@ -219,7 +219,6 @@ class Fabric:
         self.links: Dict[tuple, LinkRef] = {}
         self._wire_everything()
         self.messages_sent = 0
-        self.messages_completed = 0
         #: the attached FaultInjector, if any (set by repro.faults)
         self.fault_injector = None
         #: the attached InvariantAuditor, if any (set by repro.validate)
@@ -350,27 +349,24 @@ class Fabric:
         tag=None,
         on_complete: Optional[Callable[[Message], None]] = None,
     ) -> Message:
-        """Inject a message; returns immediately with the live Message."""
+        """Inject a message; returns immediately with the live Message.
+
+        *on_complete* is called once, with the message, when its last
+        packet arrives (see :class:`Message`)."""
         if not (0 <= src < len(self.nics)) or not (0 <= dst < len(self.nics)):
             raise ValueError(f"bad endpoints {src}->{dst}")
         if not (0 <= tc < len(self.config.classes)):
             raise ValueError(f"traffic class {tc} not configured")
         msg = Message(src, dst, nbytes, tc=tc, tag=tag)
+        msg.on_complete = on_complete
         self.messages_sent += 1
-
-        def _done(m: Message, user_cb=on_complete) -> None:
-            self.messages_completed += 1
-            if user_cb is not None:
-                user_cb(m)
-
-        msg.on_complete = _done
         self.nics[src].submit(msg)
         return msg
 
     def transfer(self, src: int, dst: int, nbytes: int, tc: int = 0, tag=None) -> Event:
         """Like :meth:`send`, but returns an Event for process code."""
         ev = self.sim.event()
-        self.send(src, dst, nbytes, tc=tc, tag=tag, on_complete=lambda m: ev.succeed(m))
+        self.send(src, dst, nbytes, tc=tc, tag=tag, on_complete=ev.succeed)
         return ev
 
     # -- observability (see repro.probe) -------------------------------------------
@@ -529,6 +525,10 @@ class Fabric:
 
     def packets_delivered(self) -> int:
         return sum(nic.pkts_delivered for nic in self.nics)
+
+    @property
+    def messages_completed(self) -> int:
+        return sum(nic.msgs_completed for nic in self.nics)
 
     def bytes_delivered(self) -> int:
         return sum(nic.bytes_delivered for nic in self.nics)

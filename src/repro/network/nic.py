@@ -31,7 +31,10 @@ but the packets ``_pump`` admits (cached effective window via
 event scheduling through ``sim.push`` with handlers bound once at
 construction — the pool's ``_release``, the NIC's ``_ack`` — rather
 than a fresh bound method per event).  A packet dies by reference count
-once it is acked or dropped and nothing else holds it.  The
+once it is acked or dropped and nothing else holds it.  A message's
+``on_complete`` is one-shot: the NIC clears it before calling it and
+counts the completion in ``msgs_completed``, so nothing the callback
+holds can keep the finished message in a cycle.  The
 straight-line specification lives in ``tests/oracles/delivery.py``;
 ``tests/test_delivery_path_equivalence.py`` pins the two event-for-event.
 """
@@ -64,6 +67,7 @@ class NIC:
         "bytes_delivered",
         "pkts_injected",
         "pkts_delivered",
+        "msgs_completed",
         "acks_marked",
         "acks_clean",
         "nic_lookup",
@@ -97,6 +101,7 @@ class NIC:
         self.bytes_delivered = 0
         self.pkts_injected = 0
         self.pkts_delivered = 0
+        self.msgs_completed = 0
         self.acks_marked = 0
         self.acks_clean = 0
         #: resolves a node id to its NIC (set by the fabric builder)
@@ -245,8 +250,10 @@ class NIC:
         msg.delivered_packets = msg.npackets
         msg.first_arrival_time = self.sim.now
         msg.complete_time = self.sim.now
-        if msg.on_complete is not None:
-            msg.on_complete(msg)
+        self.msgs_completed += 1
+        cb, msg.on_complete = msg.on_complete, None
+        if cb is not None:
+            cb(msg)
 
     # -- receive side ---------------------------------------------------------
 
@@ -278,8 +285,12 @@ class NIC:
                 msg.first_arrival_time = now
             if msg.delivered_packets >= msg.npackets and msg.complete_time is None:
                 msg.complete_time = now
-                if msg.on_complete is not None:
-                    msg.on_complete(msg)
+                self.msgs_completed += 1
+                # One-shot, as Event._dispatch clears its callbacks: the
+                # message lets go of its callback before calling it.
+                cb, msg.on_complete = msg.on_complete, None
+                if cb is not None:
+                    cb(msg)
         if self.probe is not None:
             self.probe.delivered(self, pkt, msg)
         # End-to-end ack back to the source (contention-free reverse path:

@@ -131,7 +131,14 @@ class Packet:
 
 
 class Message:
-    """A host-to-host transfer; completes when every packet has arrived."""
+    """A host-to-host transfer; completes when every packet has arrived.
+
+    ``on_complete`` is one-shot: the destination NIC clears it, then
+    calls it with the message, once, when the last packet arrives, so a
+    completed message holds no callback.  ``meta`` belongs to the
+    message's sender and the network never reads it; :mod:`repro.mpi`
+    parks a send's completion event there until the send completes.
+    """
 
     __slots__ = (
         "mid",

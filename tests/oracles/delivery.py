@@ -195,8 +195,10 @@ class ReferenceNIC(NIC):
                 msg.first_arrival_time = self.sim.now
             if msg.complete and msg.complete_time is None:
                 msg.complete_time = self.sim.now
-                if msg.on_complete is not None:
-                    msg.on_complete(msg)
+                self.msgs_completed += 1
+                cb, msg.on_complete = msg.on_complete, None
+                if cb is not None:
+                    cb(msg)
         if self.probe is not None:
             self.probe.delivered(self, pkt, msg)
         src_nic = self.nic_lookup(pkt.src)

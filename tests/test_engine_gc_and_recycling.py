@@ -7,12 +7,17 @@
   walk, and the handler each event dispatches is unchanged.
 * Once ``run()`` returns, the event queue holds no dispatched entry, so
   every delivered packet has died by reference count.
+* A completed MPI message holds no callback and no event, so it dies
+  by reference count too: the collector finds no message to free.
 """
 
 import gc
+from collections import Counter
 
 import pytest
 
+from repro.mpi import MpiWorld
+from repro.network.fabric import Fabric
 from repro.network.packet import Packet
 from repro.network.units import KiB
 from repro.sim import Simulator
@@ -78,3 +83,63 @@ def test_a_finished_run_keeps_no_packet_alive(loop):
     assert all(m.complete for m in msgs)
     gc.collect()
     assert sum(isinstance(o, Packet) for o in gc.get_objects()) == 0
+
+
+def test_a_finished_mpi_message_leaves_nothing_for_the_collector(monkeypatch):
+    """An allreduce (isend/recv), puts, a ``Fabric.transfer`` and a send
+    between two ranks on one node (loopback): with the fabric and the
+    world still referenced, the collector finds no Message or Event
+    among the run's garbage.  Every completion callback fires exactly
+    once, and the message has let go of it by the time it runs."""
+    sent, fired, cleared, loopback = [], Counter(), [], []
+    send = Fabric.send
+
+    def counted_send(self, *args, **kwargs):
+        msg = send(self, *args, **kwargs)
+        mid, callback = msg.mid, msg.on_complete
+
+        def once(m):
+            cleared.append(m.on_complete is None)
+            fired[mid] += 1
+            callback(m)
+
+        msg.on_complete = once
+        sent.append(mid)
+        if msg.src == msg.dst:
+            loopback.append(mid)
+        return msg
+
+    monkeypatch.setattr(Fabric, "send", counted_send)
+    transferred = []
+
+    def main(rank):
+        yield from rank.allreduce(8)
+        if rank.rank == 0:
+            yield rank.put(1, 16 * KiB)
+            yield rank.put(2, 8)
+            msg = yield rank.world.fabric.transfer(rank.node, 9, 4 * KiB)
+            transferred.append(msg.on_complete is None)
+        elif rank.rank == 2:
+            yield rank.send(3, 1 * KiB, tag="loop")
+        elif rank.rank == 3:
+            yield rank.recv(2, tag="loop")
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        fabric = malbec_mini().build()
+        world = MpiWorld(fabric, [0, 5, 17, 17])  # ranks 2 and 3 share node 17
+        procs = world.spawn(main)
+        fabric.sim.run()
+        gc.collect()
+        garbage = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert all(not p.alive and p.exception is None for p in procs)
+    assert garbage["Message"] == 0 and garbage["Event"] == 0, garbage
+    assert len(sent) > 10
+    assert fired == Counter(sent)  # every callback fired, each exactly once
+    assert all(cleared) and transferred == [True]
+    assert fabric.messages_completed == fabric.messages_sent == len(sent)
+    assert loopback  # ranks 2 and 3 never leave node 17
